@@ -10,8 +10,8 @@ from .branching import (
     trace_brute_force,
     trace_from_branching,
 )
-from .exactalg import QMatrix, Rational, kernel_basis, mat_mul, mat_scalar_shift, rank, rat
-from .qseries import ExponentForm, FormalSeries, Monomial, Window, geometric_expand
+from .exactalg import QMatrix, kernel_basis, mat_scalar_shift, rank, rat
+from .qseries import ExponentForm, FormalSeries, Monomial, Window
 from .theta import ClosedFormId, VerifyReport, closed_form, verify_identity
 from .verma import BOREL, PARABOLIC, Gen, ModuleSpec, Root, VermaModule, genericity_guard
 
@@ -29,7 +29,6 @@ __all__ = [
     "ModuleSpec",
     "Monomial",
     "QMatrix",
-    "Rational",
     "Root",
     "VerifyReport",
     "VermaModule",
@@ -37,10 +36,8 @@ __all__ = [
     "branching_table",
     "closed_form",
     "genericity_guard",
-    "geometric_expand",
     "kappa_spectrum",
     "kernel_basis",
-    "mat_mul",
     "mat_scalar_shift",
     "rank",
     "rat",

@@ -91,6 +91,19 @@ class BranchingTerm:
         return self.hw.c0
 
 
+def _on_string(terms, root: Root, n: int, m: int):
+    """Yield (term, k) for each constituent whose ``root`` string passes
+    through the (n, m) space, k steps below the term's origin; a finite
+    constituent L_i reaches depths 0..i only."""
+    dn, dm = root.down_step
+    for term in terms:
+        n0, m0 = term.origin
+        kn, km = n - n0, m - m0
+        k = kn // dn if dn else km // dm
+        if k >= 0 and (kn, km) == (k * dn, k * dm) and (term.kind != FINITE or k <= term.hw.c0):
+            yield term, k
+
+
 @dataclass(frozen=True)
 class BranchingTable:
     kind: str
@@ -99,20 +112,7 @@ class BranchingTable:
     depth_covered: int
 
     def local_dimension(self, n: int, m: int) -> int:
-        dn, dm = self.root.down_step
-        total = 0
-        for term in self.terms:
-            n0, m0 = term.origin
-            kn, km = n - n0, m - m0
-            if dn and kn % dn:
-                continue
-            k = kn // dn if dn else km // dm if dm else 0
-            if (kn, km) != (k * dn, k * dm) or k < 0:
-                continue
-            if term.kind == FINITE and k > term.finite_hw:
-                continue
-            total += term.multiplicity
-        return total
+        return sum(term.multiplicity for term, _ in _on_string(self.terms, self.root, n, m))
 
 
 def singular_dimension(module: VermaModule, root: Root, n: int, m: int) -> int:
@@ -248,20 +248,10 @@ def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int) -> tuple:
 def predicted_spectrum(table: BranchingTable, root: Root, n: int, m: int, l1, l2) -> tuple:
     """Eigenvalue multiset implied by a branching table at one weight space."""
     l1, l2 = Fraction(l1), Fraction(l2)
-    dn, dm = root.down_step
     out: dict = {}
-    for term in table.terms:
-        n0, m0 = term.origin
-        kn, km = n - n0, m - m0
-        k = kn // dn if dn else km // dm
-        if (kn, km) != (k * dn, k * dm) or k < 0:
-            continue
-        if term.kind == FINITE:
-            if k > term.finite_hw:
-                continue
-            e = Fraction((2 * k + 1) * term.finite_hw - 2 * k * k)
-        else:
-            e = (2 * k + 1) * term.hw.evaluate(l1, l2) - 2 * k * k
+    for term, k in _on_string(table.terms, root, n, m):
+        # a finite constituent's hw (i, 0, 0) evaluates to its top h-value i
+        e = (2 * k + 1) * term.hw.evaluate(l1, l2) - 2 * k * k
         out[e] = out.get(e, 0) + term.multiplicity
     return tuple(sorted(out.items()))
 

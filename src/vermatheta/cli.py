@@ -32,12 +32,12 @@ from .errors import UsageError, VerificationError
 from .exactalg import rat
 from .qseries import Window
 from .theta import (
+    CATALOG,
     VARIANT_PAIRS,
     ClosedFormId,
     VerifyReport,
     borel_character_closed_form,
     closed_form_with_notes,
-    id_kind,
     verify_identity,
 )
 from .verma import BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, genericity_guard
@@ -46,7 +46,7 @@ JOBS_ENV = "VERMATHETA_JOBS"
 
 DIVERGENT_NOTE = "formal window sum; divergent as series (depends on the truncation depth)"
 
-_CONFIG_KEYS = ("module", "lambda1", "lambda2", "depth", "B", "D", "T", "lambda_samples", "format")
+_CONFIG_KEYS = ("module", "lambda1", "lambda2", "depth", "B", "D", "T", "lambda_samples")
 
 
 @dataclass
@@ -59,34 +59,14 @@ class RunConfig:
     D: int = 8
     T: int = 8
     lambda_samples: tuple = ()
-    fmt: str = "json"
     lambda2_given: bool = True
 
     @property
     def window(self) -> Window:
         return Window(self.B, self.D, self.T)
 
-    def spec(self, kind: str | None = None, lambda2=None, depth: int | None = None) -> ModuleSpec:
-        kind = kind or self.module
-        l2 = self.lambda2 if lambda2 is None else Fraction(lambda2)
-        if kind == PARABOLIC and l2.denominator != 1:
-            l2 = Fraction(0)
-        return ModuleSpec(kind, self.lambda1, l2, self.depth if depth is None else depth)
-
-    def to_text(self) -> str:
-        lines = [
-            f"module = {self.module}",
-            f"lambda1 = {self.lambda1}",
-            f"lambda2 = {self.lambda2}",
-            f"depth = {self.depth}",
-            f"B = {self.B}",
-            f"D = {self.D}",
-            f"T = {self.T}",
-        ]
-        if self.lambda_samples:
-            pairs = ";".join(f"{l1},{l2}" for l1, l2 in self.lambda_samples)
-            lines.append(f"lambda_samples = {pairs}")
-        return "\n".join(lines) + "\n"
+    def spec(self) -> ModuleSpec:
+        return guarded_spec(self.module, self.lambda1, self.lambda2, self.depth)
 
     def as_json(self) -> dict:
         return {
@@ -97,6 +77,25 @@ class RunConfig:
             "window": self.window.as_dict(),
             "lambdaSamples": [[str(a), str(b)] for a, b in self.lambda_samples],
         }
+
+
+def guarded_spec(kind: str, lambda1, lambda2, depth: int) -> ModuleSpec:
+    """The spec a command runs on; a malformed spec or a weight that fails
+    the genericity guard is refused as a usage error."""
+    spec = ModuleSpec(kind, lambda1, lambda2, depth)
+    if not genericity_guard(spec.lambda1, spec.lambda2, depth, kind):
+        raise UsageError(
+            f"weight ({spec.lambda1}, {spec.lambda2}) fails the genericity guard for the "
+            f"{kind} module at depth {depth}; pick a non-integral weight"
+        )
+    return spec
+
+
+def parse_int(value, name: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
 def parse_samples(text: str) -> tuple:
@@ -151,15 +150,13 @@ def build_config(args) -> RunConfig:
     for name in ("depth", "B", "D", "T"):
         value = pick(name, getattr(args, name))
         if value is not None:
-            setattr(cfg, name, int(value))
+            setattr(cfg, name, parse_int(value, name))
     samples = pick("lambda_samples", args.lambda_samples)
     if samples is not None:
         cfg.lambda_samples = parse_samples(samples) if isinstance(samples, str) else samples
-    fmt = pick("format", getattr(args, "format", None))
-    if fmt is not None:
-        if fmt != "json":
-            raise UsageError(f"unsupported report format {fmt!r}")
-        cfg.fmt = fmt
+    # a parabolic config's lambda2 must be a nonnegative integer; refusing a
+    # bad one here keeps every command from running at another value
+    ModuleSpec(cfg.module, cfg.lambda1, cfg.lambda2, cfg.depth)
     return cfg
 
 
@@ -183,29 +180,30 @@ def comparison_json(cmp) -> dict:
     }
 
 
-def check_json(report: VerifyReport, id_suffix: str = "") -> dict:
+def check_record(check_id: str, window: Window, samples, notes=(), passed: bool = True,
+                 agreed: bool = True, first_mismatch=None, pipeline_mismatch=None) -> dict:
+    """One entry of a report's ``checks``; a mismatch key appears only for a
+    failed comparison."""
     out = {
-        "id": report.identity + id_suffix,
-        "status": report.status,
-        "pipelineAgreement": report.pipeline_agreement,
-        "window": report.window.as_dict(),
-        "lambdaSamples": [[str(a), str(b)] for a, b in report.lambda_samples],
-        "notes": list(report.notes),
+        "id": check_id,
+        "status": "pass" if passed else "mismatch",
+        "pipelineAgreement": "pass" if agreed else "fail",
+        "window": window.as_dict(),
+        "lambdaSamples": [[str(a), str(b)] for a, b in samples],
+        "notes": list(notes),
     }
-    if report.first_mismatch is not None:
-        out["firstMismatch"] = comparison_json(report.first_mismatch)
-    if report.pipeline_mismatch is not None:
-        out["pipelineMismatch"] = comparison_json(report.pipeline_mismatch)
+    for key, cmp in (("firstMismatch", first_mismatch), ("pipelineMismatch", pipeline_mismatch)):
+        if cmp is not None and not cmp.passed:
+            out[key] = comparison_json(cmp)
     return out
 
 
-def _guard_or_refuse(cfg: RunConfig, kind: str, lambda2=None) -> None:
-    l2 = cfg.lambda2 if lambda2 is None else Fraction(lambda2)
-    if not genericity_guard(cfg.lambda1, l2, cfg.depth, kind):
-        raise UsageError(
-            f"weight ({cfg.lambda1}, {l2}) fails the genericity guard for the "
-            f"{kind} module at depth {cfg.depth}; pick a non-integral weight"
-        )
+def check_json(report: VerifyReport, id_suffix: str = "") -> dict:
+    return check_record(
+        report.identity + id_suffix, report.window, report.lambda_samples, report.notes,
+        report.status == "pass", report.pipeline_agreement == "pass",
+        report.first_mismatch, report.pipeline_mismatch,
+    )
 
 
 # -- verify --------------------------------------------------------------------
@@ -223,23 +221,16 @@ def _verify_task(payload: tuple) -> VerifyReport:
 def _verify_tasks(cfg: RunConfig, identities) -> list[tuple]:
     tasks = []
     for identity, lambda2 in identities:
-        kind = id_kind(identity)
-        if kind == BOREL:
+        kind = CATALOG[identity].kind
+        if lambda2 is not None:
+            l1, l2 = cfg.lambda1, lambda2
+        elif cfg.module == BOREL:
+            l1, l2 = cfg.lambda1, cfg.lambda2
+        else:
             # a config aimed at the parabolic module carries an integral
             # lambda2; Borel identities then use the default generic weight
-            l1, l2 = (
-                (cfg.lambda1, cfg.lambda2)
-                if cfg.module == BOREL
-                else DEFAULT_WEIGHTS[0]
-            )
-        else:
-            l1, l2 = cfg.lambda1, Fraction(lambda2)
-        if not genericity_guard(l1, l2, cfg.depth, kind):
-            raise UsageError(
-                f"weight ({l1}, {l2}) fails the genericity guard for the "
-                f"{kind} module at depth {cfg.depth}; pick a non-integral weight"
-            )
-        spec = ModuleSpec(kind, l1, l2, cfg.depth)
+            l1, l2 = DEFAULT_WEIGHTS[0]
+        spec = guarded_spec(kind, l1, l2, cfg.depth)
         samples = cfg.lambda_samples or lift_samples(spec)
         tasks.append(
             (
@@ -283,45 +274,39 @@ def _annotate_variants(checks: list[dict]) -> None:
 
 
 def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
-    identities: list[tuple] = []
+    jobs = parse_int(os.environ.get(JOBS_ENV, "1"), JOBS_ENV)
+    if jobs < 1:
+        raise UsageError(f"{JOBS_ENV} must be a positive integer, got {jobs}")
+    # (identity, lambda2), with lambda2 None for the Borel identities
     if args.all or not args.identity:
-        for identity in (
-            ClosedFormId.BOREL_TRACE_13,
-            ClosedFormId.BOREL_REG_TRACE_12,
-            ClosedFormId.BOREL_REG_TRACE_23,
-        ):
-            identities.append((identity, None))
-        lambda2_values = [cfg.lambda2] if cfg.lambda2_given and cfg.module == PARABOLIC else [0, 1, 2]
-        for l2 in lambda2_values:
-            for identity in (
-                ClosedFormId.PARABOLIC_TRACE_12,
-                ClosedFormId.PARABOLIC_TRACE_12_ALT_SIGN,
-                ClosedFormId.PARABOLIC_TRACE_23,
-                ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT,
-                ClosedFormId.PARABOLIC_TRACE_13,
-                ClosedFormId.PARABOLIC_CHARACTER,
-            ):
-                identities.append((identity, Fraction(l2)))
+        borel = [i for i in ClosedFormId if CATALOG[i].kind == BOREL]
+        parabolic = [i for i in ClosedFormId if CATALOG[i].kind == PARABOLIC]
+        sweep = [cfg.lambda2] if cfg.lambda2_given and cfg.module == PARABOLIC else [0, 1, 2]
+        identities = [(i, None) for i in borel]
+        identities += [(i, Fraction(l2)) for l2 in sweep for i in parabolic]
     else:
-        for name in args.identity:
-            identity = ClosedFormId(name)
-            l2 = cfg.lambda2 if id_kind(identity) == PARABOLIC else None
-            if id_kind(identity) == PARABOLIC and l2.denominator != 1:
-                l2 = Fraction(1)
-            identities.append((identity, l2))
+        # a Borel config's lambda2 is a generic weight; its parabolic
+        # identities run at the parabolic default 1 unless that lambda2 is a
+        # nonnegative integer (a parabolic config's lambda2 always is)
+        l2 = cfg.lambda2
+        if l2.denominator != 1 or l2 < 0:
+            l2 = Fraction(1)
+        identities = [
+            (i, l2 if CATALOG[i].kind == PARABOLIC else None)
+            for i in map(ClosedFormId, args.identity)
+        ]
 
     tasks = _verify_tasks(cfg, identities)
-    jobs = max(1, int(os.environ.get(JOBS_ENV, "1")))
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_verify_task, tasks))
     else:
         reports = [_verify_task(t) for t in tasks]
 
-    checks = []
-    for (identity, lambda2), report in zip(identities, reports):
-        suffix = f"@lambda2={lambda2}" if id_kind(identity) == PARABOLIC else ""
-        checks.append(check_json(report, suffix))
+    checks = [
+        check_json(report, "" if lambda2 is None else f"@lambda2={lambda2}")
+        for (_, lambda2), report in zip(identities, reports)
+    ]
     _annotate_variants(checks)
     ok = all(c["status"] == "pass" and c["pipelineAgreement"] == "pass" for c in checks)
     report = {"config": {**cfg.as_json(), "command": "verify"}, "checks": checks}
@@ -332,30 +317,18 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
 
 
 def cmd_character(cfg: RunConfig, args) -> tuple[dict, int]:
-    kind = cfg.module
-    _guard_or_refuse(cfg, kind)
-    spec = cfg.spec(kind)
-    module = VermaModule(spec)
-    brute = module.character_bruteforce(cfg.T)
+    spec = cfg.spec()
+    brute = VermaModule(spec).character_bruteforce(cfg.T)
     window = Window(0, 0, cfg.T)
-    if kind == PARABOLIC:
+    if spec.kind == PARABOLIC:
         closed, notes = closed_form_with_notes(ClosedFormId.PARABOLIC_CHARACTER, spec, cfg.window)
         check_id = ClosedFormId.PARABOLIC_CHARACTER.value + f"@lambda2={spec.lambda2}"
     else:
-        closed = borel_character_closed_form(window)
-        notes = []
+        closed, notes = borel_character_closed_form(window), []
         check_id = "borel-character"
     cmp = brute.equal_on(closed, window)
-    check = {
-        "id": check_id,
-        "status": "pass" if cmp.passed else "mismatch",
-        "pipelineAgreement": "pass",
-        "window": window.as_dict(),
-        "lambdaSamples": [[str(spec.lambda1), str(spec.lambda2)]],
-        "notes": notes,
-    }
-    if not cmp.passed:
-        check["firstMismatch"] = comparison_json(cmp)
+    check = check_record(check_id, window, [(spec.lambda1, spec.lambda2)], notes,
+                         passed=cmp.passed, first_mismatch=cmp)
     report = {
         "config": {**cfg.as_json(), "command": "character"},
         "checks": [check],
@@ -397,20 +370,15 @@ def write_csv(rows: list[dict], path: str) -> None:
 
 def cmd_branch(cfg: RunConfig, args) -> tuple[dict, int]:
     root = Root(args.root)
-    _guard_or_refuse(cfg, cfg.module)
-    module = VermaModule(cfg.spec())
-    table = branching_table(module, root)
+    table = branching_table(VermaModule(cfg.spec()), root)
     rows = table_rows(table)
     if args.csv:
         write_csv(rows, args.csv)
-    check = {
-        "id": f"branching-accounting-{cfg.module}-{root.value}",
-        "status": "pass",
-        "pipelineAgreement": "pass",
-        "window": cfg.window.as_dict(),
-        "lambdaSamples": [[str(cfg.lambda1), str(cfg.lambda2)]],
-        "notes": [f"constituents account for every weight space to depth {table.depth_covered}"],
-    }
+    check = check_record(
+        f"branching-accounting-{cfg.module}-{root.value}", cfg.window,
+        [(cfg.lambda1, cfg.lambda2)],
+        [f"constituents account for every weight space to depth {table.depth_covered}"],
+    )
     report = {
         "config": {**cfg.as_json(), "command": "branch"},
         "checks": [check],
@@ -421,7 +389,6 @@ def cmd_branch(cfg: RunConfig, args) -> tuple[dict, int]:
 
 def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, int]:
     root = Root(args.root)
-    _guard_or_refuse(cfg, cfg.module)
     module = VermaModule(cfg.spec())
     table = branching_table(module, root)
     coherent = True
@@ -432,14 +399,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, int]:
         if tuple(predicted) != measured:
             coherent = False
             row["coherent"] = False
-    check = {
-        "id": f"spectrum-branching-coherence-{cfg.module}-{root.value}",
-        "status": "pass" if coherent else "mismatch",
-        "pipelineAgreement": "pass" if coherent else "fail",
-        "window": cfg.window.as_dict(),
-        "lambdaSamples": [[str(cfg.lambda1), str(cfg.lambda2)]],
-        "notes": [],
-    }
+    check = check_record(
+        f"spectrum-branching-coherence-{cfg.module}-{root.value}", cfg.window,
+        [(cfg.lambda1, cfg.lambda2)], passed=coherent, agreed=coherent,
+    )
     report = {
         "config": {**cfg.as_json(), "command": "spectrum"},
         "checks": [check],
@@ -451,26 +414,9 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, int]:
 # -- trace ---------------------------------------------------------------------
 
 
-_TRACE_CATALOG = {
-    (BOREL, Root.A13, False): (ClosedFormId.BOREL_TRACE_13,),
-    (BOREL, Root.A12, True): (ClosedFormId.BOREL_REG_TRACE_12,),
-    (BOREL, Root.A23, True): (ClosedFormId.BOREL_REG_TRACE_23,),
-    (PARABOLIC, Root.A12, False): (
-        ClosedFormId.PARABOLIC_TRACE_12,
-        ClosedFormId.PARABOLIC_TRACE_12_ALT_SIGN,
-    ),
-    (PARABOLIC, Root.A23, False): (
-        ClosedFormId.PARABOLIC_TRACE_23,
-        ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT,
-    ),
-    (PARABOLIC, Root.A13, False): (ClosedFormId.PARABOLIC_TRACE_13,),
-}
-
-
 def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
     root = Root(args.root)
     regularized = bool(args.regularized)
-    _guard_or_refuse(cfg, cfg.module)
     spec = cfg.spec()
     window = cfg.window
     divergent = is_divergent(spec.kind, root, regularized)
@@ -481,7 +427,6 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
     deep = spec.with_depth(max(spec.depth, need))
     samples = cfg.lambda_samples or lift_samples(spec)
 
-    payload: dict = {"notes": notes}
     series_by_name = {}
     want = args.pipeline
     if want in ("branching", "all"):
@@ -497,8 +442,10 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
         series_by_name["brute"] = trace_brute_force(
             deep, root, window, regularized, samples=samples, divergent_depth=divergent_depth
         )
-    closed_ids = () if divergent else _TRACE_CATALOG.get((spec.kind, root, regularized), ())
     if want in ("closed", "all"):
+        closed_ids = [] if divergent else [
+            i for i, entry in CATALOG.items() if entry == (spec.kind, root, regularized)
+        ]
         for identity in closed_ids:
             series, id_notes = closed_form_with_notes(identity, spec, window)
             series_by_name[identity.value] = series
@@ -507,25 +454,20 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
             notes.append("no closed form in the catalog for this trace")
 
     checks = []
-    exit_code = 0
-    if want == "all" and "brute" in series_by_name and "branching" in series_by_name:
+    if want == "all":
         cmp = series_by_name["brute"].equal_on(series_by_name["branching"], window)
-        check = {
-            "id": f"trace-pipeline-agreement-{cfg.module}-{root.value}"
+        checks.append(check_record(
+            f"trace-pipeline-agreement-{cfg.module}-{root.value}"
             + ("-regularized" if regularized else ""),
-            "status": "pass" if cmp.passed else "mismatch",
-            "pipelineAgreement": "pass" if cmp.passed else "fail",
-            "window": window.as_dict(),
-            "lambdaSamples": [[str(a), str(b)] for a, b in samples],
-            "notes": list(notes),
-        }
-        if not cmp.passed:
-            check["firstMismatch"] = comparison_json(cmp)
-            exit_code = 1
-        checks.append(check)
-    payload["series"] = {name: s.to_records() for name, s in sorted(series_by_name.items())}
-    report = {"config": {**cfg.as_json(), "command": "trace"}, "checks": checks, **payload}
-    return report, exit_code
+            window, samples, notes, cmp.passed, cmp.passed, first_mismatch=cmp,
+        ))
+    report = {
+        "config": {**cfg.as_json(), "command": "trace"},
+        "checks": checks,
+        "notes": notes,
+        "series": {name: s.to_records() for name, s in sorted(series_by_name.items())},
+    }
+    return report, 0 if all(c["status"] == "pass" for c in checks) else 1
 
 
 # -- entry ---------------------------------------------------------------------
@@ -543,15 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--module", choices=(BOREL, PARABOLIC), default=None)
         p.add_argument("--lambda1", default=None, help="exact rational, e.g. 7/3")
         p.add_argument("--lambda2", default=None, help="exact rational; nonnegative integer for parabolic")
-        p.add_argument("--depth", type=int, default=None, help="certified depth cutoff on n+m")
-        p.add_argument("--B", type=int, default=None, help="window cap on weight-coefficient degree")
-        p.add_argument("--D", type=int, default=None, help="window cap on |constant exponent|")
-        p.add_argument("--T", type=int, default=None, help="window cap on |t1|, |t2| degrees")
+        p.add_argument("--depth", default=None, help="certified depth cutoff on n+m")
+        p.add_argument("--B", default=None, help="window cap on weight-coefficient degree")
+        p.add_argument("--D", default=None, help="window cap on |constant exponent|")
+        p.add_argument("--T", default=None, help="window cap on |t1|, |t2| degrees")
         p.add_argument("--lambda-samples", dest="lambda_samples", default=None,
                        help="semicolon-separated weight pairs, e.g. '7/3,5/7;11/5,-3/7'")
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--output", default=None, help="write the JSON report here as well")
-        p.add_argument("--format", default=None, choices=("json",), help="report format")
 
     p = sub.add_parser("character", help="brute-force character vs closed form")
     common(p)

@@ -13,8 +13,6 @@ from math import lcm
 
 from .errors import UsageError
 
-Rational = Fraction
-
 
 def rat(value) -> Fraction:
     """Parse a rational from an int, Fraction or a string like '7/3'."""
@@ -23,7 +21,10 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
     raise UsageError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -78,17 +79,6 @@ class QMatrix:
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols})"
-
-
-def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    if a.cols != b.rows:
-        raise UsageError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            out.append(sum((arow[k] * b.entry(k, j) for k in range(a.cols)), Fraction(0)))
-    return QMatrix(a.rows, b.cols, out)
 
 
 def mat_scalar_shift(a: QMatrix, c) -> QMatrix:

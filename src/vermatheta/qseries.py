@@ -8,8 +8,7 @@ exact on an explicit comparison window.
 
 Window semantics: a monomial is kept iff 0 <= c1 <= B, 0 <= c2 <= B,
 -D <= c0 <= +D and |t1|, |t2| <= T.  The constant bound is symmetric so that
-every non-unit monomial escapes the window under iterated powers, which makes
-geometric expansion total except for the unit.
+every non-unit monomial escapes the window under iterated powers.
 
 For modules whose second weight parameter is a fixed nonnegative integer, the
 convention throughout the package is to fold that integer into c0, so those
@@ -22,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .errors import DivergenceError, UsageError
+from .errors import UsageError
 
 
 class ExponentForm(NamedTuple):
@@ -58,9 +57,6 @@ class Monomial(NamedTuple):
 
     def inverse(self) -> "Monomial":
         return self.power(-1)
-
-    def is_unit(self) -> bool:
-        return self == MONO_ONE
 
     def sort_key(self):
         c0, c1, c2 = self.qexp
@@ -138,14 +134,6 @@ class FormalSeries:
     @classmethod
     def zero(cls, window: Window) -> "FormalSeries":
         return cls({}, window)
-
-    @classmethod
-    def one(cls, window: Window) -> "FormalSeries":
-        return cls({MONO_ONE: Fraction(1)}, window)
-
-    @classmethod
-    def of(cls, mono: Monomial, window: Window, coeff=1) -> "FormalSeries":
-        return cls({mono: Fraction(coeff)}, window)
 
     def coeff(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
@@ -234,37 +222,3 @@ class FormalSeries:
     def __repr__(self):
         return f"FormalSeries({len(self.terms)} terms on {self.window})"
 
-
-def _power_cap(step: int, lo: int, hi: int) -> int | None:
-    """Largest j >= 0 with lo <= j*step <= hi, or None if unbounded."""
-    if step == 0:
-        return None
-    return hi // step if step > 0 else lo // step
-
-
-def geometric_expand(mono: Monomial, window: Window) -> FormalSeries:
-    """Sum_{j>=0} mono^j truncated exactly to the window.
-
-    Every non-unit monomial escapes the window box coordinatewise, so the
-    expansion is finite; the unit monomial is rejected as divergent.
-    """
-    c0, c1, c2 = mono.qexp
-    caps = [
-        _power_cap(c0, -window.D, window.D),
-        _power_cap(c1, 0, window.B),
-        _power_cap(c2, 0, window.B),
-        _power_cap(mono.t1, -window.T, window.T),
-        _power_cap(mono.t2, -window.T, window.T),
-    ]
-    caps = [c for c in caps if c is not None]
-    if not caps:
-        raise DivergenceError("geometric expansion of the unit monomial diverges")
-    j_max = min(caps)
-    return FormalSeries({mono.power(j): Fraction(1) for j in range(j_max + 1)}, window)
-
-
-def series_sum(items: Iterable[FormalSeries], window: Window) -> FormalSeries:
-    total = FormalSeries.zero(window)
-    for s in items:
-        total = total + s
-    return total

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .branching import (
     branching_table,
@@ -27,7 +28,7 @@ from .branching import (
     trace_brute_force,
     trace_from_branching,
 )
-from .errors import DivergenceError, UsageError
+from .errors import DivergenceError, UsageError, VerificationError
 from .qseries import (
     MONO_ONE,
     Comparison,
@@ -53,27 +54,29 @@ class ClosedFormId(Enum):
     PARABOLIC_CHARACTER = "parabolic-character"
 
 
-_ID_ROOT = {
-    ClosedFormId.BOREL_TRACE_13: Root.A13,
-    ClosedFormId.BOREL_REG_TRACE_12: Root.A12,
-    ClosedFormId.BOREL_REG_TRACE_23: Root.A23,
-    ClosedFormId.PARABOLIC_TRACE_12: Root.A12,
-    ClosedFormId.PARABOLIC_TRACE_12_ALT_SIGN: Root.A12,
-    ClosedFormId.PARABOLIC_TRACE_23: Root.A23,
-    ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT: Root.A23,
-    ClosedFormId.PARABOLIC_TRACE_13: Root.A13,
-}
+class CatalogEntry(NamedTuple):
+    kind: str
+    root: Root | None  # None for the character, which is not a trace
+    regularized: bool
 
-_REGULARIZED = {ClosedFormId.BOREL_REG_TRACE_12, ClosedFormId.BOREL_REG_TRACE_23}
+
+#: The module kind, root and regularization of every catalog identity.
+CATALOG = {
+    ClosedFormId.BOREL_TRACE_13: CatalogEntry(BOREL, Root.A13, False),
+    ClosedFormId.BOREL_REG_TRACE_12: CatalogEntry(BOREL, Root.A12, True),
+    ClosedFormId.BOREL_REG_TRACE_23: CatalogEntry(BOREL, Root.A23, True),
+    ClosedFormId.PARABOLIC_TRACE_12: CatalogEntry(PARABOLIC, Root.A12, False),
+    ClosedFormId.PARABOLIC_TRACE_12_ALT_SIGN: CatalogEntry(PARABOLIC, Root.A12, False),
+    ClosedFormId.PARABOLIC_TRACE_23: CatalogEntry(PARABOLIC, Root.A23, False),
+    ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT: CatalogEntry(PARABOLIC, Root.A23, False),
+    ClosedFormId.PARABOLIC_TRACE_13: CatalogEntry(PARABOLIC, Root.A13, False),
+    ClosedFormId.PARABOLIC_CHARACTER: CatalogEntry(PARABOLIC, None, False),
+}
 
 VARIANT_PAIRS = (
     (ClosedFormId.PARABOLIC_TRACE_12, ClosedFormId.PARABOLIC_TRACE_12_ALT_SIGN),
     (ClosedFormId.PARABOLIC_TRACE_23, ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT),
 )
-
-
-def id_kind(identity: ClosedFormId) -> str:
-    return BOREL if identity.value.startswith("borel") else PARABOLIC
 
 
 def _phi_t(mono: Monomial) -> int:
@@ -144,12 +147,10 @@ def closed_form(identity: ClosedFormId, spec: ModuleSpec, window: Window) -> For
 
 def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
                            window: Window) -> tuple[FormalSeries, list[str]]:
-    if id_kind(identity) == PARABOLIC:
-        if spec.kind != PARABOLIC:
-            raise UsageError(f"{identity.value} needs a parabolic module spec")
-        v = spec.lambda2_int
-    elif spec.kind != BOREL:
-        raise UsageError(f"{identity.value} needs a Borel module spec")
+    kind = CATALOG[identity].kind
+    if spec.kind != kind:
+        raise UsageError(f"{identity.value} needs a {kind} module spec")
+    v = spec.lambda2_int if kind == PARABOLIC else None
 
     total = FormalSeries.zero(window)
     notes: list[str] = []
@@ -283,12 +284,13 @@ def verify_identity(identity: ClosedFormId, spec: ModuleSpec, window: Window,
     assembly, all exact on the window.  The closed-form status is judged
     against the brute-force series; pipeline agreement is reported
     independently."""
-    if spec.kind != id_kind(identity):
-        spec = ModuleSpec(id_kind(identity), spec.lambda1, spec.lambda2, spec.depth)
+    kind, root, regularized = CATALOG[identity]
+    if spec.kind != kind:
+        spec = ModuleSpec(kind, spec.lambda1, spec.lambda2, spec.depth)
     samples = tuple(samples) if samples is not None else lift_samples(spec)
     closed, notes = closed_form_with_notes(identity, spec, window)
 
-    if identity is ClosedFormId.PARABOLIC_CHARACTER:
+    if root is None:
         module = VermaModule(spec)
         brute = module.character_bruteforce(window.T)
         status = closed.equal_on(brute, Window(0, 0, window.T))
@@ -304,8 +306,6 @@ def verify_identity(identity: ClosedFormId, spec: ModuleSpec, window: Window,
         )
         return report
 
-    root = _ID_ROOT[identity]
-    regularized = identity in _REGULARIZED
     need = required_depth(spec, root, window, regularized)
     deep = spec.with_depth(max(spec.depth, need))
 
@@ -315,7 +315,7 @@ def verify_identity(identity: ClosedFormId, spec: ModuleSpec, window: Window,
         tables.append(branching_table(module, root))
     for other in tables[1:]:
         if not tables_match(tables[0], other):
-            raise UsageError("branching tables differ across weight samples")
+            raise VerificationError("branching tables differ across weight samples")
     branch_series = trace_from_branching(tables[0], window, regularized, spec=deep)
     brute_series = trace_brute_force(deep, root, window, regularized, samples=samples)
 

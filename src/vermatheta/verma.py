@@ -250,12 +250,6 @@ class VermaModule:
             return (a + y, x + y)  # exps = (E21, E32, E31)
         return (a + x, x + y)  # exps = (E21, E31, E32)
 
-    def h_values(self, n: int, m: int) -> tuple[Fraction, Fraction]:
-        return (
-            self.spec.lambda1 - 2 * n + m,
-            self.spec.lambda2 + n - 2 * m,
-        )
-
     def weight_space(self, n: int, m: int) -> tuple:
         """Ordered PBW basis of the (n, m) weight space."""
         if n < 0 or m < 0:
@@ -272,16 +266,6 @@ class VermaModule:
 
     def dim(self, n: int, m: int) -> int:
         return len(self.weight_space(n, m))
-
-    def weight_spaces(self, depth: int | None = None) -> dict:
-        depth = self.spec.depth if depth is None else depth
-        out = {}
-        for n in range(depth + 1):
-            for m in range(depth + 1 - n):
-                basis = self.weight_space(n, m)
-                if basis:
-                    out[(n, m)] = basis
-        return out
 
     # -- straightening -----------------------------------------------------
 

@@ -162,8 +162,9 @@ def test_kappa_depth_one_string(borel_module):
 def test_finite_module_interior_eigenvalue(parabolic_modules):
     # inside L_1 the h-value -1 slot (depth 1) carries eigenvalue 3*1-2 = 1
     module = parabolic_modules[(F(7, 3), 1)]
-    for (n, m), basis in module.weight_spaces(4).items():
-        if module.h_values(n, m)[1] == -1 and basis:
+    spaces = [(n, m) for n in range(5) for m in range(5 - n) if module.dim(n, m)]
+    for n, m in spaces:
+        if module.spec.lambda2 + n - 2 * m == -1:  # the h2-value of (n, m)
             got = dict(kappa_spectrum(module, Root.A23, n, m))
             assert any(value == 1 for value in got)
             break

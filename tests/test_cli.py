@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vermatheta.cli import RunConfig, main, parse_samples
+from vermatheta.cli import RunConfig, build_config, build_parser, main
 
 F = Fraction
 
@@ -144,7 +144,7 @@ def test_config_file_and_flag_override(tmp_path):
     assert report["config"]["window"]["B"] == 3
 
 
-def test_config_round_trip():
+def test_config_round_trip(tmp_path):
     cfg = RunConfig(
         module="parabolic",
         lambda1=F(11, 5),
@@ -155,22 +155,61 @@ def test_config_round_trip():
         T=5,
         lambda_samples=((F(11, 5), F(2)), (F(7, 3), F(2))),
     )
-    text = cfg.to_text()
-    parsed = {}
-    for line in text.splitlines():
-        key, value = (part.strip() for part in line.split("=", 1))
-        parsed[key] = value
-    rebuilt = RunConfig(
-        module=parsed["module"],
-        lambda1=F(parsed["lambda1"]),
-        lambda2=F(parsed["lambda2"]),
-        depth=int(parsed["depth"]),
-        B=int(parsed["B"]),
-        D=int(parsed["D"]),
-        T=int(parsed["T"]),
-        lambda_samples=parse_samples(parsed["lambda_samples"]),
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        f"module = {cfg.module}\nlambda1 = {cfg.lambda1}\nlambda2 = {cfg.lambda2}\n"
+        f"depth = {cfg.depth}\nB = {cfg.B}\nD = {cfg.D}\nT = {cfg.T}\n"
+        "lambda_samples = " + ";".join(f"{a},{b}" for a, b in cfg.lambda_samples) + "\n"
     )
-    assert rebuilt.to_text() == text
+    rebuilt = build_config(build_parser().parse_args(["verify", "--config", str(cfg_file)]))
+    assert rebuilt.as_json() == cfg.as_json()
+
+
+MALFORMED = [
+    pytest.param(["character", "--lambda1", "abc"], None, None, id="argv-lambda1"),
+    pytest.param(["character", "--lambda1", "1/0"], None, None, id="argv-zero-denominator"),
+    pytest.param(["character", "--depth", "x"], None, None, id="argv-depth"),
+    pytest.param(["character"], "depth = x\n", None, id="config-depth"),
+    pytest.param(["character"], "lambda_samples = 7/3,abc\n", None, id="config-samples"),
+    pytest.param(["verify", "--identity", "borel-trace-13"], None, "abc", id="env-jobs-abc"),
+    pytest.param(["verify", "--identity", "borel-trace-13"], None, "0", id="env-jobs-0"),
+    pytest.param(["verify", "--identity", "borel-trace-13"], None, "-3", id="env-jobs-negative"),
+]
+
+
+@pytest.mark.parametrize("argv,config,jobs", MALFORMED)
+def test_malformed_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, config, jobs):
+    if config is not None:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config)
+        argv = [*argv, "--config", str(cfg_file)]
+    if jobs is not None:
+        monkeypatch.setenv("VERMATHETA_JOBS", jobs)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--module", "parabolic", "--lambda2", "1/2", "--identity", "parabolic-trace-13"],
+    ["verify", "--module", "parabolic", "--lambda2", "1/2", "--identity", "borel-trace-13"],
+    ["trace", "--module", "parabolic", "--lambda2", "1/2", "--root", "13"],
+    ["character", "--module", "parabolic", "--lambda2", "-1"],
+    ["branch", "--module", "parabolic", "--lambda2", "1/2", "--root", "23"],
+])
+def test_parabolic_lambda2_is_never_coerced(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: parabolic modules need lambda2 a nonnegative integer\n"
+
+
+def test_parabolic_lambda2_defaults_to_1(tmp_path):
+    code, payload = run(tmp_path, "verify", "--identity", "parabolic-trace-13",
+                        "--B", "1", "--D", "2", "--T", "0", "--depth", "4")
+    assert code == 0
+    assert json.loads(payload)["checks"][0]["id"] == "parabolic-trace-13@lambda2=1"
 
 
 def test_bad_config_line_rejected(tmp_path):

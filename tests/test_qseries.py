@@ -4,15 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vermatheta import ExponentForm, FormalSeries, Monomial, Window, geometric_expand
+from vermatheta import ExponentForm, FormalSeries, Monomial, Window
 from vermatheta.errors import DivergenceError, UsageError
 from vermatheta.qseries import MONO_ONE, qpow
+from vermatheta.theta import _expand_term
 
 F = Fraction
 
 
 def series(window, *terms):
     return FormalSeries({m: F(c) for m, c in terms}, window)
+
+
+def geometric(mono, window):
+    """1/(1 - mono) on the window, expanded by the closed-form expander."""
+    return _expand_term([(1, MONO_ONE)], [mono], window)
 
 
 def brute_mul(a: FormalSeries, b: FormalSeries, window: Window) -> dict:
@@ -44,10 +50,8 @@ def test_monomial_product_adds_exponents():
         ExponentForm(0, 1, 1)
     )
     w = Window(2, 2, 0)
-    prod = FormalSeries.of(qpow(ExponentForm(0, 1, 0)), w) * FormalSeries.of(
-        qpow(ExponentForm(0, 0, 1)), w
-    )
-    assert prod == FormalSeries.of(qpow(ExponentForm(0, 1, 1)), w)
+    prod = series(w, (qpow(ExponentForm(0, 1, 0)), 1)) * series(w, (qpow(ExponentForm(0, 0, 1)), 1))
+    assert prod == series(w, (qpow(ExponentForm(0, 1, 1)), 1))
 
 
 def test_telescoping_product_truncates_to_one():
@@ -59,35 +63,28 @@ def test_telescoping_product_truncates_to_one():
     )
     expected = brute_mul(left, right, w)
     assert (left * right).terms == expected
-    assert (left * right) == FormalSeries.one(w)
+    assert (left * right) == series(w, (MONO_ONE, 1))
 
 
 def test_geometric_expand_simple_q():
     w = Window(0, 3, 0)
-    got = geometric_expand(qpow(ExponentForm(-1, 0, 0)), w)
+    got, notes = geometric(qpow(ExponentForm(-1, 0, 0)), w)
     assert got == FormalSeries(
         {qpow(ExponentForm(-j, 0, 0)): F(1) for j in range(4)}, w
     )
+    assert notes == []
 
 
 def test_geometric_expand_mixed_t_exits_by_degree():
     w = Window(0, 4, 4)
     m = Monomial(ExponentForm(-2, 0, 0), -2, 1)
-    got = geometric_expand(m, w)
+    got, _ = geometric(m, w)
     assert got.terms == {MONO_ONE: F(1), m: F(1), m.power(2): F(1)}
-
-
-def test_geometric_expand_lambda_degree_exit():
-    w = Window(3, 10, 0)
-    got = geometric_expand(qpow(ExponentForm(0, 1, 0)), w)
-    assert sorted(got.terms) == sorted(
-        qpow(ExponentForm(0, j, 0)) for j in range(4)
-    )
 
 
 def test_geometric_expand_unit_diverges():
     with pytest.raises(DivergenceError):
-        geometric_expand(MONO_ONE, Window(2, 2, 2))
+        geometric(MONO_ONE, Window(2, 2, 2))
 
 
 def test_equal_on_reflexive_and_outside_window():
@@ -108,14 +105,14 @@ def test_equal_on_reflexive_and_outside_window():
 
 
 def test_equal_on_requires_covering_windows():
-    a = FormalSeries.one(Window(1, 1, 1))
+    a = series(Window(1, 1, 1), (MONO_ONE, 1))
     with pytest.raises(UsageError):
         a.equal_on(a, Window(2, 2, 2))
 
 
 def test_substitute_lambda_evaluates_exponents():
     w = Window(2, 2, 0)
-    a = FormalSeries.of(qpow(ExponentForm(0, 1, 0)), w)
+    a = series(w, (qpow(ExponentForm(0, 1, 0)), 1))
     assert a.substitute_lambda(2, 0) == {(F(2), 0, 0): F(1)}
 
 
@@ -207,18 +204,25 @@ def test_mul_associates_on_monotone_supports(a, b, c):
 
 def test_mul_truncation_breaks_associativity_outside_cones():
     w = Window(0, 5, 0)
-    a = FormalSeries.of(qpow(ExponentForm(3, 0, 0)), w)
-    c = FormalSeries.of(qpow(ExponentForm(-3, 0, 0)), w)
+    a = series(w, (qpow(ExponentForm(3, 0, 0)), 1))
+    c = series(w, (qpow(ExponentForm(-3, 0, 0)), 1))
     assert ((a * a) * c) != (a * (a * c))
 
 
 @given(monomials())
 def test_one_minus_m_times_geometric_is_one(m):
-    if m == MONO_ONE:
-        return
     w = W0
-    geo = geometric_expand(m, w)
-    left = FormalSeries({MONO_ONE: F(1), m: F(-1)}, Window(99, 99, 99))
-    prod_terms = brute_mul(left, geo, w)
-    # the telescoped boundary term falls outside the window by construction
-    assert prod_terms == {MONO_ONE: F(1)}
+    try:
+        geo, notes = geometric(m, w)
+    except DivergenceError:
+        return  # m has neither t- nor q-degree, so no direction escapes
+    wide = Window(99, 99, 99)
+    if notes:
+        # expanded as -f/(1 - f) with f = 1/m: multiplying by 1 - f leaves -f
+        f = m.inverse()
+        prod_terms = brute_mul(FormalSeries({MONO_ONE: F(1), f: F(-1)}, wide), geo, w)
+        assert prod_terms == ({f: F(-1)} if w.contains(f) else {})
+    else:
+        prod_terms = brute_mul(FormalSeries({MONO_ONE: F(1), m: F(-1)}, wide), geo, w)
+        assert prod_terms == {MONO_ONE: F(1)}
+    # in both cases the telescoped boundary term falls outside the window

@@ -1,11 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from vermatheta import BOREL, PARABOLIC, ModuleSpec, Window
-from vermatheta.errors import UsageError
+from vermatheta import BOREL, PARABOLIC, ModuleSpec, Window, theta
+from vermatheta.cli import main
+from vermatheta.errors import UsageError, VerificationError
 from vermatheta.qseries import ExponentForm, Monomial, qpow
 from vermatheta.theta import (
+    CATALOG,
     ClosedFormId,
     borel_character_closed_form,
     closed_form,
@@ -92,6 +95,13 @@ def test_trace23_variants_differ_by_junk_terms():
     # the extra k = i+1 slot of each constituent contributes q^(-i-2)
     got = {m.qexp.c0: c for m, c in diff.terms.items()}
     assert got == {-(i + 2): F(min(i, 1) + 1) for i in range(7)}
+
+
+def test_catalog_covers_every_identity_in_declaration_order():
+    assert list(CATALOG) == list(ClosedFormId)
+    for identity, entry in CATALOG.items():
+        assert identity.value.startswith(entry.kind)
+        assert (entry.root is None) == (identity is ClosedFormId.PARABOLIC_CHARACTER)
 
 
 def test_closed_form_kind_validation():
@@ -189,3 +199,24 @@ def test_borel_13_passes_up_to_b7_d10():
         spec = ModuleSpec(BOREL, weight[0], weight[1], 12)
         report = verify_identity(ClosedFormId.BOREL_TRACE_13, spec, Window(7, 10, 0))
         assert report.ok, (weight, report.first_mismatch, report.pipeline_mismatch)
+
+
+def test_tables_differing_across_samples_is_a_verification_error(monkeypatch, capsys):
+    real = theta.branching_table
+    calls = []
+
+    def perturbed(module, root, depth=None):
+        table = real(module, root, depth)
+        calls.append(table)
+        if len(calls) % 3 == 2:  # the second of the three weight samples
+            first = replace(table.terms[0], multiplicity=table.terms[0].multiplicity + 1)
+            table = replace(table, terms=(first,) + table.terms[1:])
+        return table
+
+    monkeypatch.setattr(theta, "branching_table", perturbed)
+    with pytest.raises(VerificationError):
+        verify_identity(ClosedFormId.BOREL_TRACE_13, BSPEC.with_depth(6), Window(1, 2, 0))
+    argv = ["verify", "--identity", "borel-trace-13", "--B", "1", "--D", "2", "--T", "0",
+            "--depth", "6"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("verification failure:")

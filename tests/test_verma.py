@@ -180,8 +180,8 @@ def test_weight_coherence_on_all_basis_vectors(borel_module, parabolic_modules):
         Gen.E31: (1, 1),
     }
     for module in (borel_module, parabolic_modules[(F(7, 3), 2)]):
-        for (n, m), basis in module.weight_spaces(5).items():
-            for exps in basis:
+        for n, m in [(n, m) for n in range(6) for m in range(6 - n)]:
+            for exps in module.weight_space(n, m):
                 for gen, (dn, dm) in steps.items():
                     image = module.apply_gen(gen, {exps: F(1)})
                     for out in image:
@@ -192,8 +192,9 @@ def test_commutator_soundness_on_low_shells(borel_module, parabolic_modules):
     for module in (borel_module, parabolic_modules[(F(7, 3), 1)]):
         vectors = [
             {exps: F(1)}
-            for basis in module.weight_spaces(4).values()
-            for exps in basis
+            for n in range(5)
+            for m in range(5 - n)
+            for exps in module.weight_space(n, m)
         ]
         for g in Gen:
             for h in Gen:
