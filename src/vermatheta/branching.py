@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import UsageError, VerificationError
 from .exactalg import kernel_basis, mat_scalar_shift, rank
@@ -91,19 +92,6 @@ class BranchingTerm:
         return self.hw.c0
 
 
-def _on_string(terms, root: Root, n: int, m: int):
-    """Yield (term, k) for each constituent whose ``root`` string passes
-    through the (n, m) space, k steps below the term's origin; a finite
-    constituent L_i reaches depths 0..i only."""
-    dn, dm = root.down_step
-    for term in terms:
-        n0, m0 = term.origin
-        kn, km = n - n0, m - m0
-        k = kn // dn if dn else km // dm
-        if k >= 0 and (kn, km) == (k * dn, k * dm) and (term.kind != FINITE or k <= term.hw.c0):
-            yield term, k
-
-
 @dataclass(frozen=True)
 class BranchingTable:
     kind: str
@@ -111,8 +99,30 @@ class BranchingTable:
     terms: tuple
     depth_covered: int
 
+    @cached_property
+    def _strings(self) -> dict:
+        """Terms grouped by root string, in table order, keyed by n*dm - m*dn
+        for the root's down step (dn, dm), which is constant along a string."""
+        dn, dm = self.root.down_step
+        strings: dict = {}
+        for term in self.terms:
+            n0, m0 = term.origin
+            strings.setdefault(n0 * dm - m0 * dn, []).append(term)
+        return strings
+
+    def on_string(self, n: int, m: int):
+        """Yield (term, k) for each constituent whose root string passes
+        through the (n, m) space, k steps below the term's origin; a finite
+        constituent L_i reaches depths 0..i only."""
+        dn, dm = self.root.down_step
+        for term in self._strings.get(n * dm - m * dn, ()):
+            n0, m0 = term.origin
+            k = n - n0 if dn else m - m0
+            if k >= 0 and (term.kind != FINITE or k <= term.hw.c0):
+                yield term, k
+
     def local_dimension(self, n: int, m: int) -> int:
-        return sum(term.multiplicity for term, _ in _on_string(self.terms, self.root, n, m))
+        return sum(term.multiplicity for term, _ in self.on_string(n, m))
 
 
 def singular_dimension(module: VermaModule, root: Root, n: int, m: int) -> int:
@@ -170,16 +180,6 @@ def branching_table(module: VermaModule, root: Root, depth: int | None = None) -
                     f"constituents give {got}, weight space has {want}"
                 )
     return table
-
-
-def tables_match(a: BranchingTable, b: BranchingTable) -> bool:
-    """Structural equality: same constituents, forms and multiplicities."""
-    return (
-        a.kind == b.kind
-        and a.root == b.root
-        and a.depth_covered == b.depth_covered
-        and a.terms == b.terms
-    )
 
 
 # -- Casimir spectra ---------------------------------------------------------
@@ -245,11 +245,11 @@ def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int) -> tuple:
     return tuple(found)
 
 
-def predicted_spectrum(table: BranchingTable, root: Root, n: int, m: int, l1, l2) -> tuple:
+def predicted_spectrum(table: BranchingTable, n: int, m: int, l1, l2) -> tuple:
     """Eigenvalue multiset implied by a branching table at one weight space."""
     l1, l2 = Fraction(l1), Fraction(l2)
     out: dict = {}
-    for term, k in _on_string(table.terms, root, n, m):
+    for term, k in table.on_string(n, m):
         # a finite constituent's hw (i, 0, 0) evaluates to its top h-value i
         e = (2 * k + 1) * term.hw.evaluate(l1, l2) - 2 * k * k
         out[e] = out.get(e, 0) + term.multiplicity

@@ -112,8 +112,12 @@ def parse_samples(text: str) -> tuple:
 
 
 def read_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
     values = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -164,10 +168,17 @@ def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, ensure_ascii=True) + "\n"
 
 
+def write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write file: {exc}") from None
+
+
 def emit(report: dict, output: str | None) -> None:
     text = render_report(report)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        write_file(output, text)
     sys.stdout.write(text)
 
 
@@ -365,7 +376,7 @@ def write_csv(rows: list[dict], path: str) -> None:
         lines.append(
             f"{r['root']},{r['n']},{r['m']},{r['kind']},{r['hw_c0']},{r['hw_c1']},{r['hw_c2']},{r['multiplicity']}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def cmd_branch(cfg: RunConfig, args) -> tuple[dict, int]:
@@ -394,7 +405,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, int]:
     coherent = True
     rows = spectrum_table(module, root)
     for row in rows:
-        predicted = predicted_spectrum(table, root, row["n"], row["m"], cfg.lambda1, module.spec.lambda2)
+        predicted = predicted_spectrum(table, row["n"], row["m"], cfg.lambda1, module.spec.lambda2)
         measured = tuple((Fraction(e["value"]), e["multiplicity"]) for e in row["eigenvalues"])
         if tuple(predicted) != measured:
             coherent = False
@@ -536,13 +547,13 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         report, code = _COMMANDS[args.command](cfg, args)
+        emit(report, args.output)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except VerificationError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
-    emit(report, args.output)
     return code
 
 

@@ -24,7 +24,6 @@ from .branching import (
     branching_table,
     lift_samples,
     required_depth,
-    tables_match,
     trace_brute_force,
     trace_from_branching,
 )
@@ -314,7 +313,7 @@ def verify_identity(identity: ClosedFormId, spec: ModuleSpec, window: Window,
         module = VermaModule(deep.with_weight(l1, l2))
         tables.append(branching_table(module, root))
     for other in tables[1:]:
-        if not tables_match(tables[0], other):
+        if other != tables[0]:
             raise VerificationError("branching tables differ across weight samples")
     branch_series = trace_from_branching(tables[0], window, regularized, spec=deep)
     brute_series = trace_brute_force(deep, root, window, regularized, samples=samples)

@@ -20,6 +20,11 @@ PBW monomials:
   E21^a E31^c E32^i v with 0 <= i <= L2, weight coordinates (a+c, c+i).
   Bases are ordered by increasing E32 exponent.
 
+Straightening caches each generator's image of each PBW monomial in one dict
+per generator index (its position in ``Gen``), keyed by the exponent triple;
+the cached coefficients are integers over a per-generator scale (see
+``VermaModule.__init__``) and become Fractions in ``apply_gen``.
+
 The highest-weight parameters are substituted as exact rationals before any
 matrix is formed; genericity is certified by the guard below and by
 re-running structural checks at several guard-passing weights.
@@ -30,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import GenericityError, TruncationError, UsageError, VerificationError
 from .exactalg import QMatrix
@@ -96,7 +102,12 @@ def commutator(g: Gen, h: Gen) -> tuple:
     return _decompose({k: v for k, v in bracket.items() if v})
 
 
-_COMM = {(g, h): commutator(g, h) for g in Gen for h in Gen if g is not h}
+_GEN_INDEX = {g: i for i, g in enumerate(Gen)}
+
+# [g, h] by generator index, as ((integer coefficient, generator index), ...)
+_COMMUTATORS = tuple(
+    tuple(tuple((c, _GEN_INDEX[x]) for c, x in commutator(g, h)) for h in Gen) for g in Gen
+)
 
 # weight step of each generator in (n, m) coordinates
 _WEIGHT_STEP = {
@@ -112,21 +123,15 @@ _WEIGHT_STEP = {
 
 
 class Root(Enum):
-    A12 = "12"
-    A23 = "23"
-    A13 = "13"
+    A12 = ("12", Gen.E12, Gen.E21, (1, 0))
+    A23 = ("23", Gen.E23, Gen.E32, (0, 1))
+    A13 = ("13", Gen.E13, Gen.E31, (1, 1))
 
-    @property
-    def raising(self) -> Gen:
-        return {Root.A12: Gen.E12, Root.A23: Gen.E23, Root.A13: Gen.E13}[self]
-
-    @property
-    def lowering(self) -> Gen:
-        return {Root.A12: Gen.E21, Root.A23: Gen.E32, Root.A13: Gen.E31}[self]
-
-    @property
-    def down_step(self) -> tuple[int, int]:
-        return {Root.A12: (1, 0), Root.A23: (0, 1), Root.A13: (1, 1)}[self]
+    def __new__(cls, label: str, raising: Gen, lowering: Gen, down_step: tuple[int, int]):
+        member = object.__new__(cls)
+        member._value_ = label
+        member.raising, member.lowering, member.down_step = raising, lowering, down_step
+        return member
 
 
 BOREL = "borel"
@@ -218,37 +223,20 @@ class VermaModule:
                 f"guard at depth {spec.depth} for the {spec.kind} module"
             )
         self.spec = spec
-        if spec.kind == BOREL:
-            self._letters = (Gen.E21, Gen.E32, Gen.E31)
-        else:
-            self._letters = (Gen.E21, Gen.E31, Gen.E32)
-        self._letter_pos = {g: i for i, g in enumerate(self._letters)}
-        self._order = {g: self._letter_pos.get(g, 10 if g in (Gen.H12, Gen.H23) else 20) for g in Gen}
-        self._hw = {Gen.H12: spec.lambda1, Gen.H23: spec.lambda2}
+        letters = (Gen.E21, Gen.E32, Gen.E31) if spec.kind == BOREL else (Gen.E21, Gen.E31, Gen.E32)
+        self._letters = tuple(_GEN_INDEX[g] for g in letters)
+        # PBW position of each generator index; None for the Cartans and raisings
+        self._pos = tuple(letters.index(g) if g in letters else None for g in Gen)
+        # a cached coefficient c of generator g stands for c / scale[g]; lowering
+        # letters commute only into lowering letters, so their scale stays 1
+        denom = lcm(spec.lambda1.denominator, spec.lambda2.denominator)
+        self._scale = tuple(1 if g in letters else denom for g in Gen)
+        hw = {Gen.H12: spec.lambda1, Gen.H23: spec.lambda2}
+        self._hw = tuple(int(hw[g] * denom) if g in hw else 0 for g in Gen)
         self._e32_cap = spec.lambda2_int if spec.kind == PARABOLIC else None
-        self._cache: dict = {}
+        self._cache = tuple({} for _ in Gen)
 
-    # -- PBW words ---------------------------------------------------------
-
-    def _word_ok(self, word: tuple) -> bool:
-        if self._e32_cap is None:
-            return True
-        return sum(1 for g in word if g is Gen.E32) <= self._e32_cap
-
-    def word_of(self, exps: tuple[int, int, int]) -> tuple:
-        out = []
-        for letter, e in zip(self._letters, exps):
-            out.extend([letter] * e)
-        return tuple(out)
-
-    def exps_of(self, word: tuple) -> tuple[int, int, int]:
-        return tuple(sum(1 for g in word if g is letter) for letter in self._letters)
-
-    def weight_of(self, exps: tuple[int, int, int]) -> tuple[int, int]:
-        a, x, y = exps
-        if self.spec.kind == BOREL:
-            return (a + y, x + y)  # exps = (E21, E32, E31)
-        return (a + x, x + y)  # exps = (E21, E31, E32)
+    # -- PBW monomials -------------------------------------------------------
 
     def weight_space(self, n: int, m: int) -> tuple:
         """Ordered PBW basis of the (n, m) weight space."""
@@ -269,44 +257,59 @@ class VermaModule:
 
     # -- straightening -----------------------------------------------------
 
-    def _apply(self, g: Gen, word: tuple) -> dict:
-        key = (g, word)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if not word:
-            if g in self._letter_pos:
-                result = {(g,): Fraction(1)} if self._word_ok((g,)) else {}
-            elif g in (Gen.H12, Gen.H23):
-                result = {(): self._hw[g]}
+    def _apply(self, g: int, exps: tuple) -> dict:
+        """Generator index ``g`` times the PBW monomial ``exps``, as
+        {exponents: integer coefficient over ``self._scale[g]``}.
+
+        Unless g is a PBW letter at or left of the leading letter x, it commutes
+        past x: g x r = x (g r) + [g, x] r.  The chain of peeled monomials r is
+        filled bottom-up, so the stack grows with commutator nesting only."""
+        cache = self._cache[g]
+        pos = self._pos[g]
+        chain = []
+        e = exps
+        while e not in cache:
+            a, b, c = e
+            lead = 0 if a else 1 if b else 2 if c else None
+            if pos is not None and (lead is None or pos <= lead):
+                if pos == 2 and self._e32_cap is not None and c >= self._e32_cap:
+                    cache[e] = {}
+                else:
+                    cache[e] = {(a + (pos == 0), b + (pos == 1), c + (pos == 2)): 1}
+            elif lead is None:
+                hw = self._hw[g]  # a Cartan acts on v by its weight; a raising kills v
+                cache[e] = {e: hw} if hw else {}
             else:
-                result = {}
-        else:
-            x = word[0]
-            rest = word[1:]
-            if self._order[g] <= self._order[x]:
-                new = (g,) + word
-                result = {new: Fraction(1)} if self._word_ok(new) else {}
-            else:
-                acc: dict = {}
-                for w2, c2 in self._apply(g, rest).items():
-                    for w3, c3 in self._apply(x, w2).items():
-                        acc[w3] = acc.get(w3, Fraction(0)) + c2 * c3
-                for coeff, gi in _COMM[(g, x)]:
-                    for w3, c3 in self._apply(gi, rest).items():
-                        acc[w3] = acc.get(w3, Fraction(0)) + coeff * c3
-                result = {w: c for w, c in acc.items() if c}
-        self._cache[key] = result
-        return result
+                rest = (a - 1, b, c) if lead == 0 else (0, b - 1, c) if lead == 1 else (0, 0, c - 1)
+                chain.append((e, rest, self._letters[lead]))
+                e = rest
+        comm = _COMMUTATORS[g]
+        scale = self._scale
+        for e, rest, x in reversed(chain):
+            x_cache = self._cache[x]
+            acc: dict = {}
+            for w2, c2 in cache[rest].items():
+                sub = x_cache.get(w2)
+                if sub is None:
+                    sub = self._apply(x, w2)
+                for w3, c3 in sub.items():
+                    acc[w3] = acc.get(w3, 0) + c2 * c3
+            for coeff, gi in comm[x]:
+                coeff = coeff * scale[g] // scale[gi]
+                for w3, c3 in self._apply(gi, rest).items():
+                    acc[w3] = acc.get(w3, 0) + coeff * c3
+            cache[e] = {w: v for w, v in acc.items() if v}
+        return cache[exps]
 
     def apply_gen(self, g: Gen, element: dict) -> dict:
         """Act by a generator on a rational combination of PBW monomials."""
+        gi = _GEN_INDEX[g]
         out: dict = {}
         for exps, coeff in element.items():
-            for w, c in self._apply(g, self.word_of(exps)).items():
-                e2 = self.exps_of(w)
-                out[e2] = out.get(e2, Fraction(0)) + coeff * c
-        return {e: c for e, c in out.items() if c}
+            for e2, c in self._apply(gi, exps).items():
+                out[e2] = out.get(e2, 0) + coeff * c
+        scale = self._scale[gi]
+        return {e: Fraction(c, scale) for e, c in out.items() if c}
 
     def straighten(self, word) -> dict:
         """Normal-ordered expansion of a generator word applied to v."""

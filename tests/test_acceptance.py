@@ -20,7 +20,7 @@ from vermatheta import (
     singular_dimension,
     trace_brute_force,
 )
-from vermatheta.branching import predicted_spectrum, tables_match
+from vermatheta.branching import predicted_spectrum
 from vermatheta.cli import main
 from vermatheta.qseries import ExponentForm
 from vermatheta.theta import ClosedFormId, verify_identity
@@ -124,7 +124,7 @@ def _spectrum_coherence(module, weight, v=None):
                     continue
                 got = kappa_spectrum(module, root, n, m)
                 want = predicted_spectrum(
-                    table, root, n, m, module.spec.lambda1, module.spec.lambda2
+                    table, n, m, module.spec.lambda1, module.spec.lambda2
                 )
                 assert got == want, (weight, v, root, n, m)
                 checked += 1
@@ -198,7 +198,7 @@ def test_criterion_09_replication_across_weights(borel_modules):
     # branching tables are structurally identical across the three weights
     for root in Root:
         tables = [branching_table(borel_modules[w], root, depth=10) for w in WEIGHTS]
-        assert tables_match(tables[0], tables[1]) and tables_match(tables[0], tables[2])
+        assert tables[0] == tables[1] == tables[2]
     # spectra multiplicity patterns coincide across weights
     for n in range(7):
         for m in range(7 - n):

@@ -24,7 +24,6 @@ from vermatheta.branching import (
     is_divergent,
     lift_samples,
     predicted_spectrum,
-    tables_match,
 )
 from vermatheta.errors import UsageError
 from vermatheta.qseries import ExponentForm
@@ -131,8 +130,7 @@ def test_parabolic_23_finite_multiplicities(parabolic_modules):
 def test_tables_replicate_across_weights(borel_modules):
     for root in Root:
         tables = [branching_table(borel_modules[w], root, depth=6) for w in WEIGHTS]
-        assert tables_match(tables[0], tables[1])
-        assert tables_match(tables[0], tables[2])
+        assert tables[0] == tables[1] == tables[2]
 
 
 def test_accounting_failure_is_detected(borel_module):
@@ -180,7 +178,7 @@ def test_spectrum_matches_branching_prediction(borel_modules, root):
         for n in range(5):
             for m in range(5 - n):
                 got = kappa_spectrum(module, root, n, m)
-                want = predicted_spectrum(table, root, n, m, *weight)
+                want = predicted_spectrum(table, n, m, *weight)
                 assert got == want
 
 
@@ -194,7 +192,7 @@ def test_parabolic_spectrum_matches_branching_prediction(parabolic_modules, root
                 if not module.dim(n, m):
                     continue
                 got = kappa_spectrum(module, root, n, m)
-                want = predicted_spectrum(table, root, n, m, F(7, 3), v)
+                want = predicted_spectrum(table, n, m, F(7, 3), v)
                 assert got == want
 
 

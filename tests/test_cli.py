@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import vermatheta
 from vermatheta.cli import RunConfig, build_config, build_parser, main
 
 F = Fraction
@@ -210,6 +214,23 @@ def test_parabolic_lambda2_defaults_to_1(tmp_path):
                         "--B", "1", "--D", "2", "--T", "0", "--depth", "4")
     assert code == 0
     assert json.loads(payload)["checks"][0]["id"] == "parabolic-trace-13@lambda2=1"
+
+
+@pytest.mark.parametrize("command,flag,name", [
+    pytest.param("character", "--config", "missing.cfg", id="missing-config"),
+    pytest.param("character", "--output", "missing-dir/report.json", id="unwritable-output"),
+    pytest.param("branch --root 12", "--csv", "missing-dir/table.csv", id="unwritable-csv"),
+])
+def test_file_errors_exit_2_without_traceback(tmp_path, command, flag, name):
+    env = {**os.environ, "PYTHONPATH": str(Path(vermatheta.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vermatheta", *command.split(), flag, str(tmp_path / name)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
 
 def test_bad_config_line_rejected(tmp_path):

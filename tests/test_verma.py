@@ -129,6 +129,82 @@ def test_parabolic_ladder_block_below_diagonal(parabolic_modules):
         assert col == want
 
 
+class WordStraightener:
+    """Straightening by recursion over words of ``Gen`` letters, as the
+    package did before it worked on exponent triples; an oracle that shares
+    only the commutator rule with ``VermaModule``."""
+
+    def __init__(self, spec):
+        if spec.kind == BOREL:
+            self.letters = (Gen.E21, Gen.E32, Gen.E31)
+        else:
+            self.letters = (Gen.E21, Gen.E31, Gen.E32)
+        pos = {g: i for i, g in enumerate(self.letters)}
+        self.order = {g: pos.get(g, 10 if g in (Gen.H12, Gen.H23) else 20) for g in Gen}
+        self.hw = {Gen.H12: spec.lambda1, Gen.H23: spec.lambda2}
+        self.cap = spec.lambda2_int if spec.kind == PARABOLIC else None
+        self.cache = {}
+
+    def word_ok(self, word):
+        return self.cap is None or word.count(Gen.E32) <= self.cap
+
+    def apply(self, g, word):
+        key = (g, word)
+        if key in self.cache:
+            return self.cache[key]
+        if not word:
+            if g in self.letters:
+                result = {(g,): F(1)} if self.word_ok((g,)) else {}
+            elif g in self.hw:
+                result = {(): self.hw[g]}
+            else:
+                result = {}
+        elif self.order[g] <= self.order[word[0]]:
+            new = (g,) + word
+            result = {new: F(1)} if self.word_ok(new) else {}
+        else:
+            x, rest = word[0], word[1:]
+            acc = {}
+            for w2, c2 in self.apply(g, rest).items():
+                for w3, c3 in self.apply(x, w2).items():
+                    acc[w3] = acc.get(w3, F(0)) + c2 * c3
+            for coeff, gi in commutator(g, x):
+                for w3, c3 in self.apply(gi, rest).items():
+                    acc[w3] = acc.get(w3, F(0)) + coeff * c3
+            result = {w: c for w, c in acc.items() if c}
+        self.cache[key] = result
+        return result
+
+    def apply_gen(self, g, exps):
+        word = tuple(letter for letter, e in zip(self.letters, exps) for _ in range(e))
+        out = {}
+        for w, c in self.apply(g, word).items():
+            e2 = tuple(w.count(letter) for letter in self.letters)
+            out[e2] = out.get(e2, F(0)) + c
+        return {e: c for e, c in out.items() if c}
+
+
+def test_straightening_matches_word_oracle(borel_module, parabolic_modules):
+    modules = (borel_module, *(parabolic_modules[(F(7, 3), v)] for v in (0, 1, 2)))
+    for module in modules:
+        oracle = WordStraightener(module.spec)
+        for n in range(9):
+            for m in range(9 - n):
+                for exps in module.weight_space(n, m):
+                    for g in Gen:
+                        want = oracle.apply_gen(g, exps)
+                        assert module.apply_gen(g, {exps: F(1)}) == want, (module.spec, g, exps)
+
+
+def test_cold_cache_straightening_of_a_long_monomial():
+    # E12 E21^a w = a(mu - a + 1) E21^(a-1) w for w = E32^a v of h1-value
+    # mu = L1 + a; peeling its 1600 letters must not exhaust Python's stack
+    l1, a = F(7, 3), 800
+    module = VermaModule(ModuleSpec(BOREL, l1, F(5, 7), 1602))
+    mu = l1 + a
+    assert module.apply_gen(Gen.E12, {(a, a, 0): 1}) == {(a - 1, a, 0): a * (mu - a + 1)}
+
+
 # -- weight spaces ---------------------------------------------------------------
 
 
@@ -185,11 +261,12 @@ def test_weight_coherence_on_all_basis_vectors(borel_module, parabolic_modules):
                 for gen, (dn, dm) in steps.items():
                     image = module.apply_gen(gen, {exps: F(1)})
                     for out in image:
-                        assert module.weight_of(out) == (n + dn, m + dm)
+                        assert out in module.weight_space(n + dn, m + dm)
 
 
 def test_commutator_soundness_on_low_shells(borel_module, parabolic_modules):
-    for module in (borel_module, parabolic_modules[(F(7, 3), 1)]):
+    # parabolic lambda2 = 0 and 2 sit on either side of the E32 cap's boundary
+    for module in (borel_module, *(parabolic_modules[(F(7, 3), v)] for v in (0, 1, 2))):
         vectors = [
             {exps: F(1)}
             for n in range(5)
