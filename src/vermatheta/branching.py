@@ -36,12 +36,24 @@ DEFAULT_WEIGHTS = (
 )
 
 
-def validate_samples(kind: str, samples) -> tuple:
-    """Check that a sample set can separate affine exponent forms: three
-    affinely independent weights for the Borel module, at least two distinct
-    lambda1 values for the parabolic one (whose lambda2 is folded)."""
+def lift_samples(spec: ModuleSpec, samples=()) -> tuple:
+    """Weight samples used to certify genericity and lift exponents: the
+    given ones, checked against the spec, or defaults led by its weight.
+
+    A sample set must separate affine exponent forms: three affinely
+    independent weights for the Borel module, at least two distinct lambda1
+    values for the parabolic one, whose integral lambda2 is part of the module
+    structure, so every sample carries the spec's.
+    """
+    if not samples:
+        samples = [(spec.lambda1, spec.lambda2)]
+        for l1, l2 in DEFAULT_WEIGHTS:
+            l2 = spec.lambda2 if spec.kind == PARABOLIC else l2
+            if (l1, l2) not in samples:
+                samples.append((l1, l2))
+        samples = samples[:3]
     samples = tuple((Fraction(a), Fraction(b)) for a, b in samples)
-    if kind == BOREL:
+    if spec.kind == BOREL:
         if len(samples) < 3:
             raise UsageError("need three affinely independent weight samples")
         det = (
@@ -53,29 +65,9 @@ def validate_samples(kind: str, samples) -> tuple:
     else:
         if len({l1 for l1, _ in samples}) < 2:
             raise UsageError("need at least two distinct lambda1 samples")
-        if len({l2 for _, l2 in samples}) != 1:
-            raise UsageError("parabolic samples must share the structural lambda2")
+        if any(l2 != spec.lambda2 for _, l2 in samples):
+            raise UsageError(f"parabolic weight samples must all have lambda2 = {spec.lambda2}")
     return samples
-
-
-def lift_samples(spec: ModuleSpec) -> tuple:
-    """Weight samples used to certify genericity and lift exponents.
-
-    The parabolic module keeps its integral lambda2 fixed (it is part of the
-    module structure) and varies lambda1 only.
-    """
-    if spec.kind == BOREL:
-        samples = [(spec.lambda1, spec.lambda2)]
-        for l1, l2 in DEFAULT_WEIGHTS:
-            if (l1, l2) not in samples:
-                samples.append((l1, l2))
-        return validate_samples(BOREL, samples[:3])
-    l2 = spec.lambda2
-    samples = [(spec.lambda1, l2)]
-    for l1, _ in DEFAULT_WEIGHTS:
-        if all(l1 != s[0] for s in samples):
-            samples.append((l1, l2))
-    return validate_samples(PARABOLIC, samples[:3])
 
 
 @dataclass(frozen=True)
@@ -409,10 +401,7 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
     Numeric eigenvalues are lifted to affine exponents by simultaneous
     matching across the weight samples; a non-unique lift is a hard error.
     """
-    if samples is None:
-        samples = lift_samples(spec)
-    else:
-        samples = validate_samples(spec.kind, samples)
+    samples = lift_samples(spec, samples)
     region = bruteforce_region(spec, root, window, regularized, divergent_depth)
     need = required_depth(spec, root, window, regularized, divergent_depth)
     if spec.depth < need:
@@ -440,6 +429,23 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
             if window.contains(mono):
                 terms[mono] = terms.get(mono, Fraction(0)) + mult[form]
     return FormalSeries(terms, window)
+
+
+def trace_pipelines(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
+                    samples=()) -> tuple[FormalSeries, FormalSeries]:
+    """The (branching, brute) series of one convergent trace, both at the
+    depth the window needs.  The branching table is built at every weight
+    sample; tables that differ across samples are a VerificationError."""
+    samples = lift_samples(spec, samples)
+    need = required_depth(spec, root, window, regularized)
+    deep = spec.with_depth(max(spec.depth, need))
+    tables = [branching_table(VermaModule(deep.with_weight(l1, l2)), root) for l1, l2 in samples]
+    if any(table != tables[0] for table in tables[1:]):
+        raise VerificationError("branching tables differ across weight samples")
+    return (
+        trace_from_branching(tables[0], window, regularized, spec=deep),
+        trace_brute_force(deep, root, window, regularized, samples=samples),
+    )
 
 
 # -- spectrum tables (CLI) ----------------------------------------------------

@@ -27,6 +27,7 @@ from .branching import (
     spectrum_table,
     trace_brute_force,
     trace_from_branching,
+    trace_pipelines,
 )
 from .errors import UsageError, VerificationError
 from .exactalg import rat
@@ -220,81 +221,51 @@ def check_json(report: VerifyReport, id_suffix: str = "") -> dict:
 # -- verify --------------------------------------------------------------------
 
 
-def _verify_task(payload: tuple) -> VerifyReport:
-    identity_value, kind, l1, l2, depth, b, d, t, samples = payload
-    identity = ClosedFormId(identity_value)
-    spec = ModuleSpec(kind, Fraction(l1), Fraction(l2), depth)
-    window = Window(b, d, t)
-    samples = tuple((Fraction(a), Fraction(b2)) for a, b2 in samples)
-    return verify_identity(identity, spec, window, samples=samples)
+def _verify_task(job: tuple) -> list[VerifyReport]:
+    """Verify the identities of one job, which share a catalog trace and a
+    spec, against one run of the two pipelines."""
+    identities, spec, window, samples = job
+    _, root, regularized = CATALOG[identities[0]]
+    pipelines = None if root is None else trace_pipelines(spec, root, window, regularized, samples)
+    return [verify_identity(i, spec, window, samples, pipelines) for i in identities]
 
 
-def _verify_tasks(cfg: RunConfig, identities) -> list[tuple]:
-    tasks = []
-    for identity, lambda2 in identities:
-        kind = CATALOG[identity].kind
-        if lambda2 is not None:
-            l1, l2 = cfg.lambda1, lambda2
-        elif cfg.module == BOREL:
-            l1, l2 = cfg.lambda1, cfg.lambda2
-        else:
-            # a config aimed at the parabolic module carries an integral
-            # lambda2; Borel identities then use the default generic weight
-            l1, l2 = DEFAULT_WEIGHTS[0]
-        spec = guarded_spec(kind, l1, l2, cfg.depth)
-        samples = cfg.lambda_samples or lift_samples(spec)
-        tasks.append(
-            (
-                identity.value,
-                kind,
-                str(l1),
-                str(l2),
-                cfg.depth,
-                cfg.B,
-                cfg.D,
-                cfg.T,
-                tuple((str(a), str(b)) for a, b in samples),
-            )
-        )
-    return tasks
-
-
-def _annotate_variants(checks: list[dict]) -> None:
-    by_id = {}
-    for check in checks:
-        by_id.setdefault(check["id"].split("@")[0], []).append(check)
+def _annotate_variants(reports: list[VerifyReport], id_suffix: str) -> None:
+    """Note on every copy of each variant pair member which member matches;
+    ``reports`` are one job's, so a pair found among them shares one spec."""
+    by_id: dict = {}
+    for report in reports:
+        by_id.setdefault(report.identity, []).append(report)
     for literal_id, alt_id in VARIANT_PAIRS:
-        for literal in by_id.get(literal_id.value, []):
-            suffix = literal["id"].split("@", 1)
-            suffix = "@" + suffix[1] if len(suffix) > 1 else ""
-            alts = [c for c in by_id.get(alt_id.value, []) if c["id"].endswith(suffix)]
-            if not alts:
-                continue
-            alt = alts[0]
-            winners = [c["id"] for c in (literal, alt) if c["status"] == "pass"]
-            if len(winners) == 1:
-                note = f"matching variant: {winners[0]}"
-            else:
-                note = f"matching variants: {winners or 'none'}"
-            for check in (literal, alt):
-                check["notes"] = list(check["notes"]) + [note]
-                if check["status"] == "mismatch" and check["pipelineAgreement"] == "pass":
-                    check["notes"].append(
-                        "classification: formula-discrepancy (computational pipelines agree)"
-                    )
+        literals, alts = by_id.get(literal_id.value), by_id.get(alt_id.value)
+        if not (literals and alts):
+            continue
+        winners = [r.identity + id_suffix for r in (literals[0], alts[0]) if r.status == "pass"]
+        if len(winners) == 1:
+            note = f"matching variant: {winners[0]}"
+        else:
+            note = f"matching variants: {winners or 'none'}"
+        for report in literals + alts:
+            report.notes.append(note)
+            if report.status == "mismatch" and report.pipeline_agreement == "pass":
+                report.notes.append(
+                    "classification: formula-discrepancy (computational pipelines agree)"
+                )
 
 
 def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
     jobs = parse_int(os.environ.get(JOBS_ENV, "1"), JOBS_ENV)
     if jobs < 1:
         raise UsageError(f"{JOBS_ENV} must be a positive integer, got {jobs}")
-    # (identity, lambda2), with lambda2 None for the Borel identities
+    # Borel identities run at a Borel config's weight; a config aimed at the
+    # parabolic module carries an integral lambda2, so they use the default
+    borel_weight = (cfg.lambda1, cfg.lambda2) if cfg.module == BOREL else DEFAULT_WEIGHTS[0]
     if args.all or not args.identity:
-        borel = [i for i in ClosedFormId if CATALOG[i].kind == BOREL]
-        parabolic = [i for i in ClosedFormId if CATALOG[i].kind == PARABOLIC]
         sweep = [cfg.lambda2] if cfg.lambda2_given and cfg.module == PARABOLIC else [0, 1, 2]
-        identities = [(i, None) for i in borel]
-        identities += [(i, Fraction(l2)) for l2 in sweep for i in parabolic]
+        weighted = [(i, *borel_weight) for i in ClosedFormId if CATALOG[i].kind == BOREL]
+        weighted += [
+            (i, cfg.lambda1, l2) for l2 in sweep for i in ClosedFormId if CATALOG[i].kind == PARABOLIC
+        ]
     else:
         # a Borel config's lambda2 is a generic weight; its parabolic
         # identities run at the parabolic default 1 unless that lambda2 is a
@@ -302,23 +273,34 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
         l2 = cfg.lambda2
         if l2.denominator != 1 or l2 < 0:
             l2 = Fraction(1)
-        identities = [
-            (i, l2 if CATALOG[i].kind == PARABOLIC else None)
+        weighted = [
+            (i, *(borel_weight if CATALOG[i].kind == BOREL else (cfg.lambda1, l2)))
             for i in map(ClosedFormId, args.identity)
         ]
+    requested = [(i, guarded_spec(CATALOG[i].kind, l1, l2, cfg.depth)) for i, l1, l2 in weighted]
 
-    tasks = _verify_tasks(cfg, identities)
+    # one job per (catalog trace, spec): an *-alt-* variant shares its
+    # literal's pipeline run; samples are checked before any job runs
+    by_trace: dict = {}
+    for identity, spec in requested:
+        by_trace.setdefault((CATALOG[identity], spec), []).append(identity)
+    tasks = [
+        (tuple(identities), spec, cfg.window, lift_samples(spec, cfg.lambda_samples))
+        for (_, spec), identities in by_trace.items()
+    ]
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_task, tasks))
+            results = list(pool.map(_verify_task, tasks))
     else:
-        reports = [_verify_task(t) for t in tasks]
+        results = [_verify_task(t) for t in tasks]
 
-    checks = [
-        check_json(report, "" if lambda2 is None else f"@lambda2={lambda2}")
-        for (_, lambda2), report in zip(identities, reports)
-    ]
-    _annotate_variants(checks)
+    pending = {}
+    for key, reports in zip(by_trace, results):
+        spec = key[1]
+        suffix = f"@lambda2={spec.lambda2}" if spec.kind == PARABOLIC else ""
+        _annotate_variants(reports, suffix)
+        pending[key] = iter([check_json(r, suffix) for r in reports])
+    checks = [next(pending[CATALOG[identity], spec]) for identity, spec in requested]
     ok = all(c["status"] == "pass" and c["pipelineAgreement"] == "pass" for c in checks)
     report = {"config": {**cfg.as_json(), "command": "verify"}, "checks": checks}
     return report, 0 if ok else 1
@@ -436,7 +418,7 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
 
     need = required_depth(spec, root, window, regularized, divergent_depth)
     deep = spec.with_depth(max(spec.depth, need))
-    samples = cfg.lambda_samples or lift_samples(spec)
+    samples = lift_samples(spec, cfg.lambda_samples)
 
     series_by_name = {}
     want = args.pipeline

@@ -20,14 +20,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .branching import (
-    branching_table,
-    lift_samples,
-    required_depth,
-    trace_brute_force,
-    trace_from_branching,
-)
-from .errors import DivergenceError, UsageError, VerificationError
+from .branching import lift_samples, trace_pipelines
+from .errors import DivergenceError, UsageError
 from .qseries import (
     MONO_ONE,
     Comparison,
@@ -278,15 +272,16 @@ class VerifyReport:
 
 
 def verify_identity(identity: ClosedFormId, spec: ModuleSpec, window: Window,
-                    samples=None) -> VerifyReport:
+                    samples=(), pipelines=None) -> VerifyReport:
     """Three-way check: closed form vs brute-force spectra vs branching
     assembly, all exact on the window.  The closed-form status is judged
     against the brute-force series; pipeline agreement is reported
-    independently."""
+    independently.  ``pipelines`` is the identity's (branching, brute) pair
+    from ``trace_pipelines`` when the caller already has it."""
     kind, root, regularized = CATALOG[identity]
     if spec.kind != kind:
         spec = ModuleSpec(kind, spec.lambda1, spec.lambda2, spec.depth)
-    samples = tuple(samples) if samples is not None else lift_samples(spec)
+    samples = lift_samples(spec, samples)
     closed, notes = closed_form_with_notes(identity, spec, window)
 
     if root is None:
@@ -305,19 +300,9 @@ def verify_identity(identity: ClosedFormId, spec: ModuleSpec, window: Window,
         )
         return report
 
-    need = required_depth(spec, root, window, regularized)
-    deep = spec.with_depth(max(spec.depth, need))
-
-    tables = []
-    for l1, l2 in samples:
-        module = VermaModule(deep.with_weight(l1, l2))
-        tables.append(branching_table(module, root))
-    for other in tables[1:]:
-        if other != tables[0]:
-            raise VerificationError("branching tables differ across weight samples")
-    branch_series = trace_from_branching(tables[0], window, regularized, spec=deep)
-    brute_series = trace_brute_force(deep, root, window, regularized, samples=samples)
-
+    if pipelines is None:
+        pipelines = trace_pipelines(spec, root, window, regularized, samples)
+    branch_series, brute_series = pipelines
     pipeline = brute_series.equal_on(branch_series, window)
     status = closed.equal_on(brute_series, window)
     return VerifyReport(

@@ -277,3 +277,73 @@ def test_parallel_env_matches_sequential(tmp_path):
         del os.environ["VERMATHETA_JOBS"]
     assert code1 == code2 == 0
     assert b1 == b2
+
+
+def test_repeated_literal_gives_each_check_one_variant_note(tmp_path):
+    code, payload = run(
+        tmp_path, "verify", "--module", "parabolic",
+        "--identity", "parabolic-trace-12", "--identity", "parabolic-trace-12",
+        "--identity", "parabolic-trace-12-alt-sign", "--B", "3", "--D", "4", "--T", "0",
+        "--depth", "6",
+    )
+    assert code == 1
+    checks = json.loads(payload)["checks"]
+    assert [c["id"] for c in checks] == [
+        "parabolic-trace-12@lambda2=1", "parabolic-trace-12@lambda2=1",
+        "parabolic-trace-12-alt-sign@lambda2=1",
+    ]
+    for check in checks:
+        assert check["notes"].count("matching variant: parabolic-trace-12-alt-sign@lambda2=1") == 1
+
+
+@pytest.mark.parametrize("command,samples", [
+    pytest.param("verify --identity parabolic-trace-13", "1/3,2;2/3,2", id="verify-other-lambda2"),
+    pytest.param("trace --root 13", "1/3,2;2/3,2", id="trace-other-lambda2"),
+    pytest.param("verify --identity parabolic-trace-13", "1/3,1;2/3,2", id="verify-mixed-lambda2"),
+    pytest.param("trace --root 13", "1/3,1;2/3,2", id="trace-mixed-lambda2"),
+])
+def test_parabolic_samples_must_carry_the_run_lambda2(capsys, command, samples):
+    argv = [*command.split(), "--module", "parabolic", "--lambda2", "1", "--lambda-samples",
+            samples, "--depth", "4", "--B", "1", "--D", "1", "--T", "0"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: parabolic weight samples must all have lambda2 = 1\n"
+
+
+def test_verify_all_runs_the_pipelines_once_per_trace(tmp_path, monkeypatch):
+    from vermatheta import branching
+
+    real, calls = branching.trace_brute_force, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(branching, "trace_brute_force", counted)
+    monkeypatch.delenv("VERMATHETA_JOBS", raising=False)
+    code, payload = run(tmp_path, "verify", "--all", "--B", "1", "--D", "1", "--T", "0",
+                        "--depth", "4")
+    assert code == 1
+    assert len(json.loads(payload)["checks"]) == 21
+    # 3 Borel traces and 3 parabolic ones at each of lambda2 = 0, 1, 2; an
+    # *-alt-* variant shares its literal's run
+    assert len(calls) == 12
+
+
+def test_interleaved_identities_keep_request_order_in_parallel(tmp_path, monkeypatch):
+    requested = ["parabolic-trace-23", "borel-reg-trace-23", "parabolic-trace-12",
+                 "parabolic-character", "parabolic-trace-23-alt-limit", "borel-trace-13",
+                 "parabolic-trace-12-alt-sign"]
+    args = ["verify", "--module", "parabolic", "--lambda2", "1", "--B", "3", "--D", "2",
+            "--T", "1", "--depth", "4"]
+    for identity in requested:
+        args += ["--identity", identity]
+    monkeypatch.setenv("VERMATHETA_JOBS", "1")
+    code1, b1 = run(tmp_path, *args)
+    monkeypatch.setenv("VERMATHETA_JOBS", "2")
+    code2, b2 = run(tmp_path, *args)
+    assert code1 == code2 == 1
+    assert b1 == b2
+    ids = [c["id"] for c in json.loads(b1)["checks"]]
+    assert ids == [i if i.startswith("borel") else f"{i}@lambda2=1" for i in requested]

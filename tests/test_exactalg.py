@@ -152,3 +152,40 @@ def test_elimination_is_deterministic():
     m = QMatrix.from_rows([[F(1, 2), 1, 0], [1, 2, F(1, 3)], [0, 1, 1]])
     assert kernel_basis(m) == kernel_basis(m)
     assert rank(m) == rank(m)
+
+
+def _random_matrix(rng, rows, cols, rank_cap):
+    """A rows x cols rational matrix of rank at most rank_cap: a product of
+    random rows x rank_cap and rank_cap x cols factors."""
+    def entry():
+        return F(rng.randint(-6, 6), rng.randint(1, 5))
+
+    left = [[entry() for _ in range(rank_cap)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(rank_cap)]
+    return QMatrix.from_rows(
+        [[sum((left[i][k] * right[k][j] for k in range(rank_cap)), F(0)) for j in range(cols)]
+         for i in range(rows)]
+    )
+
+
+def test_elimination_matches_sympy_oracle():
+    # elimination is shared by both trace pipelines, so their agreement
+    # cannot catch a fault here; sympy is an independent implementation
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    rng = random.Random(20261018)
+    shapes = [(r, c) for r in range(1, 7) for c in range(1, 7)]
+    for rows, cols in shapes * 2:
+        m = _random_matrix(rng, rows, cols, rng.randint(1, min(rows, cols)))
+        oracle = sympy.Matrix(rows, cols, [sympy.Rational(x.numerator, x.denominator) for x in m.data])
+        assert rank(m) == oracle.rank(), (rows, cols)
+        basis = kernel_basis(m)
+        theirs = oracle.nullspace()
+        assert len(basis) == len(theirs) == cols - rank(m)
+        for v in basis:
+            assert all(sum(m.entry(i, j) * v[j] for j in range(cols)) == 0 for i in range(rows))
+        if basis:
+            ours = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v] for v in basis])
+            both = ours.col_join(sympy.Matrix.hstack(*theirs).T)
+            assert ours.rank() == both.rank() == len(basis)

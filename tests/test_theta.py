@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vermatheta import BOREL, PARABOLIC, ModuleSpec, Window, theta
+from vermatheta import BOREL, PARABOLIC, ModuleSpec, Window, branching
 from vermatheta.cli import main
 from vermatheta.errors import UsageError, VerificationError
 from vermatheta.qseries import ExponentForm, Monomial, qpow
@@ -202,7 +202,7 @@ def test_borel_13_passes_up_to_b7_d10():
 
 
 def test_tables_differing_across_samples_is_a_verification_error(monkeypatch, capsys):
-    real = theta.branching_table
+    real = branching.branching_table
     calls = []
 
     def perturbed(module, root, depth=None):
@@ -213,7 +213,7 @@ def test_tables_differing_across_samples_is_a_verification_error(monkeypatch, ca
             table = replace(table, terms=(first,) + table.terms[1:])
         return table
 
-    monkeypatch.setattr(theta, "branching_table", perturbed)
+    monkeypatch.setattr(branching, "branching_table", perturbed)
     with pytest.raises(VerificationError):
         verify_identity(ClosedFormId.BOREL_TRACE_13, BSPEC.with_depth(6), Window(1, 2, 0))
     argv = ["verify", "--identity", "borel-trace-13", "--B", "1", "--D", "2", "--T", "0",
