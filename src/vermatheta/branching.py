@@ -151,8 +151,7 @@ def branching_table(module: VermaModule, root: Root, depth: int | None = None) -
     terms = []
     for n in range(depth + 1):
         for m in range(depth + 1 - n):
-            basis = module.weight_space(n, m)
-            if not basis:
+            if not module.dim(n, m):
                 continue
             mat = module.operator_matrix(root.raising, (n, m))
             counts: dict = {}

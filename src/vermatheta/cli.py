@@ -48,6 +48,8 @@ JOBS_ENV = "VERMATHETA_JOBS"
 DIVERGENT_NOTE = "formal window sum; divergent as series (depends on the truncation depth)"
 
 _CONFIG_KEYS = ("module", "lambda1", "lambda2", "depth", "B", "D", "T", "lambda_samples")
+# the commands that lift exponents across weight samples
+_SAMPLED_COMMANDS = ("trace", "verify")
 
 
 @dataclass
@@ -158,6 +160,10 @@ def build_config(args) -> RunConfig:
             setattr(cfg, name, parse_int(value, name))
     samples = pick("lambda_samples", args.lambda_samples)
     if samples is not None:
+        if args.command not in _SAMPLED_COMMANDS:
+            raise UsageError(
+                f"{args.command} uses no weight samples; drop --lambda-samples / lambda_samples"
+            )
         cfg.lambda_samples = parse_samples(samples) if isinstance(samples, str) else samples
     # a parabolic config's lambda2 must be a nonnegative integer; refusing a
     # bad one here keeps every command from running at another value

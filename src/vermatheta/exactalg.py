@@ -1,8 +1,10 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator).  Elimination is fraction-free: each row is scaled to integers
-and reduced Bareiss-style, with the pivot always the first nonzero entry
+denominator).  A ``QMatrix`` holds integer numerators over one positive
+common denominator, so elimination runs on the numerators directly: scaling
+by a positive constant changes neither rank nor null space.  Elimination is
+fraction-free (Bareiss), with the pivot always the first nonzero entry
 scanning top to bottom, so results are deterministic.
 """
 
@@ -29,20 +31,35 @@ def rat(value) -> Fraction:
 
 
 class QMatrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense rational matrix: integer numerators ``num``
+    (row-major) over one positive common denominator ``den``."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows: int, cols: int, data):
-        data = tuple(Fraction(x) for x in data)
-        if len(data) != rows * cols:
-            raise UsageError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}")
+        data = [Fraction(x) for x in data]
+        den = lcm(*(x.denominator for x in data))
+        self._set(rows, cols, tuple(x.numerator * (den // x.denominator) for x in data), den)
+
+    def _set(self, rows: int, cols: int, num: tuple, den: int) -> None:
+        if len(num) != rows * cols:
+            raise UsageError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(num)}")
+        if den <= 0:
+            raise UsageError("matrix denominator must be positive")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
+
+    @classmethod
+    def from_integers(cls, rows: int, cols: int, num, den: int = 1) -> "QMatrix":
+        """The matrix with integer numerators ``num`` (row-major) over ``den``."""
+        m = object.__new__(cls)
+        m._set(rows, cols, tuple(num), den)
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> "QMatrix":
@@ -54,24 +71,29 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls.from_integers(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls.from_integers(rows, cols, [0] * (rows * cols))
+
+    @property
+    def data(self) -> tuple:
+        """The entries as Fractions, row-major."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i * self.cols + j]
+        return Fraction(self.num[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        return tuple(Fraction(x, self.den) for x in self.num[i * self.cols : (i + 1) * self.cols])
 
     def __eq__(self, other):
         return (
             isinstance(other, QMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and all(a * other.den == b * self.den for a, b in zip(self.num, other.num))
         )
 
     def __hash__(self):
@@ -82,24 +104,21 @@ class QMatrix:
 
 
 def mat_scalar_shift(a: QMatrix, c) -> QMatrix:
-    """Return a - c*I for a square matrix a."""
+    """Return a - c*I for a square matrix a, in integers over one denominator."""
     if a.rows != a.cols:
         raise UsageError("scalar shift needs a square matrix")
-    c = Fraction(c)
-    data = list(a.data)
-    for i in range(a.rows):
-        data[i * a.cols + i] -= c
-    return QMatrix(a.rows, a.cols, data)
+    c = rat(c)
+    # num/den - p/q = (q*num - p*den) / (q*den)
+    q, shift = c.denominator, c.numerator * a.den
+    num = [x * q for x in a.num]
+    for i in range(0, a.rows * a.cols, a.cols + 1):
+        num[i] -= shift
+    return QMatrix.from_integers(a.rows, a.cols, num, a.den * q)
 
 
-def _integer_rows(m: QMatrix) -> list[list[int]]:
-    # Row scaling by a positive integer changes neither rank nor null space.
-    rows = []
-    for i in range(m.rows):
-        entries = m.row(i)
-        scale = lcm(*(x.denominator for x in entries)) if entries else 1
-        rows.append([int(x * scale) for x in entries])
-    return rows
+def _numerator_rows(m: QMatrix) -> list[list[int]]:
+    num, cols = m.num, m.cols
+    return [list(num[i : i + cols]) for i in range(0, m.rows * cols, cols)]
 
 
 def _echelon(rows: list[list[int]]) -> list[int]:
@@ -137,7 +156,7 @@ def _echelon(rows: list[list[int]]) -> list[int]:
 def rank(m: QMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    return len(_echelon(_integer_rows(m)))
+    return len(_echelon(_numerator_rows(m)))
 
 
 def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
@@ -155,7 +174,7 @@ def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
             v[f] = Fraction(1)
             basis.append(tuple(v))
         return basis
-    rows = _integer_rows(m)
+    rows = _numerator_rows(m)
     pivot_cols = _echelon(rows)
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]

@@ -23,7 +23,9 @@ PBW monomials:
 Straightening caches each generator's image of each PBW monomial in one dict
 per generator index (its position in ``Gen``), keyed by the exponent triple;
 the cached coefficients are integers over a per-generator scale (see
-``VermaModule.__init__``) and become Fractions in ``apply_gen``.
+``VermaModule.__init__``).  ``operator_matrix`` reads these integers directly
+and builds its matrix as integer numerators over one denominator; only
+``apply_gen`` turns them into Fractions.
 
 The highest-weight parameters are substituted as exact rationals before any
 matrix is formed; genericity is certified by the guard below and by
@@ -253,7 +255,12 @@ class VermaModule:
         return tuple(basis)
 
     def dim(self, n: int, m: int) -> int:
-        return len(self.weight_space(n, m))
+        """Size of ``weight_space(n, m)``, counted without building it."""
+        if n < 0 or m < 0:
+            return 0
+        if self.spec.kind == BOREL:
+            return min(n, m) + 1
+        return max(0, min(n, m) - max(0, m - self._e32_cap) + 1)
 
     # -- straightening -----------------------------------------------------
 
@@ -301,15 +308,25 @@ class VermaModule:
             cache[e] = {w: v for w, v in acc.items() if v}
         return cache[exps]
 
+    def _act(self, g: int, element: dict) -> dict:
+        """Generator index ``g`` on a combination of PBW monomials; the result's
+        coefficients are to be divided by ``self._scale[g]``, so an integer
+        combination stays integral."""
+        cache = self._cache[g]
+        out: dict = {}
+        for exps, coeff in element.items():
+            image = cache.get(exps)
+            if image is None:
+                image = self._apply(g, exps)
+            for e2, c in image.items():
+                out[e2] = out.get(e2, 0) + coeff * c
+        return {e: c for e, c in out.items() if c}
+
     def apply_gen(self, g: Gen, element: dict) -> dict:
         """Act by a generator on a rational combination of PBW monomials."""
         gi = _GEN_INDEX[g]
-        out: dict = {}
-        for exps, coeff in element.items():
-            for e2, c in self._apply(gi, exps).items():
-                out[e2] = out.get(e2, 0) + coeff * c
         scale = self._scale[gi]
-        return {e: Fraction(c, scale) for e, c in out.items() if c}
+        return {e: Fraction(c, scale) for e, c in self._act(gi, element).items()}
 
     def straighten(self, word) -> dict:
         """Normal-ordered expansion of a generator word applied to v."""
@@ -320,15 +337,6 @@ class VermaModule:
 
     # -- operator matrices ---------------------------------------------------
 
-    def _coords(self, element: dict, target: tuple, where: str) -> list[Fraction]:
-        index = {exps: i for i, exps in enumerate(target)}
-        col = [Fraction(0)] * len(target)
-        for exps, coeff in element.items():
-            if exps not in index:
-                raise VerificationError(f"straightened term left its weight space in {where}")
-            col[index[exps]] = coeff
-        return col
-
     def operator_matrix(self, op, source: tuple[int, int]) -> QMatrix:
         """Matrix of a generator, or of the quadratic Casimir of a root sl(2),
         on the (n, m) weight space; columns follow the source basis order.
@@ -337,6 +345,7 @@ class VermaModule:
         if n + m > self.spec.depth:
             raise TruncationError(f"weight space {source} lies beyond depth {self.spec.depth}")
         basis = self.weight_space(n, m)
+        act = self._act
         if isinstance(op, Root):
             dn, dm = op.down_step
             if n + m + dn + dm > self.spec.depth:
@@ -345,15 +354,15 @@ class VermaModule:
                     f"beyond depth {self.spec.depth}"
                 )
             target = basis
+            up, down = _GEN_INDEX[op.raising], _GEN_INDEX[op.lowering]
             images = []
             for exps in basis:
-                vec = {exps: Fraction(1)}
-                down_up = self.apply_gen(op.raising, self.apply_gen(op.lowering, vec))
-                up_down = self.apply_gen(op.lowering, self.apply_gen(op.raising, vec))
-                img = dict(down_up)
-                for e, c in up_down.items():
-                    img[e] = img.get(e, Fraction(0)) + c
-                images.append({e: c for e, c in img.items() if c})
+                vec = {exps: 1}
+                img = act(up, act(down, vec))
+                for e, c in act(down, act(up, vec)).items():
+                    img[e] = img.get(e, 0) + c
+                images.append(img)
+            den = self._scale[up] * self._scale[down]
             label = f"casimir({op.value})"
         else:
             dn, dm = _WEIGHT_STEP[op]
@@ -363,11 +372,22 @@ class VermaModule:
                     f"target space ({tn}, {tm}) lies beyond depth {self.spec.depth}"
                 )
             target = self.weight_space(tn, tm)
-            images = [self.apply_gen(op, {exps: Fraction(1)}) for exps in basis]
+            gi = _GEN_INDEX[op]
+            images = [act(gi, {exps: 1}) for exps in basis]
+            den = self._scale[gi]
             label = op.value
-        cols = [self._coords(img, target, label) for img in images]
-        data = [cols[j][i] for i in range(len(target)) for j in range(len(basis))]
-        return QMatrix(len(target), len(basis), data)
+        index = {exps: i for i, exps in enumerate(target)}
+        cols = len(basis)
+        num = [0] * (len(target) * cols)
+        for j, img in enumerate(images):
+            for e, c in img.items():
+                if not c:
+                    continue
+                i = index.get(e)
+                if i is None:
+                    raise VerificationError(f"straightened term left its weight space in {label}")
+                num[i * cols + j] = c
+        return QMatrix.from_integers(len(target), cols, num, den)
 
     # -- characters ----------------------------------------------------------
 

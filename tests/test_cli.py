@@ -175,6 +175,8 @@ MALFORMED = [
     pytest.param(["character", "--depth", "x"], None, None, id="argv-depth"),
     pytest.param(["character"], "depth = x\n", None, id="config-depth"),
     pytest.param(["character"], "lambda_samples = 7/3,abc\n", None, id="config-samples"),
+    pytest.param(["verify", "--identity", "borel-trace-13"], "lambda_samples = 7/3,abc\n", None,
+                 id="config-samples-verify"),
     pytest.param(["verify", "--identity", "borel-trace-13"], None, "abc", id="env-jobs-abc"),
     pytest.param(["verify", "--identity", "borel-trace-13"], None, "0", id="env-jobs-0"),
     pytest.param(["verify", "--identity", "borel-trace-13"], None, "-3", id="env-jobs-negative"),
@@ -190,6 +192,24 @@ def test_malformed_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, config, j
     if jobs is not None:
         monkeypatch.setenv("VERMATHETA_JOBS", jobs)
     assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [["character"], ["branch", "--root", "12"],
+                                     ["spectrum", "--root", "12"]])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_commands_without_samples_refuse_them(tmp_path, capsys, command, via):
+    # well-formed samples these commands would ignore and echo in the report
+    samples = "7/3,5/7;11/5,-3/7;13/4,9/11"
+    if via == "flag":
+        argv = [*command, "--lambda-samples", samples]
+    else:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"lambda_samples = {samples}\n")
+        argv = [*command, "--config", str(cfg_file)]
+    assert main([*argv, "--depth", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")

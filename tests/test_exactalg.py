@@ -70,6 +70,21 @@ def test_scalar_shift_of_identity_is_zero():
     assert mat_scalar_shift(QMatrix.identity(2), 1) == QMatrix.zero(2, 2)
 
 
+def test_equal_matrices_at_different_denominators():
+    half = QMatrix.from_rows([[F(1, 2)]])
+    two_quarters = QMatrix.from_integers(1, 1, [2], 4)
+    assert half == two_quarters and hash(half) == hash(two_quarters)
+    assert two_quarters.data == (F(1, 2),)
+    assert half != QMatrix.from_integers(1, 1, [3], 4)
+
+
+def test_scalar_shift_by_negative_rational_keeps_denominator_positive():
+    m = QMatrix.from_rows([[F(1, 3), 2], [0, F(5, 7)]])
+    shifted = mat_scalar_shift(m, F(-3, 4))
+    assert shifted.den > 0
+    assert shifted.data == (F(1, 3) + F(3, 4), 2, 0, F(5, 7) + F(3, 4))
+
+
 def test_scalar_shift_requires_square():
     with pytest.raises(UsageError):
         mat_scalar_shift(QMatrix.zero(2, 3), 1)
@@ -189,3 +204,14 @@ def test_elimination_matches_sympy_oracle():
             ours = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v] for v in basis])
             both = ours.col_join(sympy.Matrix.hstack(*theirs).T)
             assert ours.rank() == both.rank() == len(basis)
+    # m = d + c*I with d singular has eigenvalue c, so the shift by c drops the rank
+    for size in range(1, 7):
+        for _ in range(4):
+            c = F(rng.randint(-9, 9), rng.randint(1, 6))
+            d = _random_matrix(rng, size, size, rng.randint(0, size - 1))
+            m = QMatrix(size, size, [x + c * (k % (size + 1) == 0) for k, x in enumerate(d.data)])
+            oracle = sympy.Matrix(size, size, [sympy.Rational(x.numerator, x.denominator) for x in m.data])
+            for shift in (c, F(rng.randint(-9, 9), rng.randint(1, 6))):
+                want = (oracle - sympy.Rational(shift.numerator, shift.denominator) * sympy.eye(size)).rank()
+                assert rank(mat_scalar_shift(m, shift)) == want, (size, shift)
+                assert shift != c or want < size

@@ -3,7 +3,9 @@ from itertools import product
 
 import pytest
 
-from vermatheta import BOREL, PARABOLIC, ModuleSpec, VermaModule, Window, genericity_guard
+from vermatheta import (
+    BOREL, PARABOLIC, ModuleSpec, VermaModule, Window, genericity_guard, mat_scalar_shift, rank,
+)
 from vermatheta.errors import GenericityError, TruncationError, UsageError
 from vermatheta.qseries import ExponentForm, Monomial
 from vermatheta.theta import borel_character_closed_form
@@ -246,19 +248,31 @@ def test_parabolic_dims_case_formula(parabolic_modules):
                 assert module.dim(k, l + k) == want
 
 
+def test_dim_counts_the_weight_space_basis(borel_module, parabolic_modules):
+    for module in (borel_module, *(parabolic_modules[(F(7, 3), v)] for v in (0, 1, 2))):
+        for n in range(-3, 34):
+            for m in range(-3, 31 - n):
+                assert module.dim(n, m) == len(module.weight_space(n, m)), (module.spec, n, m)
+
+
+#: weight step of each generator in (n, m) coordinates
+STEPS = {
+    Gen.E12: (-1, 0),
+    Gen.E21: (1, 0),
+    Gen.E23: (0, -1),
+    Gen.E32: (0, 1),
+    Gen.E13: (-1, -1),
+    Gen.E31: (1, 1),
+    Gen.H12: (0, 0),
+    Gen.H23: (0, 0),
+}
+
+
 def test_weight_coherence_on_all_basis_vectors(borel_module, parabolic_modules):
-    steps = {
-        Gen.E12: (-1, 0),
-        Gen.E21: (1, 0),
-        Gen.E23: (0, -1),
-        Gen.E32: (0, 1),
-        Gen.E13: (-1, -1),
-        Gen.E31: (1, 1),
-    }
     for module in (borel_module, parabolic_modules[(F(7, 3), 2)]):
         for n, m in [(n, m) for n in range(6) for m in range(6 - n)]:
             for exps in module.weight_space(n, m):
-                for gen, (dn, dm) in steps.items():
+                for gen, (dn, dm) in STEPS.items():
                     image = module.apply_gen(gen, {exps: F(1)})
                     for out in image:
                         assert out in module.weight_space(n + dn, m + dm)
@@ -293,7 +307,67 @@ def test_commutator_soundness_on_low_shells(borel_module, parabolic_modules):
                     }
 
 
-# -- operator matrix shapes ------------------------------------------------------
+# -- operator matrices -----------------------------------------------------------
+
+
+def fraction_operator_matrix(module, op, n, m):
+    """Rows of the operator matrix built over Fractions, as the package did
+    before it assembled integer numerators: ``apply_gen`` on each basis
+    vector, then coordinates in the target basis."""
+    basis = module.weight_space(n, m)
+    if isinstance(op, Root):
+        target = basis
+        images = []
+        for exps in basis:
+            vec = {exps: F(1)}
+            img = dict(module.apply_gen(op.raising, module.apply_gen(op.lowering, vec)))
+            for e, c in module.apply_gen(op.lowering, module.apply_gen(op.raising, vec)).items():
+                img[e] = img.get(e, F(0)) + c
+            images.append(img)
+    else:
+        dn, dm = STEPS[op]
+        target = module.weight_space(n + dn, m + dm)
+        images = [module.apply_gen(op, {exps: F(1)}) for exps in basis]
+    index = {exps: i for i, exps in enumerate(target)}
+    rows = [[F(0)] * len(basis) for _ in target]
+    for j, img in enumerate(images):
+        for e, c in img.items():
+            if c:
+                rows[index[e]][j] = c
+    return rows
+
+
+def test_operator_matrices_match_fraction_reference(borel_module, parabolic_modules):
+    for module in (borel_module, *(parabolic_modules[(F(7, 3), v)] for v in (0, 1, 2))):
+        for n in range(9):
+            for m in range(9 - n):
+                for op in (*Gen, *Root):
+                    got = module.operator_matrix(op, (n, m))
+                    want = fraction_operator_matrix(module, op, n, m)
+                    assert got.cols == module.dim(n, m)
+                    assert [list(got.row(i)) for i in range(got.rows)] == want, (module.spec, op, n, m)
+
+
+
+
+def test_casimir_rank_path_makes_no_fraction(monkeypatch):
+    # kappa_spectrum's inner loop: straighten, assemble, shift by a rational
+    # eigenvalue candidate and eliminate, all in integers
+    module = VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 8))
+    value = F(22, 21)
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for root in Root:
+        mat = module.operator_matrix(root, (3, 3))
+        rank(mat_scalar_shift(mat, value))
+    monkeypatch.undo()
+    assert made == []
 
 
 def test_operator_matrix_shapes_and_kernel(borel_module):
