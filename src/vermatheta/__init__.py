@@ -6,13 +6,12 @@ from .branching import (
     BranchingTerm,
     branching_table,
     kappa_spectrum,
-    singular_dimension,
     trace_brute_force,
     trace_from_branching,
 )
 from .exactalg import QMatrix, kernel_basis, mat_scalar_shift, rank, rat
 from .qseries import ExponentForm, FormalSeries, Monomial, Window
-from .theta import ClosedFormId, VerifyReport, closed_form, verify_identity
+from .theta import ClosedFormId, VerifyReport, verify_identity
 from .verma import BOREL, PARABOLIC, Gen, ModuleSpec, Root, VermaModule, genericity_guard
 
 __version__ = "0.1.0"
@@ -34,14 +33,12 @@ __all__ = [
     "VermaModule",
     "Window",
     "branching_table",
-    "closed_form",
     "genericity_guard",
     "kappa_spectrum",
     "kernel_basis",
     "mat_scalar_shift",
     "rank",
     "rat",
-    "singular_dimension",
     "trace_brute_force",
     "trace_from_branching",
     "verify_identity",

@@ -77,12 +77,6 @@ class BranchingTerm:
     multiplicity: int
     origin: tuple[int, int]
 
-    @property
-    def finite_hw(self) -> int:
-        if self.kind != FINITE:
-            raise UsageError("not a finite constituent")
-        return self.hw.c0
-
 
 @dataclass(frozen=True)
 class BranchingTable:
@@ -115,12 +109,6 @@ class BranchingTable:
 
     def local_dimension(self, n: int, m: int) -> int:
         return sum(term.multiplicity for term, _ in self.on_string(n, m))
-
-
-def singular_dimension(module: VermaModule, root: Root, n: int, m: int) -> int:
-    """Dimension of the kernel of the root's raising generator on (n, m)."""
-    mat = module.operator_matrix(root.raising, (n, m))
-    return mat.cols - rank(mat)
 
 
 def _classify(module: VermaModule, root: Root, n: int, m: int, vector) -> tuple:
@@ -258,52 +246,39 @@ def is_divergent(kind: str, root: Root, regularized: bool) -> bool:
 
 
 def bruteforce_region(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
-                      divergent_depth: int | None = None) -> list:
+                      divergent_depth: int | None = None) -> tuple[int, int, int]:
     """Weight spaces that can contribute in-window trace terms (a proven
-    superset; final membership is enforced monomial by monomial)."""
-    spaces = []
+    superset; final membership is enforced monomial by monomial), as
+    (n_top, m0, slope): the spaces with n <= n_top and m <= m0 + slope*n.
+    The slope is at least -1, so n + m is largest on the row n = n_top."""
     if is_divergent(spec.kind, root, regularized):
         if divergent_depth is None:
             raise UsageError(
                 f"unregularized {root.value} trace on the Borel module is divergent; "
                 "pass an explicit truncation depth or regularize"
             )
-        for n in range(divergent_depth + 1):
-            for m in range(divergent_depth + 1 - n):
-                spaces.append((n, m))
-    elif regularized:
-        for n in range(window.T + 1):
-            for m in range(window.T + 1):
-                spaces.append((n, m))
-    elif root is Root.A13:
+        return divergent_depth, divergent_depth, -1
+    if regularized:
+        return window.T, window.T, 0
+    if root is Root.A13:
         # the k=0 slot at (n, m) carries c0 = L2 - n - m after folding an
         # integral L2, so the shells reach D + L2 on the parabolic module
         cap = window.D + (spec.lambda2_int if spec.kind == PARABOLIC else 0)
-        for n in range(cap + 1):
-            for m in range(cap + 1 - n):
-                spaces.append((n, m))
-    elif spec.kind == PARABOLIC and root is Root.A12:
+        return cap, cap, -1
+    if spec.kind == PARABOLIC and root is Root.A12:
         j_max = max(0, (window.B - 1) // 2)
         v = spec.lambda2_int
-        n_cap = v + window.D + 2 * j_max * (j_max + 1)
-        for n in range(n_cap + 1):
-            for m in range(n + v + 1):
-                spaces.append((n, m))
-    elif spec.kind == PARABOLIC and root is Root.A23:
+        return v + window.D + 2 * j_max * (j_max + 1), v, 1
+    if spec.kind == PARABOLIC and root is Root.A23:
         cap = window.D + spec.lambda2_int
-        for n in range(cap + 1):
-            for m in range(cap + 1):
-                spaces.append((n, m))
-    else:
-        raise UsageError(f"no trace region for {spec.kind}/{root.value}")
-    return spaces
+        return cap, cap, 0
+    raise UsageError(f"no trace region for {spec.kind}/{root.value}")
 
 
 def required_depth(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
                    divergent_depth: int | None = None) -> int:
-    region = bruteforce_region(spec, root, window, regularized, divergent_depth)
-    dn, dm = root.down_step
-    return max((n + m for n, m in region), default=0) + dn + dm
+    n_top, m0, slope = bruteforce_region(spec, root, window, regularized, divergent_depth)
+    return n_top + m0 + slope * n_top + sum(root.down_step)
 
 
 def _slot_monomial(kind: str, root: Root, origin: tuple[int, int], k: int,
@@ -338,16 +313,15 @@ def trace_from_branching(table: BranchingTable, window: Window, regularized: boo
     terms: dict[Monomial, Fraction] = {}
     for term in table.terms:
         if term.kind == FINITE:
-            k_range = range(term.finite_hw + 1)
+            k_range = range(term.hw.c0 + 1)
+        elif term.hw.c1 or term.hw.c2:
+            k_range = range(max(0, (window.B - 1) // 2) + 1)
         else:
-            if term.hw.c1 or term.hw.c2:
-                k_range = range(max(0, (window.B - 1) // 2) + 1)
-            else:
-                w = term.hw.c0
-                k_top = max(0, w) // 2 + 1
-                while (2 * k_top + 1) * w - 2 * k_top * k_top >= -window.D:
-                    k_top += 1
-                k_range = range(k_top + 1)
+            # Borel h-forms carry L1 or L2, and on the parabolic module every
+            # root-23 constituent is finite because E32 is locally nilpotent
+            raise VerificationError(
+                f"Verma constituent at {term.origin} has a constant highest weight {tuple(term.hw)}"
+            )
         for k in k_range:
             if slot_depth is not None:
                 shell = term.origin[0] + term.origin[1] + k * (dn + dm)
@@ -401,13 +375,13 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
     matching across the weight samples; a non-unique lift is a hard error.
     """
     samples = lift_samples(spec, samples)
-    region = bruteforce_region(spec, root, window, regularized, divergent_depth)
+    n_top, m0, slope = bruteforce_region(spec, root, window, regularized, divergent_depth)
     need = required_depth(spec, root, window, regularized, divergent_depth)
     if spec.depth < need:
         raise UsageError(f"trace needs depth {need}, module is certified to {spec.depth}")
     modules = [VermaModule(spec.with_weight(l1, l2)) for (l1, l2) in samples]
     terms: dict[Monomial, Fraction] = {}
-    for n, m in sorted(region):
+    for n, m in ((n, m) for n in range(n_top + 1) for m in range(m0 + slope * n + 1)):
         if not modules[0].dim(n, m):
             continue
         forms = candidate_forms(modules[0], root, n, m)

@@ -51,6 +51,11 @@ _CONFIG_KEYS = ("module", "lambda1", "lambda2", "depth", "B", "D", "T", "lambda_
 # the commands that lift exponents across weight samples
 _SAMPLED_COMMANDS = ("trace", "verify")
 
+#: The deepest n+m a command may work to, whether given by --depth or derived
+#: from the window; it bounds the work of one command.  The longest benchmarked
+#: check, parabolic-trace-12-alt-sign at B=9, D=20, lambda2=2, needs depth 127.
+MAX_DEPTH = 150
+
 
 @dataclass
 class RunConfig:
@@ -82,10 +87,20 @@ class RunConfig:
         }
 
 
+def capped_depth(depth: int) -> int:
+    """``depth``, refused as a usage error when it is past ``MAX_DEPTH``."""
+    if depth > MAX_DEPTH:
+        raise UsageError(
+            f"the run needs depth {depth}, past the depth cap {MAX_DEPTH}; "
+            "use a smaller --depth or window"
+        )
+    return depth
+
+
 def guarded_spec(kind: str, lambda1, lambda2, depth: int) -> ModuleSpec:
-    """The spec a command runs on; a malformed spec or a weight that fails
-    the genericity guard is refused as a usage error."""
-    spec = ModuleSpec(kind, lambda1, lambda2, depth)
+    """The spec a command runs on; a malformed spec, a depth past the cap or
+    a weight that fails the genericity guard is refused as a usage error."""
+    spec = ModuleSpec(kind, lambda1, lambda2, capped_depth(depth))
     if not genericity_guard(spec.lambda1, spec.lambda2, depth, kind):
         raise UsageError(
             f"weight ({spec.lambda1}, {spec.lambda2}) fails the genericity guard for the "
@@ -111,6 +126,8 @@ def parse_samples(text: str) -> tuple:
         if len(parts) != 2:
             raise UsageError(f"bad weight sample {chunk!r}; expected 'p/q,r/s'")
         pairs.append((rat(parts[0]), rat(parts[1])))
+    if not pairs:
+        raise UsageError("--lambda-samples / lambda_samples is given but lists no weight sample")
     return tuple(pairs)
 
 
@@ -164,7 +181,7 @@ def build_config(args) -> RunConfig:
             raise UsageError(
                 f"{args.command} uses no weight samples; drop --lambda-samples / lambda_samples"
             )
-        cfg.lambda_samples = parse_samples(samples) if isinstance(samples, str) else samples
+        cfg.lambda_samples = parse_samples(samples)
     # a parabolic config's lambda2 must be a nonnegative integer; refusing a
     # bad one here keeps every command from running at another value
     ModuleSpec(cfg.module, cfg.lambda1, cfg.lambda2, cfg.depth)
@@ -290,10 +307,11 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
     by_trace: dict = {}
     for identity, spec in requested:
         by_trace.setdefault((CATALOG[identity], spec), []).append(identity)
-    tasks = [
-        (tuple(identities), spec, cfg.window, lift_samples(spec, cfg.lambda_samples))
-        for (_, spec), identities in by_trace.items()
-    ]
+    tasks = []
+    for (entry, spec), identities in by_trace.items():
+        if entry.root is not None:
+            capped_depth(required_depth(spec, entry.root, cfg.window, entry.regularized))
+        tasks.append((tuple(identities), spec, cfg.window, lift_samples(spec, cfg.lambda_samples)))
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_verify_task, tasks))
@@ -423,7 +441,7 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
     divergent_depth = cfg.depth if divergent else None
 
     need = required_depth(spec, root, window, regularized, divergent_depth)
-    deep = spec.with_depth(max(spec.depth, need))
+    deep = spec.with_depth(capped_depth(max(spec.depth, need)))
     samples = lift_samples(spec, cfg.lambda_samples)
 
     series_by_name = {}

@@ -11,7 +11,6 @@ scanning top to bottom, so results are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import UsageError
 
@@ -36,71 +35,21 @@ class QMatrix:
 
     __slots__ = ("rows", "cols", "num", "den")
 
-    def __init__(self, rows: int, cols: int, data):
-        data = [Fraction(x) for x in data]
-        den = lcm(*(x.denominator for x in data))
-        self._set(rows, cols, tuple(x.numerator * (den // x.denominator) for x in data), den)
-
-    def _set(self, rows: int, cols: int, num: tuple, den: int) -> None:
-        if len(num) != rows * cols:
-            raise UsageError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(num)}")
-        if den <= 0:
-            raise UsageError("matrix denominator must be positive")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
     @classmethod
     def from_integers(cls, rows: int, cols: int, num, den: int = 1) -> "QMatrix":
         """The matrix with integer numerators ``num`` (row-major) over ``den``."""
+        num = tuple(num)
+        if len(num) != rows * cols:
+            raise UsageError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(num)}")
+        if den <= 0:
+            raise UsageError("matrix denominator must be positive")
         m = object.__new__(cls)
-        m._set(rows, cols, tuple(num), den)
+        for name, value in zip(cls.__slots__, (rows, cols, num, den)):
+            object.__setattr__(m, name, value)
         return m
-
-    @classmethod
-    def from_rows(cls, rows) -> "QMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise UsageError("ragged rows")
-        return cls(len(rows), ncols, [x for r in rows for x in r])
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls.from_integers(n, n, [int(i == j) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls.from_integers(rows, cols, [0] * (rows * cols))
-
-    @property
-    def data(self) -> tuple:
-        """The entries as Fractions, row-major."""
-        return tuple(Fraction(x, self.den) for x in self.num)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i * self.cols + j], self.den)
-
-    def row(self, i: int) -> tuple:
-        return tuple(Fraction(x, self.den) for x in self.num[i * self.cols : (i + 1) * self.cols])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(a * other.den == b * self.den for a, b in zip(self.num, other.num))
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
-    def __repr__(self):
-        return f"QMatrix({self.rows}x{self.cols})"
 
 
 def mat_scalar_shift(a: QMatrix, c) -> QMatrix:

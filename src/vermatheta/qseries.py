@@ -144,38 +144,11 @@ class FormalSeries:
     def __len__(self):
         return len(self.terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalSeries)
-            and self.window == other.window
-            and self.terms == other.terms
-        )
-
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         window = self.window.intersect(other.window)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
-        return FormalSeries(out, window)
-
-    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        return self + other.scale(-1)
-
-    def scale(self, coeff) -> "FormalSeries":
-        coeff = Fraction(coeff)
-        return FormalSeries({m: c * coeff for m, c in self.terms.items()}, self.window)
-
-    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        # products landing outside the window are dropped; when supports lie
-        # in a cone the window truncates monotonically (e.g. c0 <= 0 only),
-        # dropped terms can never re-enter and multiplication associates
-        window = self.window.intersect(other.window)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                if window.contains(m):
-                    out[m] = out.get(m, Fraction(0)) + c1 * c2
         return FormalSeries(out, window)
 
     def equal_on(self, other: "FormalSeries", window: Window) -> Comparison:
@@ -191,16 +164,6 @@ class FormalSeries:
             if left != right:
                 return Comparison(False, mono, left, right)
         return Comparison(True, None, None, None)
-
-    def substitute_lambda(self, l1, l2) -> dict[tuple[Fraction, int, int], Fraction]:
-        """Evaluate q-exponents at exact (l1, l2); colliding terms are summed."""
-        l1 = Fraction(l1)
-        l2 = Fraction(l2)
-        out: dict[tuple[Fraction, int, int], Fraction] = {}
-        for mono, coeff in self.terms.items():
-            key = (mono.qexp.evaluate(l1, l2), mono.t1, mono.t2)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return {k: v for k, v in out.items() if v}
 
     def to_records(self) -> list[dict]:
         records = []
@@ -218,7 +181,3 @@ class FormalSeries:
                 }
             )
         return records
-
-    def __repr__(self):
-        return f"FormalSeries({len(self.terms)} terms on {self.window})"
-

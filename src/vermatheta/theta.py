@@ -133,11 +133,6 @@ def _k_terms(window: Window):
     return range(max(0, (window.B - 1) // 2) + 1)
 
 
-def closed_form(identity: ClosedFormId, spec: ModuleSpec, window: Window) -> FormalSeries:
-    series, _ = closed_form_with_notes(identity, spec, window)
-    return series
-
-
 def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
                            window: Window) -> tuple[FormalSeries, list[str]]:
     kind = CATALOG[identity].kind
@@ -266,10 +261,6 @@ class VerifyReport:
     pipeline_mismatch: Comparison | None = None
     notes: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass" and self.pipeline_agreement == "pass"
-
 
 def verify_identity(identity: ClosedFormId, spec: ModuleSpec, window: Window,
                     samples=(), pipelines=None) -> VerifyReport:
@@ -278,11 +269,9 @@ def verify_identity(identity: ClosedFormId, spec: ModuleSpec, window: Window,
     against the brute-force series; pipeline agreement is reported
     independently.  ``pipelines`` is the identity's (branching, brute) pair
     from ``trace_pipelines`` when the caller already has it."""
-    kind, root, regularized = CATALOG[identity]
-    if spec.kind != kind:
-        spec = ModuleSpec(kind, spec.lambda1, spec.lambda2, spec.depth)
-    samples = lift_samples(spec, samples)
+    _, root, regularized = CATALOG[identity]
     closed, notes = closed_form_with_notes(identity, spec, window)
+    samples = lift_samples(spec, samples)
 
     if root is None:
         module = VermaModule(spec)

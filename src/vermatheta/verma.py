@@ -328,13 +328,6 @@ class VermaModule:
         scale = self._scale[gi]
         return {e: Fraction(c, scale) for e, c in self._act(gi, element).items()}
 
-    def straighten(self, word) -> dict:
-        """Normal-ordered expansion of a generator word applied to v."""
-        element = {(0, 0, 0): Fraction(1)}
-        for g in reversed(list(word)):
-            element = self.apply_gen(g, element)
-        return element
-
     # -- operator matrices ---------------------------------------------------
 
     def operator_matrix(self, op, source: tuple[int, int]) -> QMatrix:

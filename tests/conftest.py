@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import settings
 
-from vermatheta import BOREL, PARABOLIC, ModuleSpec, VermaModule
+from vermatheta import BOREL, PARABOLIC, ModuleSpec, QMatrix, VermaModule, rank
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -35,3 +36,34 @@ def parabolic_modules():
         for l1 in LAMBDA1S:
             out[(l1, v)] = VermaModule(ModuleSpec(PARABOLIC, l1, v, 12))
     return out
+
+
+# -- readers and builders the library does not need -------------------------------
+
+
+def qmatrix(rows) -> QMatrix:
+    """The QMatrix of nonempty rows of rationals, over their denominators' lcm."""
+    entries = [Fraction(x) for row in rows for x in row]
+    den = lcm(*(x.denominator for x in entries))
+    num = [x.numerator * (den // x.denominator) for x in entries]
+    return QMatrix.from_integers(len(rows), len(rows[0]), num, den)
+
+
+def matrix_rows(m: QMatrix) -> list:
+    """The entries of ``m`` as rows of Fractions."""
+    c = m.cols
+    return [[Fraction(x, m.den) for x in m.num[i * c : (i + 1) * c]] for i in range(m.rows)]
+
+
+def straighten(module: VermaModule, word) -> dict:
+    """Normal-ordered expansion of a generator word applied to v."""
+    element = {(0, 0, 0): Fraction(1)}
+    for g in reversed(word):
+        element = module.apply_gen(g, element)
+    return element
+
+
+def singular_dimension(module: VermaModule, root, n: int, m: int) -> int:
+    """Dimension of the kernel of the root's raising generator on (n, m)."""
+    mat = module.operator_matrix(root.raising, (n, m))
+    return mat.cols - rank(mat)

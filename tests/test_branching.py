@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from vermatheta import (
     Window,
     branching_table,
     kappa_spectrum,
-    singular_dimension,
     trace_brute_force,
     trace_from_branching,
 )
@@ -24,11 +24,12 @@ from vermatheta.branching import (
     is_divergent,
     lift_samples,
     predicted_spectrum,
+    required_depth,
 )
-from vermatheta.errors import UsageError
-from vermatheta.qseries import ExponentForm
+from vermatheta.errors import UsageError, VerificationError
+from vermatheta.qseries import ExponentForm, Monomial
 
-from conftest import LAMBDA1S, WEIGHTS
+from conftest import LAMBDA1S, WEIGHTS, singular_dimension
 
 F = Fraction
 
@@ -121,7 +122,7 @@ def test_parabolic_23_finite_multiplicities(parabolic_modules):
     mults: dict[int, int] = {}
     for term in table.terms:
         assert term.kind == FINITE
-        mults[term.finite_hw] = mults.get(term.finite_hw, 0) + term.multiplicity
+        mults[term.hw.c0] = mults.get(term.hw.c0, 0) + term.multiplicity
     # origins (i - v + 2*m0, m0) for m0 <= v need n + m <= 9: complete for small i
     for i in range(5):
         assert mults[i] == min(i, v) + 1
@@ -227,6 +228,16 @@ def test_trace_of_single_finite_constituent_is_2q():
     assert {tuple(m.qexp): c for m, c in series.terms.items()} == {(1, 0, 0): 2}
 
 
+def test_constant_weight_verma_constituent_is_a_verification_error():
+    # no module yields one: Borel h-forms carry L1 or L2, and on the
+    # parabolic module every root-23 constituent is finite
+    table = BranchingTable(
+        PARABOLIC, Root.A23, (BranchingTerm(VERMA, ExponentForm(1, 0, 0), 1, (0, 0)),), 0
+    )
+    with pytest.raises(VerificationError, match="constant highest weight"):
+        trace_from_branching(table, Window(5, 8, 0))
+
+
 @pytest.mark.parametrize(
     "kind,v,root,regularized",
     [
@@ -301,3 +312,46 @@ def test_lift_samples_defaults(borel_module):
     psamples = lift_samples(pspec)
     assert [l2 for _, l2 in psamples] == [1, 1, 1]
     assert [l1 for l1, _ in psamples] == list(LAMBDA1S)
+
+
+# -- Dynkin-flip oracle ---------------------------------------------------------------
+
+#: the diagram automorphism of sl(3) on the root sl(2)s
+FLIP = {Root.A12: Root.A23, Root.A23: Root.A12, Root.A13: Root.A13}
+
+
+def test_dynkin_flip_oracle():
+    # the flip maps M(L1, L2) to M(L2, L1) and the (n, m) space to (m, n);
+    # the PBW order E21^a E32^b E31^c is not flip invariant, so each side
+    # straightens along other commutator paths than its mirror
+    spec = ModuleSpec(BOREL, F(7, 3), F(5, 7), 12)
+    flipped = ModuleSpec(BOREL, F(5, 7), F(7, 3), 12)
+    module, mirror = VermaModule(spec), VermaModule(flipped)
+    cases = 0
+    for root in Root:
+        top = spec.depth - sum(root.down_step)
+        for n in range(top + 1):
+            for m in range(top + 1 - n):
+                got = kappa_spectrum(module, root, n, m)
+                assert got == kappa_spectrum(mirror, FLIP[root], m, n), (root, n, m)
+                cases += 1
+    assert cases == 222
+
+    terms = branching_table(module, Root.A12).terms
+    flipped_terms = {
+        replace(t, hw=ExponentForm(t.hw.c0, t.hw.c2, t.hw.c1), origin=t.origin[::-1])
+        for t in terms
+    }
+    assert len(terms) == len(flipped_terms) == 49
+    assert flipped_terms == set(branching_table(mirror, Root.A23).terms)
+
+    window = Window(5, 8, 6)
+    for root, regularized, size in ((Root.A12, True, 38), (Root.A13, False, 13)):
+        depth = required_depth(spec, root, window, regularized)
+        series = trace_brute_force(spec.with_depth(depth), root, window, regularized)
+        mirrored = trace_brute_force(flipped.with_depth(depth), FLIP[root], window, regularized)
+        assert len(series) == size
+        assert {
+            Monomial(ExponentForm(mono.qexp.c0, mono.qexp.c2, mono.qexp.c1), mono.t2, mono.t1): c
+            for mono, c in series.terms.items()
+        } == mirrored.terms, root

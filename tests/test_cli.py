@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import vermatheta
-from vermatheta.cli import RunConfig, build_config, build_parser, main
+from vermatheta import PARABOLIC, ModuleSpec, Root, Window
+from vermatheta.branching import required_depth
+from vermatheta.cli import MAX_DEPTH, RunConfig, _annotate_variants, build_config, build_parser, main
+from vermatheta.theta import VerifyReport
 
 F = Fraction
 
@@ -101,6 +104,26 @@ def test_spectrum_coherence_check(tmp_path):
     }
 
 
+def test_spectrum_incoherence_is_a_mismatch(tmp_path, monkeypatch):
+    from vermatheta import cli
+
+    real = cli.predicted_spectrum
+
+    def off_at_1_0(table, n, m, l1, l2):
+        predicted = real(table, n, m, l1, l2)
+        return predicted + ((F(0), 1),) if (n, m) == (1, 0) else predicted
+
+    monkeypatch.setattr(cli, "predicted_spectrum", off_at_1_0)
+    code, payload = run(tmp_path, "spectrum", "--module", "borel", "--root", "12", "--depth", "3")
+    assert code == 1
+    report = json.loads(payload)
+    check = report["checks"][0]
+    assert (check["status"], check["pipelineAgreement"]) == ("mismatch", "fail")
+    assert [(r["n"], r["m"], r["coherent"]) for r in report["spectra"] if "coherent" in r] == [
+        (1, 0, False)
+    ]
+
+
 def test_trace_divergent_is_labeled_and_deterministic(tmp_path):
     args = ("trace", "--module", "borel", "--root", "12", "--depth", "6")
     code1, b1 = run(tmp_path, *args)
@@ -177,6 +200,10 @@ MALFORMED = [
     pytest.param(["character"], "lambda_samples = 7/3,abc\n", None, id="config-samples"),
     pytest.param(["verify", "--identity", "borel-trace-13"], "lambda_samples = 7/3,abc\n", None,
                  id="config-samples-verify"),
+    pytest.param(["trace", "--root", "13", "--lambda-samples", ""], None, None, id="argv-samples-empty"),
+    pytest.param(["trace", "--root", "13", "--lambda-samples", ";"], None, None,
+                 id="argv-samples-semicolon"),
+    pytest.param(["trace", "--root", "13"], "lambda_samples =\n", None, id="config-samples-empty"),
     pytest.param(["verify", "--identity", "borel-trace-13"], None, "abc", id="env-jobs-abc"),
     pytest.param(["verify", "--identity", "borel-trace-13"], None, "0", id="env-jobs-0"),
     pytest.param(["verify", "--identity", "borel-trace-13"], None, "-3", id="env-jobs-negative"),
@@ -349,6 +376,45 @@ def test_verify_all_runs_the_pipelines_once_per_trace(tmp_path, monkeypatch):
     # 3 Borel traces and 3 parabolic ones at each of lambda2 = 0, 1, 2; an
     # *-alt-* variant shares its literal's run
     assert len(calls) == 12
+
+
+def test_variant_note_names_both_or_no_matching_variants():
+    def pair(*statuses):
+        ids = ("parabolic-trace-12", "parabolic-trace-12-alt-sign")
+        return [VerifyReport(i, Window(1, 1, 0), (), s, "pass") for i, s in zip(ids, statuses)]
+
+    both = pair("pass", "pass")
+    _annotate_variants(both, "@lambda2=1")
+    note = "matching variants: ['parabolic-trace-12@lambda2=1', 'parabolic-trace-12-alt-sign@lambda2=1']"
+    assert both[0].notes == both[1].notes == [note]
+    neither = pair("mismatch", "mismatch")
+    _annotate_variants(neither, "")
+    want = ["matching variants: none",
+            "classification: formula-discrepancy (computational pipelines agree)"]
+    assert neither[0].notes == neither[1].notes == want
+
+
+@pytest.mark.parametrize("argv,need", [
+    pytest.param(["character", "--depth", str(MAX_DEPTH + 1)], MAX_DEPTH + 1, id="character-depth"),
+    pytest.param(["trace", "--root", "13", "--D", "200"], 202, id="trace-window"),
+    pytest.param(["spectrum", "--root", "12", "--depth", "400"], 400, id="spectrum-depth"),
+    pytest.param(["verify", "--identity", "parabolic-trace-12", "--module", "parabolic", "--B", "99"],
+                 9820, id="verify-window"),
+])
+def test_work_past_the_depth_cap_exits_2(capsys, argv, need):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: the run needs depth {need}, past the depth cap {MAX_DEPTH}; "
+                   "use a smaller --depth or window\n")
+
+
+def test_depth_cap_admits_the_deepest_benchmarked_check(tmp_path):
+    # the deep-parabolic-12 benchmark: parabolic-trace-12-alt-sign at B=9, D=20, lambda2=2
+    spec = ModuleSpec(PARABOLIC, F(7, 3), 2, 10)
+    assert required_depth(spec, Root.A12, Window(9, 20, 8), False) == 127 <= MAX_DEPTH
+    code, _ = run(tmp_path, "character", "--depth", str(MAX_DEPTH), "--T", "2")
+    assert code == 0
 
 
 def test_interleaved_identities_keep_request_order_in_parallel(tmp_path, monkeypatch):

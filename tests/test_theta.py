@@ -11,7 +11,6 @@ from vermatheta.theta import (
     CATALOG,
     ClosedFormId,
     borel_character_closed_form,
-    closed_form,
     closed_form_with_notes,
     verify_identity,
 )
@@ -27,12 +26,16 @@ def pspec(v):
     return ModuleSpec(PARABOLIC, F(7, 3), v, 10)
 
 
+def ok(report):
+    return report.status == report.pipeline_agreement == "pass"
+
+
 # -- closed-form builders -----------------------------------------------------
 
 
 def test_borel_13_leading_term_expansion():
     # k = 0 only: q^(L1+L2) / (1 - 1/q)^2 = q^(L1+L2) (1 + 2/q + 3/q^2 + ...)
-    series = closed_form(ClosedFormId.BOREL_TRACE_13, BSPEC, Window(1, 4, 0))
+    series = closed_form_with_notes(ClosedFormId.BOREL_TRACE_13, BSPEC, Window(1, 4, 0))[0]
     want = {ExponentForm(-j, 1, 1): F(j + 1) for j in range(5)}
     assert {tuple(m.qexp): c for m, c in series.terms.items()} == {
         tuple(k): v for k, v in want.items()
@@ -40,9 +43,9 @@ def test_borel_13_leading_term_expansion():
 
 
 def test_borel_13_substitution_leading_exponent():
-    series = closed_form(ClosedFormId.BOREL_TRACE_13, BSPEC, Window(1, 0, 0))
-    values = series.substitute_lambda(F(7, 3), F(5, 7))
-    assert values == {(F(64, 21), 0, 0): F(1)}
+    series = closed_form_with_notes(ClosedFormId.BOREL_TRACE_13, BSPEC, Window(1, 0, 0))[0]
+    ((mono, coeff),) = series.terms.items()
+    assert (mono.qexp.evaluate(F(7, 3), F(5, 7)), mono.t1, mono.t2, coeff) == (F(64, 21), 0, 0, 1)
 
 
 def brute_fraction_expansion(numerators, factors, caps):
@@ -64,7 +67,7 @@ def brute_fraction_expansion(numerators, factors, caps):
 
 def test_parabolic_character_zero_shell_matches_hand_expansion():
     window = Window(0, 0, 4)
-    series = closed_form(ClosedFormId.PARABOLIC_CHARACTER, pspec(0), window)
+    series = closed_form_with_notes(ClosedFormId.PARABOLIC_CHARACTER, pspec(0), window)[0]
     from vermatheta.qseries import tmono
 
     oracle = brute_fraction_expansion(
@@ -77,23 +80,24 @@ def test_parabolic_character_zero_shell_matches_hand_expansion():
 def test_parabolic_13_hand_coefficients():
     # lambda2 = 1, k = 0 term: q^(L1+1)(1 - q^-2)/(1-1/q)^2
     window = Window(1, 3, 0)
-    series = closed_form(ClosedFormId.PARABOLIC_TRACE_13, pspec(1), window)
+    series = closed_form_with_notes(ClosedFormId.PARABOLIC_TRACE_13, pspec(1), window)[0]
     got = {m.qexp.c0: c for m, c in series.terms.items()}
     # (1 + 2/q + 3/q^2 + 4/q^3 + ...) - q^-2 (1 + 2/q + ...) shifted: 1,2,2,2 at c0 = 1,0,-1,-2
     assert got == {1: 1, 0: 2, -1: 2, -2: 2, -3: 2}
 
 
 def test_parabolic_trace12_literal_is_window_empty():
-    series = closed_form(ClosedFormId.PARABOLIC_TRACE_12, pspec(1), Window(5, 8, 8))
+    series = closed_form_with_notes(ClosedFormId.PARABOLIC_TRACE_12, pspec(1), Window(5, 8, 8))[0]
     assert len(series) == 0
 
 
 def test_trace23_variants_differ_by_junk_terms():
-    lit = closed_form(ClosedFormId.PARABOLIC_TRACE_23, pspec(1), Window(5, 8, 0))
-    alt = closed_form(ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT, pspec(1), Window(5, 8, 0))
-    diff = lit - alt
+    window = Window(5, 8, 0)
+    lit, _ = closed_form_with_notes(ClosedFormId.PARABOLIC_TRACE_23, pspec(1), window)
+    alt, _ = closed_form_with_notes(ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT, pspec(1), window)
     # the extra k = i+1 slot of each constituent contributes q^(-i-2)
-    got = {m.qexp.c0: c for m, c in diff.terms.items()}
+    diff = {m: lit.coeff(m) - alt.coeff(m) for m in {*lit.terms, *alt.terms}}
+    got = {m.qexp.c0: c for m, c in diff.items() if c}
     assert got == {-(i + 2): F(min(i, 1) + 1) for i in range(7)}
 
 
@@ -106,7 +110,16 @@ def test_catalog_covers_every_identity_in_declaration_order():
 
 def test_closed_form_kind_validation():
     with pytest.raises(UsageError):
-        closed_form(ClosedFormId.PARABOLIC_TRACE_13, BSPEC, Window(3, 3, 0))
+        closed_form_with_notes(ClosedFormId.PARABOLIC_TRACE_13, BSPEC, Window(3, 3, 0))
+
+
+def test_verify_identity_refuses_a_spec_of_the_wrong_kind():
+    # an integral lambda2 lets a Borel spec pass for a parabolic one; the
+    # verifier must not rebuild it as the catalog's kind and report a pass
+    spec = ModuleSpec(BOREL, F(7, 3), 1, 10)
+    for identity in (ClosedFormId.PARABOLIC_TRACE_13, ClosedFormId.PARABOLIC_CHARACTER):
+        with pytest.raises(UsageError, match="needs a parabolic module spec"):
+            verify_identity(identity, spec, Window(3, 4, 0))
 
 
 def test_borel_character_closed_form_dims():
@@ -125,13 +138,12 @@ def test_borel_13_three_way_small_window():
     report = verify_identity(ClosedFormId.BOREL_TRACE_13, BSPEC, Window(3, 5, 0))
     assert report.status == "pass"
     assert report.pipeline_agreement == "pass"
-    assert report.ok
 
 
 def test_regularized_three_way_small_window():
     for identity in (ClosedFormId.BOREL_REG_TRACE_12, ClosedFormId.BOREL_REG_TRACE_23):
         report = verify_identity(identity, BSPEC, Window(3, 5, 5))
-        assert report.ok, (identity, report.first_mismatch)
+        assert ok(report), (identity, report.first_mismatch)
         assert any("inverted" not in n for n in report.notes) or not report.notes
 
 
@@ -159,7 +171,7 @@ def test_trace23_variant_pair_mechanical_decision():
 def test_parabolic_character_verifies(parabolic_modules):
     for v in (0, 1, 2, 3):
         report = verify_identity(ClosedFormId.PARABOLIC_CHARACTER, pspec(v), Window(0, 0, 6))
-        assert report.ok, (v, report.first_mismatch)
+        assert ok(report), (v, report.first_mismatch)
 
 
 def test_pass_is_monotone_under_window_shrink():
@@ -169,11 +181,11 @@ def test_pass_is_monotone_under_window_shrink():
         (ClosedFormId.BOREL_TRACE_13, BSPEC),
         (ClosedFormId.PARABOLIC_TRACE_13, pspec(1)),
     ):
-        closed_big = closed_form(identity, spec, big)
-        closed_small = closed_form(identity, spec, small)
+        closed_big = closed_form_with_notes(identity, spec, big)[0]
+        closed_small = closed_form_with_notes(identity, spec, small)[0]
         assert closed_big.equal_on(closed_small, small).passed
-        assert verify_identity(identity, spec, big).ok
-        assert verify_identity(identity, spec, small).ok
+        assert ok(verify_identity(identity, spec, big))
+        assert ok(verify_identity(identity, spec, small))
 
 
 def test_expansion_direction_notes_recorded():
@@ -191,14 +203,14 @@ def test_verify_replicates_across_borel_weights():
     for weight in WEIGHTS:
         spec = ModuleSpec(BOREL, weight[0], weight[1], 10)
         report = verify_identity(ClosedFormId.BOREL_TRACE_13, spec, Window(3, 5, 0))
-        assert report.ok
+        assert ok(report)
 
 
 def test_borel_13_passes_up_to_b7_d10():
     for weight in WEIGHTS:
         spec = ModuleSpec(BOREL, weight[0], weight[1], 12)
         report = verify_identity(ClosedFormId.BOREL_TRACE_13, spec, Window(7, 10, 0))
-        assert report.ok, (weight, report.first_mismatch, report.pipeline_mismatch)
+        assert ok(report), (weight, report.first_mismatch, report.pipeline_mismatch)
 
 
 def test_tables_differing_across_samples_is_a_verification_error(monkeypatch, capsys):
