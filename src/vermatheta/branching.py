@@ -83,7 +83,7 @@ class BranchingTable:
     kind: str
     root: Root
     terms: tuple
-    depth_covered: int
+    region: tuple[int, int, int]  # the covered spaces, as in ``region_spaces``
 
     @cached_property
     def _strings(self) -> dict:
@@ -127,73 +127,92 @@ def _classify(module: VermaModule, root: Root, n: int, m: int, vector) -> tuple:
     return (VERMA, form)
 
 
-def branching_table(module: VermaModule, root: Root, depth: int | None = None) -> BranchingTable:
-    """Enumerate singular vectors per weight space and aggregate constituents.
+def region_spaces(region: tuple[int, int, int]):
+    """The (n, m) spaces of a region (n_top, m0, slope), those with
+    n <= n_top and m <= m0 + slope*n, in n-major order."""
+    n_top, m0, slope = region
+    return ((n, m) for n in range(n_top + 1) for m in range(m0 + slope * n + 1))
 
-    Raises VerificationError when the constituents fail to account exactly
-    for every weight-space dimension within the covered depth.
+
+def branching_table(module: VermaModule, root: Root, depth: int | None = None,
+                    region: tuple[int, int, int] | None = None) -> BranchingTable:
+    """Enumerate singular vectors per weight space and aggregate constituents
+    over a region, by default the triangle n+m <= depth (the module's depth
+    unless given).
+
+    The region must be closed upward along the root string, so every
+    constituent through a covered space has its origin in the table.  Raises
+    VerificationError when it is not, or when the constituents fail to
+    account exactly for every covered weight-space dimension.
     """
-    depth = module.spec.depth if depth is None else depth
-    if depth > module.spec.depth:
+    if region is None:
+        depth = module.spec.depth if depth is None else depth
+        region = (depth, depth, -1)
+    n_top, m0, slope = region
+    if max(m0, n_top + m0 + slope * n_top) > module.spec.depth:
         raise UsageError("requested coverage exceeds the module's depth")
+    spaces = [s for s in region_spaces(region) if module.dim(*s)]
+    covered = set(spaces)
+    dn, dm = root.down_step
+    for n, m in spaces:
+        up = (n - dn, m - dm)
+        if up not in covered and module.dim(*up):
+            raise VerificationError(
+                f"region {region} is not closed upward along root {root.value}: "
+                f"it holds {(n, m)} but not {up}"
+            )
     terms = []
-    for n in range(depth + 1):
-        for m in range(depth + 1 - n):
-            if not module.dim(n, m):
-                continue
-            mat = module.operator_matrix(root.raising, (n, m))
-            counts: dict = {}
-            for vec in kernel_basis(mat):
-                key = _classify(module, root, n, m, vec)
-                counts[key] = counts.get(key, 0) + 1
-            for (kind, hw), mult in sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-                terms.append(BranchingTerm(kind, hw, mult, (n, m)))
-    table = BranchingTable(module.spec.kind, root, tuple(terms), depth)
-    for n in range(depth + 1):
-        for m in range(depth + 1 - n):
-            want = module.dim(n, m)
-            got = table.local_dimension(n, m)
-            if want != got:
-                raise VerificationError(
-                    f"dimension accounting failed at {(n, m)} for root {root.value}: "
-                    f"constituents give {got}, weight space has {want}"
-                )
+    for n, m in spaces:
+        mat = module.operator_matrix(root.raising, (n, m))
+        counts: dict = {}
+        for vec in kernel_basis(mat):
+            key = _classify(module, root, n, m, vec)
+            counts[key] = counts.get(key, 0) + 1
+        for (kind, hw), mult in sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+            terms.append(BranchingTerm(kind, hw, mult, (n, m)))
+    table = BranchingTable(module.spec.kind, root, tuple(terms), region)
+    for n, m in spaces:
+        want = module.dim(n, m)
+        got = table.local_dimension(n, m)
+        if want != got:
+            raise VerificationError(
+                f"dimension accounting failed at {(n, m)} for root {root.value}: "
+                f"constituents give {got}, weight space has {want}"
+            )
     return table
 
 
 # -- Casimir spectra ---------------------------------------------------------
 
 
-def candidate_forms(module: VermaModule, root: Root, n: int, m: int) -> list:
+def candidate_forms(module: VermaModule, root: Root, n: int, m: int,
+                    k_max: int | None = None) -> list:
     """Affine candidates for Casimir eigenvalues on the (n, m) weight space.
 
     A constituent passing through (n, m) at string depth k has its origin k
-    steps up the root string with highest weight u equal to the origin's
-    h-value, so the candidates are (2k+1)*u - 2k^2 over the nonempty spaces
-    up the string.  Along a root whose h-values are integral, finite-module
-    candidates (i^2 + 2i - w^2)/2 with i matching the parity of the local
-    h-value w are added as a safety superset.
+    steps up the root string, whose h-value is w + 2k for the local h-value
+    w, so the candidates are (2k+1)*(w + 2k) - 2k^2 = (2k+1)*w + 2k(k+1)
+    over the nonempty spaces up the string, or only those with k <= k_max.
+    Along a root whose h-values are integral, finite-module candidates
+    (i^2 + 2i - w^2)/2 with i matching the parity of w are added as a safety
+    superset.
     """
-    dn, dm = root.down_step
-    forms = []
-    k = 0
-    while True:
-        up = (n - k * dn, m - k * dm)
-        if up[0] < 0 or up[1] < 0 or not module.dim(*up):
-            break
-        w_up = h_form(module.spec.kind, module.spec.lambda2, root, *up)
-        form = w_up.scaled(2 * k + 1) + ExponentForm(-2 * k * k, 0, 0)
-        if form not in forms:
-            forms.append(form)
-        k += 1
-    w_here = h_form(module.spec.kind, module.spec.lambda2, root, n, m)
-    if w_here.c1 == 0 and w_here.c2 == 0:
-        w = w_here.c0
-        for i in range(abs(w), module.spec.depth + 1, 2):
-            form = ExponentForm((i * i + 2 * i - w * w) // 2, 0, 0)
-            if form not in forms:
-                forms.append(form)
-    return forms
+    w = h_form(module.spec.kind, module.spec.lambda2, root, n, m)
+    run = module.string_run(root, n, m)
+    ks = range(run if k_max is None else min(run, k_max + 1))
+    forms = [w.scaled(2 * k + 1) + ExponentForm(2 * k * (k + 1), 0, 0) for k in ks]
+    if w.c1 or w.c2:
+        # the k-th form's L part is (2k+1) times w's, so the forms are distinct
+        return forms
+    # a constant w makes the k and k' forms equal when w + k + k' + 1 = 0
+    out, seen = [], set()
+    finite = (ExponentForm((i * i + 2 * i - w.c0 * w.c0) // 2, 0, 0)
+              for i in range(abs(w.c0), module.spec.depth + 1, 2))
+    for form in (*forms, *finite):
+        if form not in seen:
+            seen.add(form)
+            out.append(form)
+    return out
 
 
 def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int) -> tuple:
@@ -302,12 +321,15 @@ def trace_from_branching(table: BranchingTable, window: Window, regularized: boo
     window sums, matching the weight-space truncation of the brute force.
     """
     if spec is not None:
-        need = required_depth(spec, table.root, window, regularized,
-                              divergent_depth=table.depth_covered)
-        if need - sum(table.root.down_step) > table.depth_covered:
+        # regions are linear in n and start at n = 0, so containment is
+        # decided at the first and the last row of the window's region
+        n_top, m0, slope = table.region
+        n_need, m_need, s_need = need = bruteforce_region(
+            spec, table.root, window, regularized, divergent_depth=slot_depth)
+        if n_need > n_top or m_need > m0 or m_need + s_need * n_need > m0 + slope * n_need:
             raise UsageError(
-                f"window needs constituents up to depth {need} but the table "
-                f"covers only {table.depth_covered}"
+                f"window needs constituents over the region {need} but the table "
+                f"covers only {table.region}"
             )
     dn, dm = table.root.down_step
     terms: dict[Monomial, Fraction] = {}
@@ -375,24 +397,29 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
     matching across the weight samples; a non-unique lift is a hard error.
     """
     samples = lift_samples(spec, samples)
-    n_top, m0, slope = bruteforce_region(spec, root, window, regularized, divergent_depth)
+    region = bruteforce_region(spec, root, window, regularized, divergent_depth)
     need = required_depth(spec, root, window, regularized, divergent_depth)
     if spec.depth < need:
         raise UsageError(f"trace needs depth {need}, module is certified to {spec.depth}")
     modules = [VermaModule(spec.with_weight(l1, l2)) for (l1, l2) in samples]
     terms: dict[Monomial, Fraction] = {}
-    for n, m in ((n, m) for n in range(n_top + 1) for m in range(m0 + slope * n + 1)):
+    for n, m in region_spaces(region):
         if not modules[0].dim(n, m):
             continue
-        forms = candidate_forms(modules[0], root, n, m)
         if regularized:
             t_part = (m - 2 * n, n - 2 * m)
             if abs(t_part[0]) > window.T or abs(t_part[1]) > window.T:
                 continue
         else:
             t_part = (0, 0)
-        if not any(window.contains(Monomial(f, *t_part)) for f in forms):
+        # a form whose L part is (2k+1) times a nonzero one leaves the window
+        # once 2k+1 > B, so only k <= (B-1)//2 can put this space in it
+        w = h_form(spec.kind, spec.lambda2, root, n, m)
+        k_max = (window.B - 1) // 2 if w.c1 or w.c2 else None
+        reach = candidate_forms(modules[0], root, n, m, k_max)
+        if not any(window.contains(Monomial(f, *t_part)) for f in reach):
             continue
+        forms = reach if k_max is None else candidate_forms(modules[0], root, n, m)
         measured = [kappa_spectrum(mod, root, n, m) for mod in modules]
         mult = _lift_multiplicities(forms, measured, samples, (n, m))
         for form in forms:
@@ -407,12 +434,16 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
 def trace_pipelines(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
                     samples=()) -> tuple[FormalSeries, FormalSeries]:
     """The (branching, brute) series of one convergent trace, both at the
-    depth the window needs.  The branching table is built at every weight
-    sample; tables that differ across samples are a VerificationError."""
+    depth the window needs.  The branching table is built over the brute
+    force's region at every weight sample; tables that differ across samples
+    are a VerificationError."""
     samples = lift_samples(spec, samples)
-    need = required_depth(spec, root, window, regularized)
-    deep = spec.with_depth(max(spec.depth, need))
-    tables = [branching_table(VermaModule(deep.with_weight(l1, l2)), root) for l1, l2 in samples]
+    region = bruteforce_region(spec, root, window, regularized)
+    deep = spec.with_depth(max(spec.depth, required_depth(spec, root, window, regularized)))
+    tables = [
+        branching_table(VermaModule(deep.with_weight(l1, l2)), root, region=region)
+        for l1, l2 in samples
+    ]
     if any(table != tables[0] for table in tables[1:]):
         raise VerificationError("branching tables differ across weight samples")
     return (

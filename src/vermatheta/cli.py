@@ -20,6 +20,7 @@ from pathlib import Path
 from .branching import (
     DEFAULT_WEIGHTS,
     branching_table,
+    bruteforce_region,
     is_divergent,
     lift_samples,
     predicted_spectrum,
@@ -334,6 +335,7 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
 
 
 def cmd_character(cfg: RunConfig, args) -> tuple[dict, int]:
+    capped_depth(2 * cfg.T)  # character_bruteforce visits n, m <= T
     spec = cfg.spec()
     brute = VermaModule(spec).character_bruteforce(cfg.T)
     window = Window(0, 0, cfg.T)
@@ -394,7 +396,7 @@ def cmd_branch(cfg: RunConfig, args) -> tuple[dict, int]:
     check = check_record(
         f"branching-accounting-{cfg.module}-{root.value}", cfg.window,
         [(cfg.lambda1, cfg.lambda2)],
-        [f"constituents account for every weight space to depth {table.depth_covered}"],
+        [f"constituents account for every weight space to depth {cfg.depth}"],
     )
     report = {
         "config": {**cfg.as_json(), "command": "branch"},
@@ -447,13 +449,13 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
     series_by_name = {}
     want = args.pipeline
     if want in ("branching", "all"):
-        module = VermaModule(deep)
         # a divergent trace is only meaningful as a fixed-depth window sum,
-        # so both pipelines truncate constituents at the configured depth
-        table = branching_table(module, root, depth=divergent_depth)
+        # so both pipelines truncate at the configured depth: its region is
+        # the triangle n+m <= depth
+        region = bruteforce_region(spec, root, window, regularized, divergent_depth)
+        table = branching_table(VermaModule(deep), root, region=region)
         series_by_name["branching"] = trace_from_branching(
-            table, window, regularized,
-            spec=None if divergent else deep, slot_depth=divergent_depth,
+            table, window, regularized, spec=deep, slot_depth=divergent_depth
         )
     if want in ("brute", "all"):
         series_by_name["brute"] = trace_brute_force(

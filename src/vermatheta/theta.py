@@ -123,6 +123,10 @@ def _expand_term(base, factors, window: Window) -> tuple[FormalSeries, list[str]
         for m, c in acc.items():
             for p in powers:
                 mp = m * p
+                # phi grows along the powers and every later factor, so
+                # nothing past the cap comes back into the window
+                if phi(mp) > cap:
+                    break
                 nxt[mp] = nxt.get(mp, Fraction(0)) + c
         acc = nxt
     return FormalSeries(acc, window), notes

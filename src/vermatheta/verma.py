@@ -237,6 +237,7 @@ class VermaModule:
         self._hw = tuple(int(hw[g] * denom) if g in hw else 0 for g in Gen)
         self._e32_cap = spec.lambda2_int if spec.kind == PARABOLIC else None
         self._cache = tuple({} for _ in Gen)
+        self._runs = {root: {} for root in Root}
 
     # -- PBW monomials -------------------------------------------------------
 
@@ -261,6 +262,25 @@ class VermaModule:
         if self.spec.kind == BOREL:
             return min(n, m) + 1
         return max(0, min(n, m) - max(0, m - self._e32_cap) + 1)
+
+    def string_run(self, root: Root, n: int, m: int) -> int:
+        """Number of nonempty weight spaces from (n, m) up the root string,
+        (n, m) included.  Each string is walked once per module: the run of
+        every space passed on the way is kept."""
+        runs = self._runs[root]
+        dn, dm = root.down_step
+        path = []
+        while (n, m) not in runs:
+            if not self.dim(n, m):
+                runs[n, m] = 0
+                break
+            path.append((n, m))
+            n, m = n - dn, m - dm
+        run = runs[n, m]
+        for space in reversed(path):
+            run += 1
+            runs[space] = run
+        return run
 
     # -- straightening -----------------------------------------------------
 

@@ -20,14 +20,18 @@ from vermatheta.branching import (
     VERMA,
     BranchingTable,
     BranchingTerm,
+    bruteforce_region,
     candidate_forms,
     is_divergent,
     lift_samples,
     predicted_spectrum,
+    region_spaces,
     required_depth,
 )
 from vermatheta.errors import UsageError, VerificationError
 from vermatheta.qseries import ExponentForm, Monomial
+from vermatheta.theta import CATALOG
+from vermatheta.verma import h_form
 
 from conftest import LAMBDA1S, WEIGHTS, singular_dimension
 
@@ -137,7 +141,7 @@ def test_tables_replicate_across_weights(borel_modules):
 def test_accounting_failure_is_detected(borel_module):
     table = branching_table(borel_module, Root.A13, depth=4)
     broken = BranchingTable(
-        table.kind, table.root, table.terms[:-1], table.depth_covered
+        table.kind, table.root, table.terms[:-1], table.region
     )
     n, m = table.terms[-1].origin
     assert broken.local_dimension(n, m) != borel_module.dim(n, m)
@@ -197,6 +201,38 @@ def test_parabolic_spectrum_matches_branching_prediction(parabolic_modules, root
                 assert got == want
 
 
+def up_string_candidates(module, root, n, m):
+    """The candidate list as built by walking up the root string from (n, m),
+    one dim and h_form call per step."""
+    dn, dm = root.down_step
+    kind, l2 = module.spec.kind, module.spec.lambda2
+    forms = []
+    k = 0
+    while n - k * dn >= 0 and m - k * dm >= 0 and module.dim(n - k * dn, m - k * dm):
+        w_up = h_form(kind, l2, root, n - k * dn, m - k * dm)
+        form = w_up.scaled(2 * k + 1) + ExponentForm(-2 * k * k, 0, 0)
+        if form not in forms:
+            forms.append(form)
+        k += 1
+    w = h_form(kind, l2, root, n, m)
+    if w.c1 == 0 and w.c2 == 0:
+        for i in range(abs(w.c0), module.spec.depth + 1, 2):
+            form = ExponentForm((i * i + 2 * i - w.c0 * w.c0) // 2, 0, 0)
+            if form not in forms:
+                forms.append(form)
+    return forms
+
+
+@pytest.mark.parametrize("root", list(Root))
+def test_candidate_forms_match_the_up_string_walk(borel_module, parabolic_modules, root):
+    for module in (borel_module, parabolic_modules[(F(7, 3), 0)], parabolic_modules[(F(7, 3), 2)]):
+        for n in range(13):
+            for m in range(13 - n):
+                if module.dim(n, m):
+                    want = up_string_candidates(module, root, n, m)
+                    assert candidate_forms(module, root, n, m) == want, (root, n, m)
+
+
 def test_candidate_forms_are_affine_and_cover_string(borel_module):
     forms = candidate_forms(borel_module, Root.A13, 2, 2)
     assert ExponentForm(-4, 1, 1) in forms  # local highest weight, k = 0
@@ -208,10 +244,52 @@ def test_candidate_forms_are_affine_and_cover_string(borel_module):
 # -- trace assembly ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("key", list(dict.fromkeys(e for e in CATALOG.values() if e.root)),
+                         ids=lambda e: f"{e.kind}-{e.root.value}")
+def test_region_table_is_the_full_table_over_the_region(key):
+    window = Window(3, 4, 3)
+    l2s = (F(5, 7),) if key.kind == BOREL else (0, 2)
+    for l2 in l2s:
+        spec = ModuleSpec(key.kind, F(7, 3), l2, 10)
+        spec = spec.with_depth(required_depth(spec, key.root, window, key.regularized))
+        module = VermaModule(spec)
+        region = bruteforce_region(spec, key.root, window, key.regularized)
+        full = branching_table(module, key.root)
+        part = branching_table(module, key.root, region=region)
+        inside = set(region_spaces(region))
+        assert part.terms == tuple(t for t in full.terms if t.origin in inside)
+        series = [trace_from_branching(t, window, key.regularized, spec=spec) for t in (part, full)]
+        assert series[0].terms == series[1].terms
+        assert series[0].terms
+
+
+def test_region_must_be_closed_upward(borel_module):
+    # (1, 1) lies in the region; its root-12 up-neighbour (0, 1) does not
+    with pytest.raises(VerificationError, match="not closed upward"):
+        branching_table(borel_module, Root.A12, region=(3, 0, 1))
+
+
+def test_table_refused_for_a_window_outside_its_region(borel_module):
+    spec = borel_module.spec
+    table = branching_table(borel_module, Root.A13, region=(4, 4, -1))
+    assert trace_from_branching(table, Window(3, 4, 0), spec=spec).terms
+    with pytest.raises(UsageError, match="covers only"):
+        trace_from_branching(table, Window(3, 8, 0), spec=spec)  # needs (8, 8, -1)
+    # the regularized window needs the square (3, 3, 0): a triangle holds
+    # its corner (3, 3) from n+m <= 6 on, not at n+m <= 5
+    for top, fits in ((6, True), (5, False)):
+        table = branching_table(borel_module, Root.A12, region=(top, top, -1))
+        if fits:
+            assert trace_from_branching(table, Window(3, 4, 3), True, spec=spec).terms
+        else:
+            with pytest.raises(UsageError, match="covers only"):
+                trace_from_branching(table, Window(3, 4, 3), True, spec=spec)
+
+
 def test_trace_of_single_verma_constituent():
     window = Window(5, 8, 0)
     hw = ExponentForm(0, 1, 1)
-    table = BranchingTable(BOREL, Root.A13, (BranchingTerm(VERMA, hw, 1, (0, 0)),), 0)
+    table = BranchingTable(BOREL, Root.A13, (BranchingTerm(VERMA, hw, 1, (0, 0)),), (0, 0, -1))
     series = trace_from_branching(table, window)
     want = {}
     for k in range(3):  # 2k+1 <= 5
@@ -222,7 +300,7 @@ def test_trace_of_single_verma_constituent():
 def test_trace_of_single_finite_constituent_is_2q():
     window = Window(5, 8, 0)
     table = BranchingTable(
-        PARABOLIC, Root.A23, (BranchingTerm(FINITE, ExponentForm(1, 0, 0), 1, (0, 0)),), 0
+        PARABOLIC, Root.A23, (BranchingTerm(FINITE, ExponentForm(1, 0, 0), 1, (0, 0)),), (0, 0, -1)
     )
     series = trace_from_branching(table, window)
     assert {tuple(m.qexp): c for m, c in series.terms.items()} == {(1, 0, 0): 2}
@@ -232,7 +310,7 @@ def test_constant_weight_verma_constituent_is_a_verification_error():
     # no module yields one: Borel h-forms carry L1 or L2, and on the
     # parabolic module every root-23 constituent is finite
     table = BranchingTable(
-        PARABOLIC, Root.A23, (BranchingTerm(VERMA, ExponentForm(1, 0, 0), 1, (0, 0)),), 0
+        PARABOLIC, Root.A23, (BranchingTerm(VERMA, ExponentForm(1, 0, 0), 1, (0, 0)),), (0, 0, -1)
     )
     with pytest.raises(VerificationError, match="constant highest weight"):
         trace_from_branching(table, Window(5, 8, 0))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vermatheta
-from vermatheta import PARABOLIC, ModuleSpec, Root, Window
+from vermatheta import BOREL, PARABOLIC, ModuleSpec, Root, Window
 from vermatheta.branching import required_depth
 from vermatheta.cli import MAX_DEPTH, RunConfig, _annotate_variants, build_config, build_parser, main
 from vermatheta.theta import VerifyReport
@@ -378,6 +378,71 @@ def test_verify_all_runs_the_pipelines_once_per_trace(tmp_path, monkeypatch):
     assert len(calls) == 12
 
 
+def record_table_visits(monkeypatch) -> list:
+    """Patch ``branching_table`` where the pipelines and the CLI call it;
+    each call appends (module spec, root, region, the nonempty spaces of that
+    region, the spaces it built a raising-operator matrix on)."""
+    from vermatheta import branching, cli
+    from vermatheta.verma import Gen, VermaModule
+
+    real_table, real_matrix = branching.branching_table, VermaModule.operator_matrix
+    visits = []
+
+    def table(module, root, depth=None, region=None):
+        depth = module.spec.depth if depth is None else depth
+        spaces = branching.region_spaces(region or (depth, depth, -1))
+        visits.append((module.spec, root, region, {s for s in spaces if module.dim(*s)}, set()))
+        return real_table(module, root, depth, region)
+
+    def matrix(self, op, source):
+        if isinstance(op, Gen):
+            visits[-1][4].add(source)
+        return real_matrix(self, op, source)
+
+    monkeypatch.setattr(branching, "branching_table", table)
+    monkeypatch.setattr(cli, "branching_table", table)
+    monkeypatch.setattr(VermaModule, "operator_matrix", matrix)
+    return visits
+
+
+def test_trace_tables_visit_only_the_bruteforce_region(tmp_path, monkeypatch):
+    from vermatheta.branching import bruteforce_region
+    from vermatheta.theta import CATALOG
+
+    visits = record_table_visits(monkeypatch)
+    monkeypatch.delenv("VERMATHETA_JOBS", raising=False)
+    window = Window(2, 3, 2)
+    code, _ = run(tmp_path, "verify", "--all", "--B", "2", "--D", "3", "--T", "2")
+    assert code == 1
+    want = []
+    traces = [entry for entry in dict.fromkeys(CATALOG.values()) if entry.root is not None]
+    for entry in traces:
+        for l2 in ((F(5, 7),) if entry.kind == BOREL else (0, 1, 2)):
+            spec = ModuleSpec(entry.kind, F(7, 3), l2, 10)
+            region = bruteforce_region(spec, entry.root, window, entry.regularized)
+            # a Borel weight sample moves lambda2; a parabolic one keeps it
+            want += [(entry.kind, l2 if entry.kind == PARABOLIC else None, entry.root, region)] * 3
+    got = [(spec.kind, spec.lambda2 if spec.kind == PARABOLIC else None, root, region)
+           for spec, root, region, _, _ in visits]
+    assert len(want) == 36  # 12 pipeline runs, one table per weight sample
+    assert sorted(got, key=repr) == sorted(want, key=repr)
+    for _, _, _, spaces, built in visits:
+        assert built == spaces
+
+
+@pytest.mark.parametrize("command", ["branch", "spectrum"])
+@pytest.mark.parametrize("kind", [BOREL, PARABOLIC])
+def test_branch_and_spectrum_tables_cover_the_full_triangle(tmp_path, monkeypatch, command, kind):
+    visits = record_table_visits(monkeypatch)
+    for root in ("12", "23", "13"):
+        run(tmp_path, command, "--module", kind, "--root", root, "--depth", "6")
+    assert len(visits) == 3
+    for spec, _, region, spaces, built in visits:
+        assert region is None
+        assert built == spaces == {(n, m) for n in range(7) for m in range(7 - n)
+                                   if kind == BOREL or m <= n + spec.lambda2}
+
+
 def test_variant_note_names_both_or_no_matching_variants():
     def pair(*statuses):
         ids = ("parabolic-trace-12", "parabolic-trace-12-alt-sign")
@@ -396,6 +461,7 @@ def test_variant_note_names_both_or_no_matching_variants():
 
 @pytest.mark.parametrize("argv,need", [
     pytest.param(["character", "--depth", str(MAX_DEPTH + 1)], MAX_DEPTH + 1, id="character-depth"),
+    pytest.param(["character", "--T", "76"], 152, id="character-T"),
     pytest.param(["trace", "--root", "13", "--D", "200"], 202, id="trace-window"),
     pytest.param(["spectrum", "--root", "12", "--depth", "400"], 400, id="spectrum-depth"),
     pytest.param(["verify", "--identity", "parabolic-trace-12", "--module", "parabolic", "--B", "99"],

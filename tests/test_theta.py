@@ -6,7 +6,7 @@ import pytest
 from vermatheta import BOREL, PARABOLIC, ModuleSpec, Window, branching
 from vermatheta.cli import main
 from vermatheta.errors import UsageError, VerificationError
-from vermatheta.qseries import ExponentForm, Monomial, qpow
+from vermatheta.qseries import MONO_ONE, ExponentForm, FormalSeries, Monomial, qpow, tmono
 from vermatheta.theta import (
     CATALOG,
     ClosedFormId,
@@ -131,6 +131,36 @@ def test_borel_character_closed_form_dims():
     assert series.coeff(Monomial(ExponentForm(0, 0, 0), -1, -1)) == 2
 
 
+def unbroken_expansion(base, factors, window):
+    """(sum of base) / prod (1 - f) with every power of each factor up to its
+    t-degree budget, windowed only at the end; every factor has phi_t > 0."""
+    phi = lambda mono: -(mono.t1 + mono.t2)
+    acc: dict = {}
+    for c, m in base:
+        acc[m] = acc.get(m, 0) + F(c)
+    phi_base = min(phi(m) for _, m in base)
+    for f in factors:
+        assert phi(f) > 0
+        nxt: dict = {}
+        for m, c in acc.items():
+            for j in range(max(0, 2 * window.T - phi_base) // phi(f) + 1):
+                nxt[m * f.power(j)] = nxt.get(m * f.power(j), 0) + c
+        acc = nxt
+    return FormalSeries(acc, window)
+
+
+def test_expansion_stopped_at_the_window_matches_the_unbroken_one():
+    window = Window(0, 0, 12)
+    want = unbroken_expansion([(1, MONO_ONE)], [tmono(-2, 1), tmono(1, -2), tmono(-1, -1)], window)
+    assert borel_character_closed_form(window).terms == want.terms
+    window = Window(5, 8, 12)
+    for v in (0, 1, 3):
+        base = [(1, tmono(i, -2 * i)) for i in range(v + 1)]
+        want = unbroken_expansion(base, [tmono(-2, 1), tmono(-1, -1)], window)
+        got = closed_form_with_notes(ClosedFormId.PARABOLIC_CHARACTER, pspec(v), window)[0]
+        assert got.terms == want.terms
+
+
 # -- verifier -------------------------------------------------------------------
 
 
@@ -217,8 +247,8 @@ def test_tables_differing_across_samples_is_a_verification_error(monkeypatch, ca
     real = branching.branching_table
     calls = []
 
-    def perturbed(module, root, depth=None):
-        table = real(module, root, depth)
+    def perturbed(module, root, depth=None, region=None):
+        table = real(module, root, depth, region)
         calls.append(table)
         if len(calls) % 3 == 2:  # the second of the three weight samples
             first = replace(table.terms[0], multiplicity=table.terms[0].multiplicity + 1)
