@@ -23,7 +23,9 @@ from functools import cached_property
 from .errors import UsageError, VerificationError
 from .exactalg import kernel_basis, mat_scalar_shift, rank
 from .qseries import ExponentForm, FormalSeries, Monomial, Window, qpow
-from .verma import BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, h_form
+from .verma import (
+    _GEN_INDEX, BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, h_form, weight_numerators,
+)
 
 VERMA = "verma"
 FINITE = "finite"
@@ -112,16 +114,18 @@ class BranchingTable:
 
 
 def _classify(module: VermaModule, root: Root, n: int, m: int, vector) -> tuple:
-    """Return (kind, hw form) for the constituent generated by a singular
-    vector, testing finiteness inside the module rather than assuming it."""
-    form = h_form(module.spec.kind, module.spec.lambda2, root, n, m)
-    value = form.evaluate(module.spec.lambda1, module.spec.lambda2)
-    if value.denominator == 1 and value >= 0:
-        i = int(value)
+    """Return (kind, hw form) for the constituent generated by an integral
+    singular vector, testing finiteness inside the module rather than
+    assuming it: a lowering letter has scale 1, so its powers act on the
+    vector in integers."""
+    form = h_form(module.spec.kind, module.lambda2_int, root, n, m)
+    i, rem = divmod(module.numerator(form), module.denom)
+    if not rem and i >= 0:
         basis = module.weight_space(n, m)
         element = {exps: c for exps, c in zip(basis, vector) if c}
+        lowering = _GEN_INDEX[root.lowering]
         for _ in range(i + 1):
-            element = module.apply_gen(root.lowering, element)
+            element = module._act(lowering, element)
         if not element:
             return (FINITE, ExponentForm(i, 0, 0))
     return (VERMA, form)
@@ -185,29 +189,28 @@ def branching_table(module: VermaModule, root: Root, depth: int | None = None,
 # -- Casimir spectra ---------------------------------------------------------
 
 
-def candidate_forms(module: VermaModule, root: Root, n: int, m: int,
-                    k_max: int | None = None) -> list:
+def candidate_forms(module: VermaModule, root: Root, n: int, m: int) -> list:
     """Affine candidates for Casimir eigenvalues on the (n, m) weight space.
 
     A constituent passing through (n, m) at string depth k has its origin k
     steps up the root string, whose h-value is w + 2k for the local h-value
     w, so the candidates are (2k+1)*(w + 2k) - 2k^2 = (2k+1)*w + 2k(k+1)
-    over the nonempty spaces up the string, or only those with k <= k_max.
-    Along a root whose h-values are integral, finite-module candidates
-    (i^2 + 2i - w^2)/2 with i matching the parity of w are added as a safety
-    superset.
+    over the nonempty spaces up the string; when w has an L part, the k-th
+    candidate sits at index k.  Along a root whose h-values are integral,
+    finite-module candidates (i^2 + 2i - w^2)/2 with i matching the parity
+    of w are added as a safety superset.
     """
-    w = h_form(module.spec.kind, module.spec.lambda2, root, n, m)
-    run = module.string_run(root, n, m)
-    ks = range(run if k_max is None else min(run, k_max + 1))
-    forms = [w.scaled(2 * k + 1) + ExponentForm(2 * k * (k + 1), 0, 0) for k in ks]
-    if w.c1 or w.c2:
+    c0, c1, c2 = h_form(module.spec.kind, module.lambda2_int, root, n, m)
+    # j = 2k+1 runs over the odd numbers, and 2k(k+1) = (j*j - 1)/2
+    forms = [ExponentForm(j * c0 + (j * j - 1) // 2, j * c1, j * c2)
+             for j in range(1, 2 * module.string_run(root, n, m), 2)]
+    if c1 or c2:
         # the k-th form's L part is (2k+1) times w's, so the forms are distinct
         return forms
     # a constant w makes the k and k' forms equal when w + k + k' + 1 = 0
     out, seen = [], set()
-    finite = (ExponentForm((i * i + 2 * i - w.c0 * w.c0) // 2, 0, 0)
-              for i in range(abs(w.c0), module.spec.depth + 1, 2))
+    finite = (ExponentForm((i * i + 2 * i - c0 * c0) // 2, 0, 0)
+              for i in range(abs(c0), module.spec.depth + 1, 2))
     for form in (*forms, *finite):
         if form not in seen:
             seen.add(form)
@@ -215,17 +218,27 @@ def candidate_forms(module: VermaModule, root: Root, n: int, m: int,
     return out
 
 
-def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int) -> tuple:
-    """Eigenvalue multiset of the root Casimir on (n, m) by kernel ranks.
+def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None) -> tuple:
+    """Eigenvalue multiset of the root Casimir on (n, m) by kernel ranks, as
+    sorted (numerator, multiplicity) pairs over ``module.denom``.
 
-    The multiplicity of e is dim ker(kappa - e*I); completeness (the
+    The candidates are ``forms``, by default ``candidate_forms`` of the
+    space.  The multiplicity of e is dim ker(kappa - e*I); completeness (the
     multiplicities summing to the space dimension) is enforced, so a missing
-    candidate or a non-diagonalizable operator is a hard error.
+    candidate or a non-diagonalizable operator is a hard error.  The
+    Casimir's denominator is scale[raising] * scale[lowering], the weight
+    denominator, so each candidate shifts the matrix's numerators directly.
     """
     mat = module.operator_matrix(root, (n, m))
+    if mat.den != module.denom:
+        raise VerificationError(
+            f"casimir({root.value}) on {(n, m)} has denominator {mat.den}, "
+            f"not the weight denominator {module.denom}"
+        )
     d = mat.cols
-    l1, l2 = module.spec.lambda1, module.spec.lambda2
-    values = sorted({f.evaluate(l1, l2) for f in candidate_forms(module, root, n, m)})
+    if forms is None:
+        forms = candidate_forms(module, root, n, m)
+    values = sorted({module.numerator(f) for f in forms})
     found = []
     total = 0
     for value in values:
@@ -244,12 +257,15 @@ def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int) -> tuple:
 
 
 def predicted_spectrum(table: BranchingTable, n: int, m: int, l1, l2) -> tuple:
-    """Eigenvalue multiset implied by a branching table at one weight space."""
-    l1, l2 = Fraction(l1), Fraction(l2)
+    """Eigenvalue multiset implied by a branching table at one weight space,
+    as sorted (numerator, multiplicity) pairs over the weight denominator
+    lcm(den l1, den l2), like ``kappa_spectrum``'s at that weight."""
+    q, p1, p2 = weight_numerators(l1, l2)
     out: dict = {}
     for term, k in table.on_string(n, m):
         # a finite constituent's hw (i, 0, 0) evaluates to its top h-value i
-        e = (2 * k + 1) * term.hw.evaluate(l1, l2) - 2 * k * k
+        c0, c1, c2 = term.hw
+        e = (2 * k + 1) * (c0 * q + c1 * p1 + c2 * p2) - 2 * k * k * q
         out[e] = out.get(e, 0) + term.multiplicity
     return tuple(sorted(out.items()))
 
@@ -355,37 +371,54 @@ def trace_from_branching(table: BranchingTable, window: Window, regularized: boo
     return FormalSeries(terms, window)
 
 
-def _lift_multiplicities(forms: list, measured: list, samples: list, where) -> dict:
+def _lift_multiplicities(values: list, measured: list, where) -> list:
     """Solve constituent multiplicities per candidate form from the measured
-    value multiplicities at each weight sample; abort on ambiguity."""
-    values = [{f: f.evaluate(l1, l2) for f in forms} for (l1, l2) in samples]
-    mult: dict = {}
+    value multiplicities at each weight sample; abort on ambiguity.
+
+    ``values[s][f]`` is form f's numerator at sample s and ``measured[s]``
+    that sample's (numerator, multiplicity) pairs.  Returns the
+    multiplicities in form order.
+    """
+    n_forms = len(values[0])
+    groups = []
+    for vals in values:
+        by_value: dict = {}
+        for f, value in enumerate(vals):
+            by_value.setdefault(value, []).append(f)
+        groups.append(by_value)
+    targets = [dict(pairs) for pairs in measured]
+    mult: list = [None] * n_forms
+    known = 0
     progress = True
-    while progress and len(mult) < len(forms):
+    while progress and known < n_forms:
         progress = False
-        for s in range(len(samples)):
-            groups: dict = {}
-            for f in forms:
-                groups.setdefault(values[s][f], []).append(f)
-            for value, group in groups.items():
-                target = dict(measured[s]).get(value, 0)
-                undetermined = [f for f in group if f not in mult]
+        for by_value, target in zip(groups, targets):
+            for value, group in by_value.items():
+                undetermined = [f for f in group if mult[f] is None]
                 if len(undetermined) == 1:
-                    rest = sum(mult[f] for f in group if f in mult)
-                    if target - rest < 0:
+                    rest = sum(mult[f] for f in group if mult[f] is not None)
+                    count = target.get(value, 0) - rest
+                    if count < 0:
                         raise VerificationError(f"inconsistent eigenvalue counts at {where}")
-                    mult[undetermined[0]] = target - rest
+                    mult[undetermined[0]] = count
+                    known += 1
                     progress = True
-    if len(mult) < len(forms):
+    if known < n_forms:
         raise VerificationError(f"ambiguous affine lift of eigenvalues at {where}")
-    for s in range(len(samples)):
-        seen: dict = {}
-        for f in forms:
-            seen[values[s][f]] = seen.get(values[s][f], 0) + mult[f]
-        for value, count in measured[s]:
+    for by_value, pairs in zip(groups, measured):
+        seen = {value: sum(mult[f] for f in group) for value, group in by_value.items()}
+        for value, count in pairs:
             if seen.get(value, 0) != count:
                 raise VerificationError(f"lifted multiplicities disagree at {where}")
     return mult
+
+
+def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
+    """Multiplicity of each candidate form on the (n, m) space, lifted from
+    its kernel-rank spectra at the modules' weights, one module per sample."""
+    values = [[mod.numerator(f) for f in forms] for mod in modules]
+    measured = [kappa_spectrum(mod, root, n, m, forms) for mod in modules]
+    return _lift_multiplicities(values, measured, (n, m))
 
 
 def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
@@ -412,22 +445,20 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
                 continue
         else:
             t_part = (0, 0)
-        # a form whose L part is (2k+1) times a nonzero one leaves the window
-        # once 2k+1 > B, so only k <= (B-1)//2 can put this space in it
-        w = h_form(spec.kind, spec.lambda2, root, n, m)
-        k_max = (window.B - 1) // 2 if w.c1 or w.c2 else None
-        reach = candidate_forms(modules[0], root, n, m, k_max)
+        forms = candidate_forms(modules[0], root, n, m)
+        # the k = 0 form is w; a form whose L part is (2k+1) times a nonzero
+        # one leaves the window once 2k+1 > B, so only k <= (B-1)//2 can put
+        # this space in it
+        w = forms[0]
+        reach = forms[: (window.B - 1) // 2 + 1] if w.c1 or w.c2 else forms
         if not any(window.contains(Monomial(f, *t_part)) for f in reach):
             continue
-        forms = reach if k_max is None else candidate_forms(modules[0], root, n, m)
-        measured = [kappa_spectrum(mod, root, n, m) for mod in modules]
-        mult = _lift_multiplicities(forms, measured, samples, (n, m))
-        for form in forms:
-            if not mult[form]:
+        for form, count in zip(forms, lift_space(modules, root, n, m, forms)):
+            if not count:
                 continue
             mono = Monomial(form, *t_part)
             if window.contains(mono):
-                terms[mono] = terms.get(mono, Fraction(0)) + mult[form]
+                terms[mono] = terms.get(mono, Fraction(0)) + count
     return FormalSeries(terms, window)
 
 
@@ -455,8 +486,13 @@ def trace_pipelines(spec: ModuleSpec, root: Root, window: Window, regularized: b
 # -- spectrum tables (CLI) ----------------------------------------------------
 
 
-def spectrum_table(module: VermaModule, root: Root, depth: int | None = None) -> list:
-    """Per-weight-space eigenvalue multisets, ready for serialization."""
+def spectrum_table(module: VermaModule, root: Root, predicted, depth: int | None = None) -> list:
+    """Per-weight-space eigenvalue multisets, ready for serialization.
+
+    ``predicted(n, m)`` returns the expected (numerator, multiplicity) pairs
+    of a space; a row whose measured pairs differ gets ``"coherent": False``.
+    Values become Fractions only for printing.
+    """
     dn, dm = root.down_step
     depth = module.spec.depth - dn - dm if depth is None else depth
     rows = []
@@ -465,14 +501,15 @@ def spectrum_table(module: VermaModule, root: Root, depth: int | None = None) ->
             if not module.dim(n, m):
                 continue
             pairs = kappa_spectrum(module, root, n, m)
-            rows.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "dim": module.dim(n, m),
-                    "eigenvalues": [
-                        {"value": str(v), "multiplicity": c} for v, c in pairs
-                    ],
-                }
-            )
+            row = {
+                "n": n,
+                "m": m,
+                "dim": module.dim(n, m),
+                "eigenvalues": [
+                    {"value": str(Fraction(v, module.denom)), "multiplicity": c} for v, c in pairs
+                ],
+            }
+            if tuple(predicted(n, m)) != pairs:
+                row["coherent"] = False
+            rows.append(row)
     return rows

@@ -410,14 +410,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, int]:
     root = Root(args.root)
     module = VermaModule(cfg.spec())
     table = branching_table(module, root)
-    coherent = True
-    rows = spectrum_table(module, root)
-    for row in rows:
-        predicted = predicted_spectrum(table, row["n"], row["m"], cfg.lambda1, module.spec.lambda2)
-        measured = tuple((Fraction(e["value"]), e["multiplicity"]) for e in row["eigenvalues"])
-        if tuple(predicted) != measured:
-            coherent = False
-            row["coherent"] = False
+    rows = spectrum_table(
+        module, root, lambda n, m: predicted_spectrum(table, n, m, cfg.lambda1, module.spec.lambda2)
+    )
+    coherent = all(row.get("coherent", True) for row in rows)
     check = check_record(
         f"spectrum-branching-coherence-{cfg.module}-{root.value}", cfg.window,
         [(cfg.lambda1, cfg.lambda2)], passed=coherent, agreed=coherent,

@@ -1,16 +1,19 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
-Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator).  A ``QMatrix`` holds integer numerators over one positive
-common denominator, so elimination runs on the numerators directly: scaling
-by a positive constant changes neither rank nor null space.  Elimination is
-fraction-free (Bareiss), with the pivot always the first nonzero entry
-scanning top to bottom, so results are deterministic.
+A ``QMatrix`` holds integer numerators over one positive common denominator,
+so elimination runs on the numerators directly: scaling by a positive
+constant changes neither rank nor null space.  A scalar shift is likewise an
+integer numerator over the matrix's denominator, and null-space vectors are
+integral, so nothing here builds a ``fractions.Fraction`` except ``rat``,
+which parses user input.  Elimination is fraction-free (Bareiss), with the
+pivot always the first nonzero entry scanning top to bottom, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import UsageError
 
@@ -52,17 +55,18 @@ class QMatrix:
         return m
 
 
-def mat_scalar_shift(a: QMatrix, c) -> QMatrix:
-    """Return a - c*I for a square matrix a, in integers over one denominator."""
+def mat_scalar_shift(a: QMatrix, shift: int) -> QMatrix:
+    """Return a - (shift / a.den)*I for a square matrix a: the shift is an
+    integer numerator over the matrix's own denominator, so only the
+    diagonal numerators change."""
     if a.rows != a.cols:
         raise UsageError("scalar shift needs a square matrix")
-    c = rat(c)
-    # num/den - p/q = (q*num - p*den) / (q*den)
-    q, shift = c.denominator, c.numerator * a.den
-    num = [x * q for x in a.num]
+    if not isinstance(shift, int):
+        raise UsageError(f"scalar shift must be an integer numerator, got {shift!r}")
+    num = list(a.num)
     for i in range(0, a.rows * a.cols, a.cols + 1):
         num[i] -= shift
-    return QMatrix.from_integers(a.rows, a.cols, num, a.den * q)
+    return QMatrix.from_integers(a.rows, a.cols, num, a.den)
 
 
 def _numerator_rows(m: QMatrix) -> list[list[int]]:
@@ -108,32 +112,39 @@ def rank(m: QMatrix) -> int:
     return len(_echelon(_numerator_rows(m)))
 
 
-def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space, one vector per free column.
+def kernel_basis(m: QMatrix) -> list[tuple[int, ...]]:
+    """Basis of the right null space, one integral vector per free column.
 
-    Each vector has value 1 at its free column and is solved exactly by
-    back substitution; vectors are ordered by free column index.
+    Each vector is positive at its free column, zero at the other free
+    columns and primitive (its entries have no common factor).  It is solved
+    by back substitution in integers: when a pivot p does not divide the sum
+    s it must cancel, the whole vector is first scaled by |p| / gcd(s, p).
+    Vectors are ordered by free column index.
     """
     if m.cols == 0:
         return []
     if m.rows == 0:
-        basis = []
-        for f in range(m.cols):
-            v = [Fraction(0)] * m.cols
-            v[f] = Fraction(1)
-            basis.append(tuple(v))
-        return basis
+        return [tuple(int(c == f) for c in range(m.cols)) for f in range(m.cols)]
     rows = _numerator_rows(m)
     pivot_cols = _echelon(rows)
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
+        v = [0] * m.cols
+        v[f] = 1
         for i in range(len(pivot_cols) - 1, -1, -1):
             pc = pivot_cols[i]
-            s = sum((Fraction(rows[i][j]) * v[j] for j in range(pc + 1, m.cols)), Fraction(0))
-            v[pc] = -s / rows[i][pc]
-        basis.append(tuple(v))
+            row = rows[i]
+            s = sum(row[j] * v[j] for j in range(pc + 1, m.cols) if v[j])
+            if s:
+                # scale v by t = |p|/g > 0 so that p divides the scaled sum t*s
+                p = row[pc]
+                g = gcd(s, p)
+                t = abs(p) // g
+                if t != 1:
+                    v = [x * t for x in v]
+                v[pc] = -(s // g) if p > 0 else s // g
+        content = gcd(*v)
+        basis.append(tuple(x // content for x in v) if content != 1 else tuple(v))
     return basis

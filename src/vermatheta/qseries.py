@@ -37,9 +37,6 @@ class ExponentForm(NamedTuple):
     def scaled(self, k: int) -> "ExponentForm":
         return ExponentForm(self.c0 * k, self.c1 * k, self.c2 * k)
 
-    def evaluate(self, l1: Fraction, l2: Fraction) -> Fraction:
-        return Fraction(self.c0) + self.c1 * l1 + self.c2 * l2
-
 
 EXP_ZERO = ExponentForm(0, 0, 0)
 

@@ -24,8 +24,11 @@ Straightening caches each generator's image of each PBW monomial in one dict
 per generator index (its position in ``Gen``), keyed by the exponent triple;
 the cached coefficients are integers over a per-generator scale (see
 ``VermaModule.__init__``).  ``operator_matrix`` reads these integers directly
-and builds its matrix as integer numerators over one denominator; only
-``apply_gen`` turns them into Fractions.
+and builds its matrix as integer numerators over one denominator.  A module
+holds its highest weight as integers over the weight denominator ``denom``,
+and ``numerator`` evaluates an affine form there to an integer over it, so
+the pipelines never build a Fraction; ``apply_gen`` is the one method that
+returns Fractions, for callers outside them.
 
 The highest-weight parameters are substituted as exact rationals before any
 matrix is formed; genericity is certified by the guard below and by
@@ -195,11 +198,12 @@ def genericity_guard(l1, l2, depth: int, kind: str = BOREL) -> bool:
     raise UsageError(f"unknown module kind {kind!r}")
 
 
-def h_form(kind: str, lambda2, root: Root, n: int, m: int) -> ExponentForm:
+def h_form(kind: str, lambda2: int | None, root: Root, n: int, m: int) -> ExponentForm:
     """h-value of the (n, m) weight space along ``root`` as an affine form.
 
-    For the parabolic module the integer L2 is folded into the constant
-    part, so parabolic forms always have c2 = 0.
+    For the parabolic module its integral L2, passed as ``lambda2``, is
+    folded into the constant part, so parabolic forms always have c2 = 0;
+    the Borel forms do not read ``lambda2``.
     """
     if kind == BOREL:
         if root is Root.A12:
@@ -207,12 +211,17 @@ def h_form(kind: str, lambda2, root: Root, n: int, m: int) -> ExponentForm:
         if root is Root.A23:
             return ExponentForm(n - 2 * m, 0, 1)
         return ExponentForm(-n - m, 1, 1)
-    v = int(Fraction(lambda2))
     if root is Root.A12:
         return ExponentForm(m - 2 * n, 1, 0)
     if root is Root.A23:
-        return ExponentForm(v + n - 2 * m, 0, 0)
-    return ExponentForm(v - n - m, 1, 0)
+        return ExponentForm(lambda2 + n - 2 * m, 0, 0)
+    return ExponentForm(lambda2 - n - m, 1, 0)
+
+
+def weight_numerators(l1, l2) -> tuple[int, int, int]:
+    """(q, p1, p2) with q = lcm(den l1, den l2), l1 = p1/q and l2 = p2/q."""
+    q = lcm(l1.denominator, l2.denominator)
+    return q, l1.numerator * (q // l1.denominator), l2.numerator * (q // l2.denominator)
 
 
 class VermaModule:
@@ -231,13 +240,18 @@ class VermaModule:
         self._pos = tuple(letters.index(g) if g in letters else None for g in Gen)
         # a cached coefficient c of generator g stands for c / scale[g]; lowering
         # letters commute only into lowering letters, so their scale stays 1
-        denom = lcm(spec.lambda1.denominator, spec.lambda2.denominator)
-        self._scale = tuple(1 if g in letters else denom for g in Gen)
-        hw = {Gen.H12: spec.lambda1, Gen.H23: spec.lambda2}
-        self._hw = tuple(int(hw[g] * denom) if g in hw else 0 for g in Gen)
-        self._e32_cap = spec.lambda2_int if spec.kind == PARABOLIC else None
+        self.denom, self._p1, self._p2 = weight_numerators(spec.lambda1, spec.lambda2)
+        self._scale = tuple(1 if g in letters else self.denom for g in Gen)
+        hw = {Gen.H12: self._p1, Gen.H23: self._p2}
+        self._hw = tuple(hw.get(g, 0) for g in Gen)
+        # the parabolic module's integral L2, which caps the E32 exponent
+        self.lambda2_int = spec.lambda2_int if spec.kind == PARABOLIC else None
         self._cache = tuple({} for _ in Gen)
         self._runs = {root: {} for root in Root}
+
+    def numerator(self, form: ExponentForm) -> int:
+        """``form`` at this module's highest weight, as an integer over ``denom``."""
+        return form.c0 * self.denom + form.c1 * self._p1 + form.c2 * self._p2
 
     # -- PBW monomials -------------------------------------------------------
 
@@ -250,7 +264,7 @@ class VermaModule:
             for c in range(min(n, m) + 1):
                 basis.append((n - c, m - c, c))
         else:
-            cap = self._e32_cap
+            cap = self.lambda2_int
             for c in range(min(n, m), max(0, m - cap) - 1, -1):
                 basis.append((n - c, c, m - c))
         return tuple(basis)
@@ -261,7 +275,7 @@ class VermaModule:
             return 0
         if self.spec.kind == BOREL:
             return min(n, m) + 1
-        return max(0, min(n, m) - max(0, m - self._e32_cap) + 1)
+        return max(0, min(n, m) - max(0, m - self.lambda2_int) + 1)
 
     def string_run(self, root: Root, n: int, m: int) -> int:
         """Number of nonempty weight spaces from (n, m) up the root string,
@@ -299,7 +313,7 @@ class VermaModule:
             a, b, c = e
             lead = 0 if a else 1 if b else 2 if c else None
             if pos is not None and (lead is None or pos <= lead):
-                if pos == 2 and self._e32_cap is not None and c >= self._e32_cap:
+                if pos == 2 and self.lambda2_int is not None and c >= self.lambda2_int:
                     cache[e] = {}
                 else:
                     cache[e] = {(a + (pos == 0), b + (pos == 1), c + (pos == 2)): 1}

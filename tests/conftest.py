@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 from hypothesis import settings
 
-from vermatheta import BOREL, PARABOLIC, ModuleSpec, QMatrix, VermaModule, rank
+from vermatheta import BOREL, PARABOLIC, ModuleSpec, QMatrix, VermaModule, mat_scalar_shift, rank
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -53,6 +53,20 @@ def matrix_rows(m: QMatrix) -> list:
     """The entries of ``m`` as rows of Fractions."""
     c = m.cols
     return [[Fraction(x, m.den) for x in m.num[i * c : (i + 1) * c]] for i in range(m.rows)]
+
+
+def shifted(m: QMatrix, c) -> QMatrix:
+    """m - c*I for a rational c: ``m`` restated over a denominator that c's
+    divides, then shifted by c's numerator over it."""
+    c = Fraction(c)
+    den = lcm(m.den, c.denominator)
+    restated = QMatrix.from_integers(m.rows, m.cols, [x * (den // m.den) for x in m.num], den)
+    return mat_scalar_shift(restated, c.numerator * (den // c.denominator))
+
+
+def eigenvalues(module: VermaModule, pairs) -> tuple:
+    """``kappa_spectrum``'s (numerator, multiplicity) pairs as (Fraction, multiplicity)."""
+    return tuple((Fraction(v, module.denom), c) for v, c in pairs)
 
 
 def straighten(module: VermaModule, word) -> dict:

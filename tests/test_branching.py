@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,6 +8,7 @@ from vermatheta import (
     BOREL,
     PARABOLIC,
     ModuleSpec,
+    QMatrix,
     Root,
     VermaModule,
     Window,
@@ -24,6 +26,7 @@ from vermatheta.branching import (
     candidate_forms,
     is_divergent,
     lift_samples,
+    lift_space,
     predicted_spectrum,
     region_spaces,
     required_depth,
@@ -33,7 +36,7 @@ from vermatheta.qseries import ExponentForm, Monomial
 from vermatheta.theta import CATALOG
 from vermatheta.verma import h_form
 
-from conftest import LAMBDA1S, WEIGHTS, singular_dimension
+from conftest import LAMBDA1S, WEIGHTS, eigenvalues, singular_dimension
 
 F = Fraction
 
@@ -152,13 +155,13 @@ def test_accounting_failure_is_detected(borel_module):
 
 def test_kappa_on_highest_weight_space(borel_module):
     l1, l2 = borel_module.spec.lambda1, borel_module.spec.lambda2
-    assert kappa_spectrum(borel_module, Root.A12, 0, 0) == ((l1, 1),)
-    assert kappa_spectrum(borel_module, Root.A13, 0, 0) == ((l1 + l2, 1),)
+    assert eigenvalues(borel_module, kappa_spectrum(borel_module, Root.A12, 0, 0)) == ((l1, 1),)
+    assert eigenvalues(borel_module, kappa_spectrum(borel_module, Root.A13, 0, 0)) == ((l1 + l2, 1),)
 
 
 def test_kappa_depth_one_string(borel_module):
     l1, l2 = borel_module.spec.lambda1, borel_module.spec.lambda2
-    got = dict(kappa_spectrum(borel_module, Root.A13, 1, 1))
+    got = dict(eigenvalues(borel_module, kappa_spectrum(borel_module, Root.A13, 1, 1)))
     assert got == {3 * (l1 + l2) - 2: 1, l1 + l2 - 2: 1}
 
 
@@ -168,7 +171,7 @@ def test_finite_module_interior_eigenvalue(parabolic_modules):
     spaces = [(n, m) for n in range(5) for m in range(5 - n) if module.dim(n, m)]
     for n, m in spaces:
         if module.spec.lambda2 + n - 2 * m == -1:  # the h2-value of (n, m)
-            got = dict(kappa_spectrum(module, Root.A23, n, m))
+            got = dict(eigenvalues(module, kappa_spectrum(module, Root.A23, n, m)))
             assert any(value == 1 for value in got)
             break
     else:
@@ -205,7 +208,7 @@ def up_string_candidates(module, root, n, m):
     """The candidate list as built by walking up the root string from (n, m),
     one dim and h_form call per step."""
     dn, dm = root.down_step
-    kind, l2 = module.spec.kind, module.spec.lambda2
+    kind, l2 = module.spec.kind, module.lambda2_int
     forms = []
     k = 0
     while n - k * dn >= 0 and m - k * dm >= 0 and module.dim(n - k * dn, m - k * dm):
@@ -390,6 +393,102 @@ def test_lift_samples_defaults(borel_module):
     psamples = lift_samples(pspec)
     assert [l2 for _, l2 in psamples] == [1, 1, 1]
     assert [l1 for l1, _ in psamples] == list(LAMBDA1S)
+
+
+# -- the affine lift at a held-out weight ---------------------------------------------
+
+#: guard-passing at every depth (L1, L2 and L1 + L2 not integral), and
+#: neither weight nor lambda1 is a lift sample
+HELD_OUT = (F(17, 6), F(4, 13))
+
+
+@pytest.mark.parametrize("key", list(dict.fromkeys(e for e in CATALOG.values() if e.root)),
+                         ids=lambda e: f"{e.kind}-{e.root.value}")
+def test_lifted_forms_predict_the_spectrum_at_a_held_out_weight(key):
+    # the lift matches forms to spectra at the samples only; at a weight no
+    # sample uses, the lifted forms must still give the measured spectrum
+    window = Window(3, 4, 3)
+    l2s = (F(5, 7),) if key.kind == BOREL else (0, 1, 2)
+    for l2 in l2s:
+        spec = ModuleSpec(key.kind, F(7, 3), l2, 10)
+        spec = spec.with_depth(required_depth(spec, key.root, window, key.regularized))
+        samples = lift_samples(spec)
+        held_out = (HELD_OUT[0], HELD_OUT[1] if key.kind == BOREL else l2)
+        assert held_out not in samples and held_out[0] not in {l1 for l1, _ in samples}
+        modules = [VermaModule(spec.with_weight(*w)) for w in samples]
+        probe = VermaModule(spec.with_weight(*held_out))
+        spaces = 0
+        for n, m in region_spaces(bruteforce_region(spec, key.root, window, key.regularized)):
+            if not probe.dim(n, m):
+                continue
+            forms = candidate_forms(modules[0], key.root, n, m)
+            predicted: dict = {}
+            for form, count in zip(forms, lift_space(modules, key.root, n, m, forms)):
+                if count:
+                    value = probe.numerator(form)
+                    predicted[value] = predicted.get(value, 0) + count
+            assert tuple(sorted(predicted.items())) == kappa_spectrum(probe, key.root, n, m), (l2, n, m)
+            spaces += 1
+        assert spaces
+
+
+# -- integer invariants of the spectrum path ------------------------------------------
+
+
+@pytest.mark.parametrize("kind, l2", [(BOREL, F(5, 7)), (BOREL, F(-4, 9)),
+                                      (PARABOLIC, 0), (PARABOLIC, 1), (PARABOLIC, 2)])
+def test_casimir_denominator_is_the_weight_denominator(kind, l2):
+    # kappa_spectrum shifts the Casimir's numerators by candidate numerators
+    # over the weight denominator, so the two denominators must be one
+    for l1 in (F(7, 3), F(11, 6)):
+        module = VermaModule(ModuleSpec(kind, l1, l2, 7))
+        assert module.denom == lcm(l1.denominator, module.spec.lambda2.denominator)
+        for root in Root:
+            for n in range(6):
+                for m in range(6 - n):
+                    if module.dim(n, m):
+                        assert module.operator_matrix(root, (n, m)).den == module.denom, (root, n, m)
+
+
+def test_casimir_off_the_weight_denominator_is_a_verification_error(monkeypatch):
+    module = VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 4))
+    real = module.operator_matrix
+
+    def doubled(op, source):
+        mat = real(op, source)
+        return QMatrix.from_integers(mat.rows, mat.cols, [2 * x for x in mat.num], 2 * mat.den)
+
+    monkeypatch.setattr(module, "operator_matrix", doubled)
+    with pytest.raises(VerificationError, match="weight denominator"):
+        kappa_spectrum(module, Root.A12, 1, 0)
+
+
+def test_branching_and_spectra_make_no_fraction(monkeypatch):
+    # singular vectors, their classification, candidate numerators, shifts
+    # and ranks all stay in integers; only reports build Fractions
+    modules = [VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 10)),
+               VermaModule(ModuleSpec(PARABOLIC, F(7, 3), 2, 10))]
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    calls = 0
+    for module in modules:
+        for root in Root:
+            table = branching_table(module, root)
+            top = module.spec.depth - sum(root.down_step)
+            for n in range(top + 1):
+                for m in range(top + 1 - n):
+                    if module.dim(n, m):
+                        kappa_spectrum(module, root, n, m)
+                        calls += 1
+    monkeypatch.undo()
+    assert table.terms and calls == 266
+    assert made == []
 
 
 # -- Dynkin-flip oracle ---------------------------------------------------------------

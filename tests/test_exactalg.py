@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from vermatheta import kernel_basis, mat_scalar_shift, rank, rat
 from vermatheta.errors import UsageError
 
-from conftest import matrix_rows, qmatrix
+from conftest import matrix_rows, qmatrix, shifted
 
 F = Fraction
 
@@ -74,14 +74,21 @@ def test_scalar_shift_of_identity_is_zero():
 
 def test_scalar_shift_by_negative_rational_keeps_denominator_positive():
     m = qmatrix([[F(1, 3), 2], [0, F(5, 7)]])
-    shifted = mat_scalar_shift(m, F(-3, 4))
-    assert shifted.den > 0
-    assert matrix_rows(shifted) == [[F(1, 3) + F(3, 4), 2], [0, F(5, 7) + F(3, 4)]]
+    result = shifted(m, F(-3, 4))
+    assert result.den > 0
+    assert matrix_rows(result) == [[F(1, 3) + F(3, 4), 2], [0, F(5, 7) + F(3, 4)]]
 
 
 def test_scalar_shift_requires_square():
     with pytest.raises(UsageError):
         mat_scalar_shift(qmatrix([[0] * 3] * 2), 1)
+
+
+def test_scalar_shift_takes_an_integer_numerator():
+    m = qmatrix([[F(1, 3), 2], [0, F(5, 7)]])
+    assert matrix_rows(mat_scalar_shift(m, -7)) == [[F(2, 3), 2], [0, F(22, 21)]]
+    with pytest.raises(UsageError):
+        mat_scalar_shift(m, F(-1, 3))
 
 
 def test_raising_matrix_rank_via_straightening_oracle():
@@ -109,8 +116,9 @@ def test_casimir_annihilation_product():
 
     mod = VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 6))
     k = mod.operator_matrix(Root.A13, (1, 1))
-    a = matrix_rows(mat_scalar_shift(k, F(22, 21)))
-    b = matrix_rows(mat_scalar_shift(k, F(50, 7)))
+    assert k.den == 21
+    a = matrix_rows(mat_scalar_shift(k, 22))
+    b = matrix_rows(mat_scalar_shift(k, 150))
     product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
     assert product == [[0, 0], [0, 0]]
 
@@ -160,6 +168,27 @@ def test_elimination_is_deterministic():
     assert rank(m) == rank(m)
 
 
+def test_kernel_vectors_are_integral_multiples_of_sympy_nullspace():
+    # each vector is integral, positive at its own free column and zero at
+    # the others, so it is a positive multiple of sympy's vector for that
+    # column (which is 1 there and 0 at the other free columns)
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    rng = random.Random(8)
+    for rows, cols in [(r, c) for r in range(1, 7) for c in range(1, 7)] * 2:
+        m = _random_matrix(rng, rows, cols, rng.randint(1, min(rows, cols)))
+        oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in matrix_rows(m)])
+        _, pivots = oracle.rref()
+        free = [c for c in range(cols) if c not in pivots]
+        basis = kernel_basis(m)
+        assert len(basis) == len(free) == len(oracle.nullspace())
+        for f, v, theirs in zip(free, basis, oracle.nullspace()):
+            assert all(type(x) is int for x in v)
+            assert v[f] > 0 and all(v[g] == 0 for g in free if g != f)
+            assert [sympy.Integer(x) for x in v] == [v[f] * y for y in theirs], (rows, cols, f)
+
+
 def _random_matrix(rng, rows, cols, rank_cap):
     """A rows x cols rational matrix of rank at most rank_cap: a product of
     random rows x rank_cap and rank_cap x cols factors."""
@@ -206,5 +235,5 @@ def test_elimination_matches_sympy_oracle():
             oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in entries])
             for shift in (c, F(rng.randint(-9, 9), rng.randint(1, 6))):
                 want = (oracle - sympy.Rational(shift.numerator, shift.denominator) * sympy.eye(size)).rank()
-                assert rank(mat_scalar_shift(m, shift)) == want, (size, shift)
+                assert rank(shifted(m, shift)) == want, (size, shift)
                 assert shift != c or want < size

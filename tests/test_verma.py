@@ -354,7 +354,7 @@ def test_casimir_rank_path_makes_no_fraction(monkeypatch):
     # kappa_spectrum's inner loop: straighten, assemble, shift by a rational
     # eigenvalue candidate and eliminate, all in integers
     module = VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 8))
-    value = F(22, 21)
+    value = 22  # the candidate 22/21 over the weight denominator 21
     made = []
     original = Fraction.__new__
 
