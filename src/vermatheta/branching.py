@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import UsageError, VerificationError
 from .exactalg import kernel_basis, mat_scalar_shift, rank
-from .qseries import ExponentForm, FormalSeries, Monomial, Window, qpow
+from .qseries import ExponentForm, FormalSeries, Monomial, Window
 from .verma import (
     _GEN_INDEX, BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, h_form, weight_numerators,
 )
@@ -112,6 +112,14 @@ class BranchingTable:
     def local_dimension(self, n: int, m: int) -> int:
         return sum(term.multiplicity for term, _ in self.on_string(n, m))
 
+    def spectrum(self, n: int, m: int):
+        """Yield (form, multiplicity) for each constituent through the (n, m)
+        space: its depth-k vector's Casimir eigenvalue (2k+1)u - 2k^2, an
+        affine form in the weight (a finite constituent's u is its top
+        h-value i, stored as the form (i, 0, 0))."""
+        for term, k in self.on_string(n, m):
+            yield term.hw.scaled(2 * k + 1) + ExponentForm(-2 * k * k, 0, 0), term.multiplicity
+
 
 def _classify(module: VermaModule, root: Root, n: int, m: int, vector) -> tuple:
     """Return (kind, hw form) for the constituent generated by an integral
@@ -138,11 +146,10 @@ def region_spaces(region: tuple[int, int, int]):
     return ((n, m) for n in range(n_top + 1) for m in range(m0 + slope * n + 1))
 
 
-def branching_table(module: VermaModule, root: Root, depth: int | None = None,
+def branching_table(module: VermaModule, root: Root,
                     region: tuple[int, int, int] | None = None) -> BranchingTable:
     """Enumerate singular vectors per weight space and aggregate constituents
-    over a region, by default the triangle n+m <= depth (the module's depth
-    unless given).
+    over a region, by default the triangle n+m <= the module's depth.
 
     The region must be closed upward along the root string, so every
     constituent through a covered space has its origin in the table.  Raises
@@ -150,8 +157,7 @@ def branching_table(module: VermaModule, root: Root, depth: int | None = None,
     account exactly for every covered weight-space dimension.
     """
     if region is None:
-        depth = module.spec.depth if depth is None else depth
-        region = (depth, depth, -1)
+        region = (module.spec.depth, module.spec.depth, -1)
     n_top, m0, slope = region
     if max(m0, n_top + m0 + slope * n_top) > module.spec.depth:
         raise UsageError("requested coverage exceeds the module's depth")
@@ -262,11 +268,9 @@ def predicted_spectrum(table: BranchingTable, n: int, m: int, l1, l2) -> tuple:
     lcm(den l1, den l2), like ``kappa_spectrum``'s at that weight."""
     q, p1, p2 = weight_numerators(l1, l2)
     out: dict = {}
-    for term, k in table.on_string(n, m):
-        # a finite constituent's hw (i, 0, 0) evaluates to its top h-value i
-        c0, c1, c2 = term.hw
-        e = (2 * k + 1) * (c0 * q + c1 * p1 + c2 * p2) - 2 * k * k * q
-        out[e] = out.get(e, 0) + term.multiplicity
+    for (c0, c1, c2), mult in table.spectrum(n, m):
+        e = c0 * q + c1 * p1 + c2 * p2
+        out[e] = out.get(e, 0) + mult
     return tuple(sorted(out.items()))
 
 
@@ -316,59 +320,49 @@ def required_depth(spec: ModuleSpec, root: Root, window: Window, regularized: bo
     return n_top + m0 + slope * n_top + sum(root.down_step)
 
 
-def _slot_monomial(kind: str, root: Root, origin: tuple[int, int], k: int,
-                   hw: ExponentForm, regularized: bool) -> Monomial:
-    form = hw.scaled(2 * k + 1) + ExponentForm(-2 * k * k, 0, 0)
-    if not regularized:
-        return qpow(form)
-    dn, dm = root.down_step
-    n, m = origin[0] + k * dn, origin[1] + k * dm
-    return Monomial(form, m - 2 * n, n - 2 * m)
+def _window_spaces(region: tuple[int, int, int], window: Window, regularized: bool):
+    """Yield (n, m, t_part) for the spaces of a region whose t-part, the
+    t-exponents (h1 - L1, h2 - L2) when regularized and (0, 0) otherwise,
+    lies in the window."""
+    for n, m in region_spaces(region):
+        t_part = (m - 2 * n, n - 2 * m) if regularized else (0, 0)
+        if abs(t_part[0]) <= window.T and abs(t_part[1]) <= window.T:
+            yield n, m, t_part
 
 
 def trace_from_branching(table: BranchingTable, window: Window, regularized: bool = False,
-                         spec: ModuleSpec | None = None,
-                         slot_depth: int | None = None) -> FormalSeries:
+                         spec: ModuleSpec | None = None) -> FormalSeries:
     """Assemble the windowed trace of q^kappa (times t1^h1 t2^h2 when
     regularized) from a branching table.
 
-    ``slot_depth`` truncates to eigenvector slots lying in weight spaces with
-    n+m <= slot_depth; it is how divergent traces are rendered as fixed-depth
-    window sums, matching the weight-space truncation of the brute force.
+    The table's region is the truncation: the sum runs over its spaces, so a
+    divergent trace built over the triangle n+m <= depth is that fixed-depth
+    window sum.  Given ``spec``, a convergent trace is refused unless the
+    region holds every space the window needs.
     """
-    if spec is not None:
+    if spec is not None and not is_divergent(spec.kind, table.root, regularized):
         # regions are linear in n and start at n = 0, so containment is
         # decided at the first and the last row of the window's region
         n_top, m0, slope = table.region
-        n_need, m_need, s_need = need = bruteforce_region(
-            spec, table.root, window, regularized, divergent_depth=slot_depth)
+        n_need, m_need, s_need = need = bruteforce_region(spec, table.root, window, regularized)
         if n_need > n_top or m_need > m0 or m_need + s_need * n_need > m0 + slope * n_need:
             raise UsageError(
                 f"window needs constituents over the region {need} but the table "
                 f"covers only {table.region}"
             )
-    dn, dm = table.root.down_step
-    terms: dict[Monomial, Fraction] = {}
     for term in table.terms:
-        if term.kind == FINITE:
-            k_range = range(term.hw.c0 + 1)
-        elif term.hw.c1 or term.hw.c2:
-            k_range = range(max(0, (window.B - 1) // 2) + 1)
-        else:
-            # Borel h-forms carry L1 or L2, and on the parabolic module every
-            # root-23 constituent is finite because E32 is locally nilpotent
+        # Borel h-forms carry L1 or L2, and on the parabolic module every
+        # root-23 constituent is finite because E32 is locally nilpotent
+        if term.kind == VERMA and not (term.hw.c1 or term.hw.c2):
             raise VerificationError(
                 f"Verma constituent at {term.origin} has a constant highest weight {tuple(term.hw)}"
             )
-        for k in k_range:
-            if slot_depth is not None:
-                shell = term.origin[0] + term.origin[1] + k * (dn + dm)
-                if shell > slot_depth:
-                    continue
-            mono = _slot_monomial(table.kind, table.root, term.origin, k, term.hw, regularized)
-            if window.contains(mono):
-                terms[mono] = terms.get(mono, Fraction(0)) + term.multiplicity
-    return FormalSeries(terms, window)
+    return FormalSeries(
+        ((Monomial(form, *t_part), mult)
+         for n, m, t_part in _window_spaces(table.region, window, regularized)
+         for form, mult in table.spectrum(n, m)),
+        window,
+    )
 
 
 def _lift_multiplicities(values: list, measured: list, where) -> list:
@@ -435,16 +429,10 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
     if spec.depth < need:
         raise UsageError(f"trace needs depth {need}, module is certified to {spec.depth}")
     modules = [VermaModule(spec.with_weight(l1, l2)) for (l1, l2) in samples]
-    terms: dict[Monomial, Fraction] = {}
-    for n, m in region_spaces(region):
+    pairs = []
+    for n, m, t_part in _window_spaces(region, window, regularized):
         if not modules[0].dim(n, m):
             continue
-        if regularized:
-            t_part = (m - 2 * n, n - 2 * m)
-            if abs(t_part[0]) > window.T or abs(t_part[1]) > window.T:
-                continue
-        else:
-            t_part = (0, 0)
         forms = candidate_forms(modules[0], root, n, m)
         # the k = 0 form is w; a form whose L part is (2k+1) times a nonzero
         # one leaves the window once 2k+1 > B, so only k <= (B-1)//2 can put
@@ -453,13 +441,9 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
         reach = forms[: (window.B - 1) // 2 + 1] if w.c1 or w.c2 else forms
         if not any(window.contains(Monomial(f, *t_part)) for f in reach):
             continue
-        for form, count in zip(forms, lift_space(modules, root, n, m, forms)):
-            if not count:
-                continue
-            mono = Monomial(form, *t_part)
-            if window.contains(mono):
-                terms[mono] = terms.get(mono, Fraction(0)) + count
-    return FormalSeries(terms, window)
+        counts = lift_space(modules, root, n, m, forms)
+        pairs.extend((Monomial(form, *t_part), count) for form, count in zip(forms, counts))
+    return FormalSeries(pairs, window)
 
 
 def trace_pipelines(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
@@ -486,21 +470,22 @@ def trace_pipelines(spec: ModuleSpec, root: Root, window: Window, regularized: b
 # -- spectrum tables (CLI) ----------------------------------------------------
 
 
-def spectrum_table(module: VermaModule, root: Root, predicted, depth: int | None = None) -> list:
-    """Per-weight-space eigenvalue multisets, ready for serialization.
+def spectrum_table(module: VermaModule, table: BranchingTable) -> list:
+    """Per-weight-space eigenvalue multisets of the table's root Casimir on
+    the spaces n+m <= depth - dn - dm, ready for serialization.
 
-    ``predicted(n, m)`` returns the expected (numerator, multiplicity) pairs
-    of a space; a row whose measured pairs differ gets ``"coherent": False``.
-    Values become Fractions only for printing.
+    A row whose measured pairs differ from ``predicted_spectrum`` at the
+    module's weight gets ``"coherent": False``.  Values become Fractions
+    only for printing.
     """
-    dn, dm = root.down_step
-    depth = module.spec.depth - dn - dm if depth is None else depth
+    spec = module.spec
+    depth = spec.depth - sum(table.root.down_step)
     rows = []
     for n in range(depth + 1):
         for m in range(depth + 1 - n):
             if not module.dim(n, m):
                 continue
-            pairs = kappa_spectrum(module, root, n, m)
+            pairs = kappa_spectrum(module, table.root, n, m)
             row = {
                 "n": n,
                 "m": m,
@@ -509,7 +494,7 @@ def spectrum_table(module: VermaModule, root: Root, predicted, depth: int | None
                     {"value": str(Fraction(v, module.denom)), "multiplicity": c} for v, c in pairs
                 ],
             }
-            if tuple(predicted(n, m)) != pairs:
+            if predicted_spectrum(table, n, m, spec.lambda1, spec.lambda2) != pairs:
                 row["coherent"] = False
             rows.append(row)
     return rows

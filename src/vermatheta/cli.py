@@ -23,7 +23,6 @@ from .branching import (
     bruteforce_region,
     is_divergent,
     lift_samples,
-    predicted_spectrum,
     required_depth,
     spectrum_table,
     trace_brute_force,
@@ -410,9 +409,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, int]:
     root = Root(args.root)
     module = VermaModule(cfg.spec())
     table = branching_table(module, root)
-    rows = spectrum_table(
-        module, root, lambda n, m: predicted_spectrum(table, n, m, cfg.lambda1, module.spec.lambda2)
-    )
+    rows = spectrum_table(module, table)
     coherent = all(row.get("coherent", True) for row in rows)
     check = check_record(
         f"spectrum-branching-coherence-{cfg.module}-{root.value}", cfg.window,
@@ -450,9 +447,7 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
         # the triangle n+m <= depth
         region = bruteforce_region(spec, root, window, regularized, divergent_depth)
         table = branching_table(VermaModule(deep), root, region=region)
-        series_by_name["branching"] = trace_from_branching(
-            table, window, regularized, spec=deep, slot_depth=divergent_depth
-        )
+        series_by_name["branching"] = trace_from_branching(table, window, regularized, spec=deep)
     if want in ("brute", "all"):
         series_by_name["brute"] = trace_brute_force(
             deep, root, window, regularized, samples=samples, divergent_depth=divergent_depth

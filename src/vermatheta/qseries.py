@@ -3,8 +3,10 @@
 A q-exponent is an affine form c0 + c1*L1 + c2*L2 in the two highest-weight
 parameters, stored as the integer triple (c0, c1, c2).  A monomial is a
 q-exponent together with integer powers of the regularization variables t1,
-t2.  A series is a finitely supported rational-coefficient sum of monomials,
-exact on an explicit comparison window.
+t2.  A series is a finitely supported sum of monomials, exact on an
+explicit comparison window.  Its coefficients are the exact numbers its
+producer gives, ints in every pipeline; the ``FormalSeries`` constructor is
+the one place that sums them.
 
 Window semantics: a monomial is kept iff 0 <= c1 <= B, 0 <= c2 <= B,
 -D <= c0 <= +D and |t1|, |t2| <= T.  The constant bound is symmetric so that
@@ -20,7 +22,7 @@ t1^L1 t2^L2 is dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -92,9 +94,6 @@ class Window:
             and abs(mono.t2) <= self.T
         )
 
-    def intersect(self, other: "Window") -> "Window":
-        return Window(min(self.B, other.B), min(self.D, other.D), min(self.T, other.T))
-
     def covers(self, other: "Window") -> bool:
         return self.B >= other.B and self.D >= other.D and self.T >= other.T
 
@@ -103,50 +102,43 @@ class Window:
 
 
 class Comparison(NamedTuple):
-    """Outcome of an exact windowed comparison."""
+    """Outcome of an exact windowed comparison; ``left`` and ``right`` are
+    the two series' coefficients as given (0 where one has no term)."""
 
     passed: bool
     monomial: Monomial | None
-    left: Fraction | None
-    right: Fraction | None
+    left: Rational | None
+    right: Rational | None
 
 
 class FormalSeries:
-    """Finitely supported map Monomial -> Fraction, exact on ``window``."""
+    """Finitely supported map Monomial -> coefficient, exact on ``window``.
+
+    The constructor is the one accumulator: it sums the (monomial, coefficient)
+    pairs or dict items inside ``window``, uncoerced, and drops zero sums.
+    """
 
     __slots__ = ("terms", "window")
 
     def __init__(self, terms, window: Window):
         pruned = {}
         for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
-            coeff = Fraction(coeff)
             if coeff and window.contains(mono):
-                pruned[mono] = pruned.get(mono, Fraction(0)) + coeff
+                pruned[mono] = pruned.get(mono, 0) + coeff
         object.__setattr__(self, "terms", {m: c for m, c in pruned.items() if c})
         object.__setattr__(self, "window", window)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalSeries is immutable")
 
-    @classmethod
-    def zero(cls, window: Window) -> "FormalSeries":
-        return cls({}, window)
-
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coeff(self, mono: Monomial) -> Rational:
+        return self.terms.get(mono, 0)
 
     def iter_sorted(self):
         return ((m, self.terms[m]) for m in sorted(self.terms, key=Monomial.sort_key))
 
     def __len__(self):
         return len(self.terms)
-
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        window = self.window.intersect(other.window)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return FormalSeries(out, window)
 
     def equal_on(self, other: "FormalSeries", window: Window) -> Comparison:
         """Exact comparison; reports the canonically first differing monomial."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .branching import lift_samples, trace_pipelines
@@ -105,21 +104,21 @@ def _expand_term(base, factors, window: Window) -> tuple[FormalSeries, list[str]
             break
     else:
         raise DivergenceError("no expansion direction escapes the window")
-    work = [(Fraction(c), m) for c, m in base]
+    work = base
     for f, inverted in oriented:
         if inverted:
             work = [(-c, m * f) for c, m in work]
             notes.append(f"factor inverted for {name} escape: {tuple(f.inverse())}")
     if not work:
-        return FormalSeries.zero(window), notes
+        return FormalSeries({}, window), notes
     phi_base = min(phi(m) for _, m in work)
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, int] = {}
     for c, m in work:
-        acc[m] = acc.get(m, Fraction(0)) + c
+        acc[m] = acc.get(m, 0) + c
     for f, _ in oriented:
         budget = max(0, cap - phi_base) // phi(f)
         powers = [f.power(j) for j in range(budget + 1)]
-        nxt: dict[Monomial, Fraction] = {}
+        nxt: dict[Monomial, int] = {}
         for m, c in acc.items():
             for p in powers:
                 mp = m * p
@@ -127,7 +126,7 @@ def _expand_term(base, factors, window: Window) -> tuple[FormalSeries, list[str]
                 # nothing past the cap comes back into the window
                 if phi(mp) > cap:
                     break
-                nxt[mp] = nxt.get(mp, Fraction(0)) + c
+                nxt[mp] = nxt.get(mp, 0) + c
         acc = nxt
     return FormalSeries(acc, window), notes
 
@@ -144,13 +143,12 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
         raise UsageError(f"{identity.value} needs a {kind} module spec")
     v = spec.lambda2_int if kind == PARABOLIC else None
 
-    total = FormalSeries.zero(window)
+    pairs: list = []
     notes: list[str] = []
 
     def accumulate(base, factors):
-        nonlocal total
         part, part_notes = _expand_term(base, factors, window)
-        total = total + part
+        pairs.extend(part.terms.items())
         for note in part_notes:
             if note not in notes:
                 notes.append(note)
@@ -212,14 +210,10 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
             )
     elif identity in (ClosedFormId.PARABOLIC_TRACE_23, ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT):
         extra = 1 if identity is ClosedFormId.PARABOLIC_TRACE_23 else 0
-        terms: dict[Monomial, Fraction] = {}
         for i in range(window.D + 1):
             mult = (i + 1) if i <= v else (v + 1)
-            for k in range(i + extra + 1):
-                mono = qpow(ExponentForm((2 * k + 1) * i - 2 * k * k, 0, 0))
-                if window.contains(mono):
-                    terms[mono] = terms.get(mono, Fraction(0)) + mult
-        total = total + FormalSeries(terms, window)
+            pairs.extend((qpow(ExponentForm((2 * k + 1) * i - 2 * k * k, 0, 0)), mult)
+                         for k in range(i + extra + 1))
     elif identity is ClosedFormId.PARABOLIC_TRACE_13:
         for k in _k_terms(window):
             o = 2 * k + 1
@@ -237,7 +231,7 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
         )
     else:
         raise UsageError(f"unknown identity {identity}")
-    return total, notes
+    return FormalSeries(pairs, window), notes
 
 
 def borel_character_closed_form(window: Window) -> FormalSeries:

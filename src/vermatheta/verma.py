@@ -27,8 +27,10 @@ the cached coefficients are integers over a per-generator scale (see
 and builds its matrix as integer numerators over one denominator.  A module
 holds its highest weight as integers over the weight denominator ``denom``,
 and ``numerator`` evaluates an affine form there to an integer over it, so
-the pipelines never build a Fraction; ``apply_gen`` is the one method that
-returns Fractions, for callers outside them.
+the pipelines never build a Fraction and their series have int
+coefficients.  Fractions are built only at the edges: ``ModuleSpec`` and the
+genericity guard hold the weight as Fractions, ``apply_gen`` returns them for
+callers outside the pipelines, and reports print eigenvalues through them.
 
 The highest-weight parameters are substituted as exact rationals before any
 matrix is formed; genericity is certified by the guard below and by
@@ -422,14 +424,6 @@ class VermaModule:
         """Sum of t1^(h1-L1) t2^(h2-L2) over the PBW basis, windowed at
         |t-degree| <= t_bound (weights recorded relative to the highest one).
         """
-        window = Window(0, 0, t_bound)
-        terms: dict[Monomial, Fraction] = {}
-        for n in range(t_bound + 1):
-            for m in range(t_bound + 1):
-                d = self.dim(n, m)
-                if not d:
-                    continue
-                mono = Monomial(ExponentForm(0, 0, 0), m - 2 * n, n - 2 * m)
-                if window.contains(mono):
-                    terms[mono] = terms.get(mono, Fraction(0)) + d
-        return FormalSeries(terms, window)
+        pairs = ((Monomial(ExponentForm(0, 0, 0), m - 2 * n, n - 2 * m), self.dim(n, m))
+                 for n in range(t_bound + 1) for m in range(t_bound + 1))
+        return FormalSeries(pairs, Window(0, 0, t_bound))

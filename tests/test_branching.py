@@ -33,7 +33,7 @@ from vermatheta.branching import (
 )
 from vermatheta.errors import UsageError, VerificationError
 from vermatheta.qseries import ExponentForm, Monomial
-from vermatheta.theta import CATALOG
+from vermatheta.theta import CATALOG, closed_form_with_notes
 from vermatheta.verma import h_form
 
 from conftest import LAMBDA1S, WEIGHTS, eigenvalues, singular_dimension
@@ -73,7 +73,7 @@ def test_parabolic_singular_pattern(parabolic_modules):
 
 
 def test_borel_13_table_is_one_constituent_per_space(borel_module):
-    table = branching_table(borel_module, Root.A13, depth=6)
+    table = branching_table(borel_module, Root.A13, region=(6, 6, -1))
     seen = {}
     for term in table.terms:
         assert term.kind == VERMA
@@ -85,7 +85,7 @@ def test_borel_13_table_is_one_constituent_per_space(borel_module):
 
 
 def test_borel_12_table_upper_triangle(borel_module):
-    table = branching_table(borel_module, Root.A12, depth=6)
+    table = branching_table(borel_module, Root.A12, region=(6, 6, -1))
     origins = {term.origin for term in table.terms}
     assert origins == {(n, m) for n in range(7) for m in range(7 - n) if n <= m}
     for term in table.terms:
@@ -97,7 +97,7 @@ def test_parabolic_12_table_matches_double_sum(parabolic_modules):
     # constituents M_{L1 + r - s} for r = 0..L2, s >= 0, sitting at (s, r+s)
     v = 2
     module = parabolic_modules[(F(7, 3), v)]
-    table = branching_table(module, Root.A12, depth=8)
+    table = branching_table(module, Root.A12, region=(8, 8, -1))
     want = {}
     for s in range(9):
         for r in range(v + 1):
@@ -111,7 +111,7 @@ def test_parabolic_12_table_matches_double_sum(parabolic_modules):
 def test_parabolic_13_table_matches_double_sum(parabolic_modules):
     v = 2
     module = parabolic_modules[(F(7, 3), v)]
-    table = branching_table(module, Root.A13, depth=8)
+    table = branching_table(module, Root.A13, region=(8, 8, -1))
     want = {}
     for s in range(9):
         for r in range(v + 1):
@@ -125,7 +125,7 @@ def test_parabolic_23_finite_multiplicities(parabolic_modules):
     # L_i with multiplicity min(i, L2) + 1, all finite, detected in-module
     v = 1
     module = parabolic_modules[(F(7, 3), v)]
-    table = branching_table(module, Root.A23, depth=9)
+    table = branching_table(module, Root.A23, region=(9, 9, -1))
     mults: dict[int, int] = {}
     for term in table.terms:
         assert term.kind == FINITE
@@ -137,12 +137,12 @@ def test_parabolic_23_finite_multiplicities(parabolic_modules):
 
 def test_tables_replicate_across_weights(borel_modules):
     for root in Root:
-        tables = [branching_table(borel_modules[w], root, depth=6) for w in WEIGHTS]
+        tables = [branching_table(borel_modules[w], root, region=(6, 6, -1)) for w in WEIGHTS]
         assert tables[0] == tables[1] == tables[2]
 
 
 def test_accounting_failure_is_detected(borel_module):
-    table = branching_table(borel_module, Root.A13, depth=4)
+    table = branching_table(borel_module, Root.A13, region=(4, 4, -1))
     broken = BranchingTable(
         table.kind, table.root, table.terms[:-1], table.region
     )
@@ -182,7 +182,7 @@ def test_finite_module_interior_eigenvalue(parabolic_modules):
 def test_spectrum_matches_branching_prediction(borel_modules, root):
     for weight in WEIGHTS:
         module = borel_modules[weight]
-        table = branching_table(module, root, depth=6)
+        table = branching_table(module, root, region=(6, 6, -1))
         for n in range(5):
             for m in range(5 - n):
                 got = kappa_spectrum(module, root, n, m)
@@ -194,7 +194,7 @@ def test_spectrum_matches_branching_prediction(borel_modules, root):
 def test_parabolic_spectrum_matches_branching_prediction(parabolic_modules, root):
     for v in (0, 1, 2):
         module = parabolic_modules[(F(7, 3), v)]
-        table = branching_table(module, root, depth=6)
+        table = branching_table(module, root, region=(6, 6, -1))
         for n in range(5):
             for m in range(5 - n):
                 if not module.dim(n, m):
@@ -250,7 +250,9 @@ def test_candidate_forms_are_affine_and_cover_string(borel_module):
 @pytest.mark.parametrize("key", list(dict.fromkeys(e for e in CATALOG.values() if e.root)),
                          ids=lambda e: f"{e.kind}-{e.root.value}")
 def test_region_table_is_the_full_table_over_the_region(key):
-    window = Window(3, 4, 3)
+    # both pipelines sum over the brute-force region, so only a table over
+    # the full triangle checks that no space outside it reaches the window
+    window = Window(5, 8, 8)
     l2s = (F(5, 7),) if key.kind == BOREL else (0, 2)
     for l2 in l2s:
         spec = ModuleSpec(key.kind, F(7, 3), l2, 10)
@@ -290,9 +292,10 @@ def test_table_refused_for_a_window_outside_its_region(borel_module):
 
 
 def test_trace_of_single_verma_constituent():
+    # the region holds the string's slots (k, k) for k <= 4
     window = Window(5, 8, 0)
     hw = ExponentForm(0, 1, 1)
-    table = BranchingTable(BOREL, Root.A13, (BranchingTerm(VERMA, hw, 1, (0, 0)),), (0, 0, -1))
+    table = BranchingTable(BOREL, Root.A13, (BranchingTerm(VERMA, hw, 1, (0, 0)),), (8, 8, -1))
     series = trace_from_branching(table, window)
     want = {}
     for k in range(3):  # 2k+1 <= 5
@@ -301,12 +304,23 @@ def test_trace_of_single_verma_constituent():
 
 
 def test_trace_of_single_finite_constituent_is_2q():
+    # L_1 has slots (0, 0) and (0, 1), both in the region; (0, 2) is not a slot
     window = Window(5, 8, 0)
     table = BranchingTable(
-        PARABOLIC, Root.A23, (BranchingTerm(FINITE, ExponentForm(1, 0, 0), 1, (0, 0)),), (0, 0, -1)
+        PARABOLIC, Root.A23, (BranchingTerm(FINITE, ExponentForm(1, 0, 0), 1, (0, 0)),), (2, 2, -1)
     )
     series = trace_from_branching(table, window)
     assert {tuple(m.qexp): c for m, c in series.terms.items()} == {(1, 0, 0): 2}
+
+
+def test_trace_counts_only_slots_inside_the_table_region():
+    # the root-13 string of (0, 0) leaves the region (1, 0, 0) after k = 0,
+    # so its in-window slots k = 1, 2 at (1, 1), (2, 2) are not counted
+    window = Window(5, 8, 0)
+    hw = ExponentForm(0, 1, 1)
+    table = BranchingTable(BOREL, Root.A13, (BranchingTerm(VERMA, hw, 1, (0, 0)),), (1, 0, 0))
+    series = trace_from_branching(table, window)
+    assert {tuple(m.qexp): c for m, c in series.terms.items()} == {(0, 1, 1): 1}
 
 
 def test_constant_weight_verma_constituent_is_a_verification_error():
@@ -363,8 +377,8 @@ def test_divergent_window_sums_agree_at_fixed_depth():
     window = Window(3, 4, 0)
     spec = ModuleSpec(BOREL, F(7, 3), F(5, 7), 8)
     module = VermaModule(spec)
-    table = branching_table(module, Root.A12, depth=7)
-    branch = trace_from_branching(table, window, slot_depth=7)
+    table = branching_table(module, Root.A12, region=(7, 7, -1))
+    branch = trace_from_branching(table, window)
     brute = trace_brute_force(spec, Root.A12, window, divergent_depth=7)
     assert brute.equal_on(branch, window).passed
 
@@ -465,9 +479,11 @@ def test_casimir_off_the_weight_denominator_is_a_verification_error(monkeypatch)
 
 def test_branching_and_spectra_make_no_fraction(monkeypatch):
     # singular vectors, their classification, candidate numerators, shifts
-    # and ranks all stay in integers; only reports build Fractions
+    # and ranks, and every series sum stay in integers; only reports build
+    # Fractions
     modules = [VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 10)),
                VermaModule(ModuleSpec(PARABOLIC, F(7, 3), 2, 10))]
+    window = Window(5, 8, 8)
     made = []
     original = Fraction.__new__
 
@@ -477,9 +493,15 @@ def test_branching_and_spectra_make_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     calls = 0
+    series = []
     for module in modules:
+        series.append(module.character_bruteforce(5))
+        for identity, entry in CATALOG.items():
+            if entry.kind == module.spec.kind:
+                series.append(closed_form_with_notes(identity, module.spec, window)[0])
         for root in Root:
             table = branching_table(module, root)
+            series += [trace_from_branching(table, window, reg) for reg in (False, True)]
             top = module.spec.depth - sum(root.down_step)
             for n in range(top + 1):
                 for m in range(top + 1 - n):
@@ -488,6 +510,8 @@ def test_branching_and_spectra_make_no_fraction(monkeypatch):
                         calls += 1
     monkeypatch.undo()
     assert table.terms and calls == 266
+    # parabolic-trace-12's L1 exponents are negative, so it has no term in window
+    assert len(series) == 23 and sum(1 for s in series if len(s)) == 22
     assert made == []
 
 

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -105,15 +107,15 @@ def test_spectrum_coherence_check(tmp_path):
 
 
 def test_spectrum_incoherence_is_a_mismatch(tmp_path, monkeypatch):
-    from vermatheta import cli
+    from vermatheta import branching
 
-    real = cli.predicted_spectrum
+    real = branching.predicted_spectrum
 
     def off_at_1_0(table, n, m, l1, l2):
         predicted = real(table, n, m, l1, l2)
         return predicted + ((F(0), 1),) if (n, m) == (1, 0) else predicted
 
-    monkeypatch.setattr(cli, "predicted_spectrum", off_at_1_0)
+    monkeypatch.setattr(branching, "predicted_spectrum", off_at_1_0)
     code, payload = run(tmp_path, "spectrum", "--module", "borel", "--root", "12", "--depth", "3")
     assert code == 1
     report = json.loads(payload)
@@ -388,11 +390,11 @@ def record_table_visits(monkeypatch) -> list:
     real_table, real_matrix = branching.branching_table, VermaModule.operator_matrix
     visits = []
 
-    def table(module, root, depth=None, region=None):
-        depth = module.spec.depth if depth is None else depth
+    def table(module, root, region=None):
+        depth = module.spec.depth
         spaces = branching.region_spaces(region or (depth, depth, -1))
         visits.append((module.spec, root, region, {s for s in spaces if module.dim(*s)}, set()))
-        return real_table(module, root, depth, region)
+        return real_table(module, root, region)
 
     def matrix(self, op, source):
         if isinstance(op, Gen):
@@ -499,3 +501,32 @@ def test_interleaved_identities_keep_request_order_in_parallel(tmp_path, monkeyp
     assert b1 == b2
     ids = [c["id"] for c in json.loads(b1)["checks"]]
     assert ids == [i if i.startswith("borel") else f"{i}@lambda2=1" for i in requested]
+
+
+# -- README examples -----------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first ```lang block under the README's ``## heading``."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    code = readme_block("Library use", "python")
+    namespace: dict = {}
+    exec(code, namespace)
+    line = next(x for x in code.splitlines() if x.startswith("kappa_spectrum("))
+    call, comment = line.split("#", 1)
+    claimed = ast.literal_eval(comment.split(", i.e.")[0].strip())
+    assert eval(call, namespace) == claimed == ((22, 1), (150, 1))
+    assert namespace["module"].denom == 21
+    monkeypatch.chdir(tmp_path)
+    commands = [x for x in readme_block("CLI", "sh").splitlines() if x.startswith("vermatheta ")]
+    assert len(commands) == 7
+    for command in commands:
+        exit_code = main(shlex.split(command)[1:])
+        err = capsys.readouterr().err
+        assert exit_code in (0, 1) and "error:" not in err, (command, err)

@@ -248,8 +248,8 @@ def test_tables_differing_across_samples_is_a_verification_error(monkeypatch, ca
     real = branching.branching_table
     calls = []
 
-    def perturbed(module, root, depth=None, region=None):
-        table = real(module, root, depth, region)
+    def perturbed(module, root, region=None):
+        table = real(module, root, region)
         calls.append(table)
         if len(calls) % 3 == 2:  # the second of the three weight samples
             first = replace(table.terms[0], multiplicity=table.terms[0].multiplicity + 1)

@@ -11,7 +11,7 @@ from vermatheta.qseries import ExponentForm, Monomial
 from vermatheta.theta import borel_character_closed_form
 from vermatheta.verma import Gen, Root, commutator
 
-from conftest import WEIGHTS, matrix_rows, straighten
+from conftest import WEIGHTS, matrix_rows, singular_dimension, straighten
 
 F = Fraction
 
@@ -431,6 +431,29 @@ def test_guard_rejects_integral_sum():
 def test_guard_kind_dependence():
     assert genericity_guard(F(7, 3), 2, 10, PARABOLIC)
     assert not genericity_guard(F(7, 3), 2, 10, BOREL)
+
+
+def test_guard_is_sufficient_not_exact(monkeypatch):
+    # at depth 4 the guard refuses integers in [-15, 15]; with it patched
+    # away, weights at the band's edge keep every raising-kernel dimension
+    # of a generic weight, while L1 = 0 and L1 = 2 change some
+    from vermatheta import verma
+
+    def kernel_dims(l1, l2):
+        module = VermaModule(ModuleSpec(BOREL, F(l1), F(l2), 4))
+        return {(root, n, m): singular_dimension(module, root, n, m)
+                for root in Root for n in range(5) for m in range(5 - n)}
+
+    edge = [(15, F(5, 7)), (-15, F(5, 7)), (F(7, 3), 15), (F(7, 3), -15),
+            (15 - F(5, 7), F(5, 7))]  # the last has L1 + L2 = 15
+    special = [(0, F(5, 7)), (2, F(5, 7))]
+    assert not any(genericity_guard(l1, l2, 4, BOREL) for l1, l2 in edge + special)
+    monkeypatch.setattr(verma, "genericity_guard", lambda *args: True)
+    generic = kernel_dims(F(7, 3), F(5, 7))
+    for weight in edge:
+        assert kernel_dims(*weight) == generic, weight
+    for weight in special:
+        assert kernel_dims(*weight) != generic, weight
 
 
 def test_module_construction_enforces_guard():
