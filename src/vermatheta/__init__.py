@@ -11,7 +11,7 @@ from .branching import (
 )
 from .exactalg import QMatrix, kernel_basis, mat_scalar_shift, rank, rat
 from .qseries import ExponentForm, FormalSeries, Monomial, Window
-from .theta import ClosedFormId, VerifyReport, verify_identity
+from .theta import ClosedFormId, verify_identity
 from .verma import BOREL, PARABOLIC, Gen, ModuleSpec, Root, VermaModule, genericity_guard
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "Monomial",
     "QMatrix",
     "Root",
-    "VerifyReport",
     "VermaModule",
     "Window",
     "branching_table",

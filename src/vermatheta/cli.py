@@ -34,10 +34,11 @@ from .exactalg import rat
 from .qseries import Window
 from .theta import (
     CATALOG,
-    VARIANT_PAIRS,
     ClosedFormId,
-    VerifyReport,
+    annotate_variants,
     borel_character_closed_form,
+    check_id,
+    check_record,
     closed_form_with_notes,
     verify_identity,
 )
@@ -175,6 +176,11 @@ def build_config(args) -> RunConfig:
         value = pick(name, getattr(args, name))
         if value is not None:
             setattr(cfg, name, parse_int(value, name))
+    # no constituent within the depth cap sits deeper than k = MAX_DEPTH on
+    # its root string, so no term has an L-coefficient 2k+1 past this
+    if cfg.B > 2 * MAX_DEPTH + 1:
+        raise UsageError(f"B = {cfg.B} is past the cap {2 * MAX_DEPTH + 1} that the depth cap "
+                         f"{MAX_DEPTH} allows; use a smaller --B")
     samples = pick("lambda_samples", args.lambda_samples)
     if samples is not None:
         if args.command not in _SAMPLED_COMMANDS:
@@ -206,74 +212,18 @@ def emit(report: dict, output: str | None) -> None:
     sys.stdout.write(text)
 
 
-def comparison_json(cmp) -> dict:
-    c0, c1, c2 = cmp.monomial.qexp
-    return {
-        "monomial": {"c0": c0, "c1": c1, "c2": c2, "t1": cmp.monomial.t1, "t2": cmp.monomial.t2},
-        "left": str(cmp.left),
-        "right": str(cmp.right),
-    }
-
-
-def check_record(check_id: str, window: Window, samples, notes=(), passed: bool = True,
-                 agreed: bool = True, first_mismatch=None, pipeline_mismatch=None) -> dict:
-    """One entry of a report's ``checks``; a mismatch key appears only for a
-    failed comparison."""
-    out = {
-        "id": check_id,
-        "status": "pass" if passed else "mismatch",
-        "pipelineAgreement": "pass" if agreed else "fail",
-        "window": window.as_dict(),
-        "lambdaSamples": [[str(a), str(b)] for a, b in samples],
-        "notes": list(notes),
-    }
-    for key, cmp in (("firstMismatch", first_mismatch), ("pipelineMismatch", pipeline_mismatch)):
-        if cmp is not None and not cmp.passed:
-            out[key] = comparison_json(cmp)
-    return out
-
-
-def check_json(report: VerifyReport, id_suffix: str = "") -> dict:
-    return check_record(
-        report.identity + id_suffix, report.window, report.lambda_samples, report.notes,
-        report.status == "pass", report.pipeline_agreement == "pass",
-        report.first_mismatch, report.pipeline_mismatch,
-    )
-
-
 # -- verify --------------------------------------------------------------------
 
 
-def _verify_task(job: tuple) -> list[VerifyReport]:
-    """Verify the identities of one job, which share a catalog trace and a
-    spec, against one run of the two pipelines."""
+def _verify_task(job: tuple) -> list[dict]:
+    """The check records of one job's identities, which share a catalog trace
+    and a spec, verified against one run of the two pipelines."""
     identities, spec, window, samples = job
     _, root, regularized = CATALOG[identities[0]]
     pipelines = None if root is None else trace_pipelines(spec, root, window, regularized, samples)
-    return [verify_identity(i, spec, window, samples, pipelines) for i in identities]
-
-
-def _annotate_variants(reports: list[VerifyReport], id_suffix: str) -> None:
-    """Note on every copy of each variant pair member which member matches;
-    ``reports`` are one job's, so a pair found among them shares one spec."""
-    by_id: dict = {}
-    for report in reports:
-        by_id.setdefault(report.identity, []).append(report)
-    for literal_id, alt_id in VARIANT_PAIRS:
-        literals, alts = by_id.get(literal_id.value), by_id.get(alt_id.value)
-        if not (literals and alts):
-            continue
-        winners = [r.identity + id_suffix for r in (literals[0], alts[0]) if r.status == "pass"]
-        if len(winners) == 1:
-            note = f"matching variant: {winners[0]}"
-        else:
-            note = f"matching variants: {winners or 'none'}"
-        for report in literals + alts:
-            report.notes.append(note)
-            if report.status == "mismatch" and report.pipeline_agreement == "pass":
-                report.notes.append(
-                    "classification: formula-discrepancy (computational pipelines agree)"
-                )
+    checks = [(i, verify_identity(i, spec, window, samples, pipelines)) for i in identities]
+    annotate_variants(checks)
+    return [record for _, record in checks]
 
 
 def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
@@ -318,12 +268,7 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
     else:
         results = [_verify_task(t) for t in tasks]
 
-    pending = {}
-    for key, reports in zip(by_trace, results):
-        spec = key[1]
-        suffix = f"@lambda2={spec.lambda2}" if spec.kind == PARABOLIC else ""
-        _annotate_variants(reports, suffix)
-        pending[key] = iter([check_json(r, suffix) for r in reports])
+    pending = {key: iter(records) for key, records in zip(by_trace, results)}
     checks = [next(pending[CATALOG[identity], spec]) for identity, spec in requested]
     ok = all(c["status"] == "pass" and c["pipelineAgreement"] == "pass" for c in checks)
     report = {"config": {**cfg.as_json(), "command": "verify"}, "checks": checks}
@@ -340,12 +285,12 @@ def cmd_character(cfg: RunConfig, args) -> tuple[dict, int]:
     window = Window(0, 0, cfg.T)
     if spec.kind == PARABOLIC:
         closed, notes = closed_form_with_notes(ClosedFormId.PARABOLIC_CHARACTER, spec, cfg.window)
-        check_id = ClosedFormId.PARABOLIC_CHARACTER.value + f"@lambda2={spec.lambda2}"
+        name = check_id(ClosedFormId.PARABOLIC_CHARACTER, spec)
     else:
         closed, notes = borel_character_closed_form(window), []
-        check_id = "borel-character"
+        name = "borel-character"
     cmp = brute.equal_on(closed, window)
-    check = check_record(check_id, window, [(spec.lambda1, spec.lambda2)], notes,
+    check = check_record(name, window, [(spec.lambda1, spec.lambda2)], notes,
                          passed=cmp.passed, first_mismatch=cmp)
     report = {
         "config": {**cfg.as_json(), "command": "character"},

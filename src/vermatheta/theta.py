@@ -15,7 +15,6 @@ member of each pair matches the module computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -69,6 +68,32 @@ VARIANT_PAIRS = (
     (ClosedFormId.PARABOLIC_TRACE_12, ClosedFormId.PARABOLIC_TRACE_12_ALT_SIGN),
     (ClosedFormId.PARABOLIC_TRACE_23, ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT),
 )
+
+
+def annotate_variants(checks: list) -> None:
+    """Note on every copy of each variant pair member which member matches.
+
+    ``checks`` are one job's (identity, check record) pairs, so a pair found
+    among them shares one spec.
+    """
+    by_identity: dict = {}
+    for identity, record in checks:
+        by_identity.setdefault(identity, []).append(record)
+    for literal_id, alt_id in VARIANT_PAIRS:
+        literals, alts = by_identity.get(literal_id), by_identity.get(alt_id)
+        if not (literals and alts):
+            continue
+        winners = [r["id"] for r in (literals[0], alts[0]) if r["status"] == "pass"]
+        if len(winners) == 1:
+            note = f"matching variant: {winners[0]}"
+        else:
+            note = f"matching variants: {winners or 'none'}"
+        for record in literals + alts:
+            record["notes"].append(note)
+            if record["status"] == "mismatch" and record["pipelineAgreement"] == "pass":
+                record["notes"].append(
+                    "classification: formula-discrepancy (computational pipelines agree)"
+                )
 
 
 def _phi_t(mono: Monomial) -> int:
@@ -226,7 +251,9 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
             )
     elif identity is ClosedFormId.PARABOLIC_CHARACTER:
         accumulate(
-            [(1, tmono(i, -2 * i)) for i in range(v + 1)],
+            # t1^i t2^(-2i) has t-degree i and both factors raise it, so a
+            # base term past the cap 2T never reaches the window
+            [(1, tmono(i, -2 * i)) for i in range(min(v, 2 * window.T) + 1)],
             [tmono(-2, 1), tmono(-1, -1)],
         )
     else:
@@ -248,57 +275,59 @@ def borel_character_closed_form(window: Window) -> FormalSeries:
 # -- verification --------------------------------------------------------------
 
 
-@dataclass
-class VerifyReport:
-    identity: str
-    window: Window
-    lambda_samples: tuple
-    status: str  # "pass" | "mismatch"
-    pipeline_agreement: str  # "pass" | "fail"
-    first_mismatch: Comparison | None = None
-    pipeline_mismatch: Comparison | None = None
-    notes: list = field(default_factory=list)
+def comparison_json(cmp: Comparison) -> dict:
+    c0, c1, c2 = cmp.monomial.qexp
+    return {
+        "monomial": {"c0": c0, "c1": c1, "c2": c2, "t1": cmp.monomial.t1, "t2": cmp.monomial.t2},
+        "left": str(cmp.left),
+        "right": str(cmp.right),
+    }
+
+
+def check_record(name: str, window: Window, samples, notes=(), passed: bool = True,
+                 agreed: bool = True, first_mismatch=None, pipeline_mismatch=None) -> dict:
+    """One entry of a report's ``checks``; a mismatch key appears only for a
+    failed comparison."""
+    out = {
+        "id": name,
+        "status": "pass" if passed else "mismatch",
+        "pipelineAgreement": "pass" if agreed else "fail",
+        "window": window.as_dict(),
+        "lambdaSamples": [[str(a), str(b)] for a, b in samples],
+        "notes": list(notes),
+    }
+    for key, cmp in (("firstMismatch", first_mismatch), ("pipelineMismatch", pipeline_mismatch)):
+        if cmp is not None and not cmp.passed:
+            out[key] = comparison_json(cmp)
+    return out
+
+
+def check_id(identity: ClosedFormId, spec: ModuleSpec) -> str:
+    """The id of an identity's check: a parabolic one names its lambda2."""
+    return identity.value + (f"@lambda2={spec.lambda2}" if spec.kind == PARABOLIC else "")
 
 
 def verify_identity(identity: ClosedFormId, spec: ModuleSpec, window: Window,
-                    samples=(), pipelines=None) -> VerifyReport:
+                    samples=(), pipelines=None) -> dict:
     """Three-way check: closed form vs brute-force spectra vs branching
-    assembly, all exact on the window.  The closed-form status is judged
-    against the brute-force series; pipeline agreement is reported
-    independently.  ``pipelines`` is the identity's (branching, brute) pair
-    from ``trace_pipelines`` when the caller already has it."""
+    assembly, all exact on the window, as the check entry the ``verify``
+    report prints.  The closed-form status is judged against the brute-force
+    series; pipeline agreement is reported independently.  ``pipelines`` is
+    the identity's (branching, brute) pair from ``trace_pipelines`` when the
+    caller already has it."""
     _, root, regularized = CATALOG[identity]
     closed, notes = closed_form_with_notes(identity, spec, window)
     samples = lift_samples(spec, samples)
-
     if root is None:
-        module = VermaModule(spec)
-        brute = module.character_bruteforce(window.T)
+        brute = VermaModule(spec).character_bruteforce(window.T)
         status = closed.equal_on(brute, Window(0, 0, window.T))
-        report = VerifyReport(
-            identity.value,
-            window,
-            samples,
-            "pass" if status.passed else "mismatch",
-            "pass",
-            None if status.passed else status,
-            None,
-            notes + ["single enumeration pipeline; no branching assembly for characters"],
-        )
-        return report
-
-    if pipelines is None:
-        pipelines = trace_pipelines(spec, root, window, regularized, samples)
-    branch_series, brute_series = pipelines
-    pipeline = brute_series.equal_on(branch_series, window)
-    status = closed.equal_on(brute_series, window)
-    return VerifyReport(
-        identity.value,
-        window,
-        samples,
-        "pass" if status.passed else "mismatch",
-        "pass" if pipeline.passed else "fail",
-        None if status.passed else status,
-        None if pipeline.passed else pipeline,
-        notes,
-    )
+        pipeline = None
+        notes.append("single enumeration pipeline; no branching assembly for characters")
+    else:
+        if pipelines is None:
+            pipelines = trace_pipelines(spec, root, window, regularized, samples)
+        branch_series, brute_series = pipelines
+        pipeline = brute_series.equal_on(branch_series, window)
+        status = closed.equal_on(brute_series, window)
+    return check_record(check_id(identity, spec), window, samples, notes, status.passed,
+                        pipeline is None or pipeline.passed, status, pipeline)

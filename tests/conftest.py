@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from vermatheta import BOREL, PARABOLIC, ModuleSpec, QMatrix, VermaModule, mat_scalar_shift, rank
+from vermatheta.verma import Gen, commutator
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -81,3 +82,63 @@ def singular_dimension(module: VermaModule, root, n: int, m: int) -> int:
     """Dimension of the kernel of the root's raising generator on (n, m)."""
     mat = module.operator_matrix(root.raising, (n, m))
     return mat.cols - rank(mat)
+
+
+class WordStraightener:
+    """Straightening by recursion over words of ``Gen`` letters, as the
+    package did before it worked on exponent triples; an oracle that shares
+    only the commutator rule with ``VermaModule``.
+
+    ``hw`` replaces the spec's highest weight, say by symbols, and ``expand``
+    normalizes each coefficient before it is tested for zero.
+    """
+
+    def __init__(self, spec, hw=None, expand=lambda c: c):
+        if spec.kind == BOREL:
+            self.letters = (Gen.E21, Gen.E32, Gen.E31)
+        else:
+            self.letters = (Gen.E21, Gen.E31, Gen.E32)
+        pos = {g: i for i, g in enumerate(self.letters)}
+        self.order = {g: pos.get(g, 10 if g in (Gen.H12, Gen.H23) else 20) for g in Gen}
+        self.hw = dict(zip((Gen.H12, Gen.H23), hw or (spec.lambda1, spec.lambda2)))
+        self.expand = expand
+        self.cap = spec.lambda2_int if spec.kind == PARABOLIC else None
+        self.cache = {}
+
+    def word_ok(self, word):
+        return self.cap is None or word.count(Gen.E32) <= self.cap
+
+    def apply(self, g, word):
+        key = (g, word)
+        if key in self.cache:
+            return self.cache[key]
+        if not word:
+            if g in self.letters:
+                result = {(g,): Fraction(1)} if self.word_ok((g,)) else {}
+            elif g in self.hw:
+                result = {(): self.hw[g]}
+            else:
+                result = {}
+        elif self.order[g] <= self.order[word[0]]:
+            new = (g,) + word
+            result = {new: Fraction(1)} if self.word_ok(new) else {}
+        else:
+            x, rest = word[0], word[1:]
+            acc = {}
+            for w2, c2 in self.apply(g, rest).items():
+                for w3, c3 in self.apply(x, w2).items():
+                    acc[w3] = acc.get(w3, Fraction(0)) + c2 * c3
+            for coeff, gi in commutator(g, x):
+                for w3, c3 in self.apply(gi, rest).items():
+                    acc[w3] = acc.get(w3, Fraction(0)) + coeff * c3
+            result = {w: e for w, c in acc.items() if (e := self.expand(c))}
+        self.cache[key] = result
+        return result
+
+    def apply_gen(self, g, exps):
+        word = tuple(letter for letter, e in zip(self.letters, exps) for _ in range(e))
+        out = {}
+        for w, c in self.apply(g, word).items():
+            e2 = tuple(w.count(letter) for letter in self.letters)
+            out[e2] = out.get(e2, Fraction(0)) + c
+        return {e: x for e, c in out.items() if (x := self.expand(c))}

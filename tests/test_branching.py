@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+import sympy
 
 from vermatheta import (
     BOREL,
@@ -36,7 +37,7 @@ from vermatheta.qseries import ExponentForm, Monomial
 from vermatheta.theta import CATALOG, closed_form_with_notes
 from vermatheta.verma import h_form
 
-from conftest import LAMBDA1S, WEIGHTS, eigenvalues, singular_dimension
+from conftest import LAMBDA1S, WEIGHTS, WordStraightener, eigenvalues, singular_dimension
 
 F = Fraction
 
@@ -444,6 +445,47 @@ def test_lifted_forms_predict_the_spectrum_at_a_held_out_weight(key):
             assert tuple(sorted(predicted.items())) == kappa_spectrum(probe, key.root, n, m), (l2, n, m)
             spaces += 1
         assert spaces
+
+
+@pytest.mark.parametrize("kind, l2", [(BOREL, F(5, 7)), (PARABOLIC, 0), (PARABOLIC, 1),
+                                      (PARABOLIC, 2)])
+def test_lifted_forms_are_the_roots_of_the_symbolic_characteristic_polynomial(kind, l2):
+    # over Q[L1, L2] the root Casimir E F + F E, straightened by words, has a
+    # characteristic polynomial that splits into linear factors; its roots
+    # with multiplicity are the lifted forms, at every weight at once
+    l1_sym, l2_sym, x = sympy.symbols("L1 L2 x")
+    hw = (l1_sym, l2_sym if kind == BOREL else l2)
+    spec = ModuleSpec(kind, F(7, 3), l2, 6)
+    oracle = WordStraightener(spec, hw, sympy.expand)
+    modules = [VermaModule(spec.with_weight(*w)) for w in lift_samples(spec)]
+    cases = 0
+    for root in Root:
+        for n, m in region_spaces((4, 4, -1)):
+            basis = modules[0].weight_space(n, m)
+            if not basis:
+                continue
+            index = {exps: i for i, exps in enumerate(basis)}
+            casimir = sympy.zeros(len(basis))
+            for j, exps in enumerate(basis):
+                for first, second in ((root.raising, root.lowering), (root.lowering, root.raising)):
+                    for mid, c1 in oracle.apply_gen(first, exps).items():
+                        for out, c2 in oracle.apply_gen(second, mid).items():
+                            casimir[index[out], j] += c1 * c2
+            roots: dict = {}
+            for factor, power in sympy.factor_list(casimir.charpoly(x).as_expr())[1]:
+                linear = sympy.Poly(factor, x)
+                assert linear.degree() == 1 and linear.nth(1).is_number, (root, n, m, factor)
+                value = sympy.expand(-linear.nth(0) / linear.nth(1))
+                roots[value] = roots.get(value, 0) + power
+            forms = candidate_forms(modules[0], root, n, m)
+            lifted: dict = {}
+            for form, count in zip(forms, lift_space(modules, root, n, m, forms)):
+                if count:
+                    value = sympy.expand(form.c0 + form.c1 * l1_sym + form.c2 * l2_sym)
+                    lifted[value] = lifted.get(value, 0) + count
+            assert roots == lifted, (root, n, m)
+            cases += 1
+    assert cases == 3 * len([s for s in region_spaces((4, 4, -1)) if modules[0].dim(*s)])
 
 
 # -- integer invariants of the spectrum path ------------------------------------------

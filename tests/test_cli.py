@@ -12,8 +12,8 @@ import pytest
 import vermatheta
 from vermatheta import BOREL, PARABOLIC, ModuleSpec, Root, Window
 from vermatheta.branching import required_depth
-from vermatheta.cli import MAX_DEPTH, RunConfig, _annotate_variants, build_config, build_parser, main
-from vermatheta.theta import VerifyReport
+from vermatheta.cli import MAX_DEPTH, RunConfig, build_config, build_parser, main
+from vermatheta.theta import ClosedFormId, annotate_variants, check_id, check_record, verify_identity
 
 F = Fraction
 
@@ -302,6 +302,14 @@ GOLDEN_CASES = [
          "--B", "4", "--D", "6", "--T", "0", "--depth", "8"),
         0,
     ),
+    (
+        "verify_parabolic_variants.json",
+        ("verify", "--module", "parabolic", "--lambda2", "1",
+         "--identity", "parabolic-trace-12", "--identity", "parabolic-trace-12-alt-sign",
+         "--identity", "parabolic-trace-23", "--identity", "parabolic-trace-23-alt-limit",
+         "--B", "3", "--D", "4", "--T", "0", "--depth", "6"),
+        1,
+    ),
 ]
 
 
@@ -446,19 +454,48 @@ def test_branch_and_spectrum_tables_cover_the_full_triangle(tmp_path, monkeypatc
 
 
 def test_variant_note_names_both_or_no_matching_variants():
+    spec = ModuleSpec(PARABOLIC, F(7, 3), 1, 4)
+
     def pair(*statuses):
-        ids = ("parabolic-trace-12", "parabolic-trace-12-alt-sign")
-        return [VerifyReport(i, Window(1, 1, 0), (), s, "pass") for i, s in zip(ids, statuses)]
+        ids = (ClosedFormId.PARABOLIC_TRACE_12, ClosedFormId.PARABOLIC_TRACE_12_ALT_SIGN)
+        return [(i, check_record(check_id(i, spec), Window(1, 1, 0), (), passed=s == "pass"))
+                for i, s in zip(ids, statuses)]
 
     both = pair("pass", "pass")
-    _annotate_variants(both, "@lambda2=1")
+    annotate_variants(both)
     note = "matching variants: ['parabolic-trace-12@lambda2=1', 'parabolic-trace-12-alt-sign@lambda2=1']"
-    assert both[0].notes == both[1].notes == [note]
+    assert both[0][1]["notes"] == both[1][1]["notes"] == [note]
     neither = pair("mismatch", "mismatch")
-    _annotate_variants(neither, "")
+    annotate_variants(neither)
     want = ["matching variants: none",
             "classification: formula-discrepancy (computational pipelines agree)"]
-    assert neither[0].notes == neither[1].notes == want
+    assert neither[0][1]["notes"] == neither[1][1]["notes"] == want
+
+
+@pytest.mark.parametrize("identity,kind,lambda2", [
+    ("borel-trace-13", BOREL, F(5, 7)),
+    ("parabolic-character", PARABOLIC, F(2)),
+])
+def test_verify_identity_returns_the_printed_check(tmp_path, identity, kind, lambda2):
+    code, payload = run(tmp_path, "verify", "--identity", identity, "--module", kind,
+                        "--lambda2", str(lambda2), "--B", "3", "--D", "4", "--T", "3",
+                        "--depth", "8")
+    assert code == 0
+    record = verify_identity(ClosedFormId(identity), ModuleSpec(kind, F(7, 3), lambda2, 8),
+                             Window(3, 4, 3))
+    assert json.loads(payload)["checks"] == [record]
+
+
+def test_window_B_past_its_cap_exits_2(tmp_path, capsys):
+    # 2 * MAX_DEPTH + 1: the largest L-coefficient a term within the depth cap has
+    argv = ["verify", "--identity", "borel-trace-13", "--D", "2", "--T", "0"]
+    assert main([*argv, "--B", str(2 * MAX_DEPTH + 2)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: B = {2 * MAX_DEPTH + 2} is past the cap {2 * MAX_DEPTH + 1} that the "
+                   f"depth cap {MAX_DEPTH} allows; use a smaller --B\n")
+    code, _ = run(tmp_path, *argv, "--B", str(2 * MAX_DEPTH + 1))
+    assert code == 0
 
 
 @pytest.mark.parametrize("argv,need", [

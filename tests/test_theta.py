@@ -6,7 +6,7 @@ import pytest
 from vermatheta import BOREL, PARABOLIC, ModuleSpec, Window, branching
 from vermatheta.cli import main
 from vermatheta.errors import UsageError, VerificationError
-from vermatheta.qseries import MONO_ONE, ExponentForm, FormalSeries, Monomial, qpow, tmono
+from vermatheta.qseries import MONO_ONE, ExponentForm, FormalSeries, Monomial, tmono
 from vermatheta.theta import (
     CATALOG,
     ClosedFormId,
@@ -27,7 +27,7 @@ def pspec(v):
 
 
 def ok(report):
-    return report.status == report.pipeline_agreement == "pass"
+    return report["status"] == report["pipelineAgreement"] == "pass"
 
 
 # -- closed-form builders -----------------------------------------------------
@@ -162,47 +162,62 @@ def test_expansion_stopped_at_the_window_matches_the_unbroken_one():
         assert got.terms == want.terms
 
 
+def test_parabolic_character_ignores_lambda2_past_the_t_cap():
+    # t1^i t2^(-2i) has t-degree i and both factors raise it, so the base
+    # terms past 2T add nothing and every lambda2 >= 2T gives one character
+    for T in (3, 8):
+        window = Window(5, 8, T)
+        for v in (2 * T - 1, 2 * T + 1):
+            base = [(1, tmono(i, -2 * i)) for i in range(v + 1)]
+            want = unbroken_expansion(base, [tmono(-2, 1), tmono(-1, -1)], window)
+            got = closed_form_with_notes(ClosedFormId.PARABOLIC_CHARACTER, pspec(v), window)[0]
+            assert got.terms == want.terms
+        at_cap = closed_form_with_notes(ClosedFormId.PARABOLIC_CHARACTER, pspec(2 * T), window)
+        far = closed_form_with_notes(ClosedFormId.PARABOLIC_CHARACTER, pspec(10**6), window)
+        assert (far[0].terms, far[1]) == (at_cap[0].terms, at_cap[1])
+
+
 # -- verifier -------------------------------------------------------------------
 
 
 def test_borel_13_three_way_small_window():
     report = verify_identity(ClosedFormId.BOREL_TRACE_13, BSPEC, Window(3, 5, 0))
-    assert report.status == "pass"
-    assert report.pipeline_agreement == "pass"
+    assert report["status"] == "pass"
+    assert report["pipelineAgreement"] == "pass"
 
 
 def test_regularized_three_way_small_window():
     for identity in (ClosedFormId.BOREL_REG_TRACE_12, ClosedFormId.BOREL_REG_TRACE_23):
         report = verify_identity(identity, BSPEC, Window(3, 5, 5))
-        assert ok(report), (identity, report.first_mismatch)
-        assert any("inverted" not in n for n in report.notes) or not report.notes
+        assert ok(report), (identity, report.get("firstMismatch"))
+        assert any("inverted" not in n for n in report["notes"]) or not report["notes"]
 
 
 def test_trace12_variant_pair_mechanical_decision():
     window = Window(5, 8, 8)
     literal = verify_identity(ClosedFormId.PARABOLIC_TRACE_12, pspec(1), window)
     alt = verify_identity(ClosedFormId.PARABOLIC_TRACE_12_ALT_SIGN, pspec(1), window)
-    assert literal.pipeline_agreement == "pass"
-    assert alt.pipeline_agreement == "pass"
-    assert (literal.status, alt.status) == ("mismatch", "pass")
+    assert literal["pipelineAgreement"] == "pass"
+    assert alt["pipelineAgreement"] == "pass"
+    assert (literal["status"], alt["status"]) == ("mismatch", "pass")
     # the first in-window divergence is the leading trace term q^(L1 + L2)
-    assert literal.first_mismatch.monomial == qpow(ExponentForm(1, 1, 0))
-    assert (literal.first_mismatch.left, literal.first_mismatch.right) == (F(0), F(1))
+    assert literal["firstMismatch"]["monomial"] == {"c0": 1, "c1": 1, "c2": 0, "t1": 0, "t2": 0}
+    assert (literal["firstMismatch"]["left"], literal["firstMismatch"]["right"]) == ("0", "1")
 
 
 def test_trace23_variant_pair_mechanical_decision():
     window = Window(5, 8, 8)
     literal = verify_identity(ClosedFormId.PARABOLIC_TRACE_23, pspec(1), window)
     alt = verify_identity(ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT, pspec(1), window)
-    assert (literal.status, alt.status) == ("mismatch", "pass")
-    assert literal.pipeline_agreement == "pass"
-    assert literal.first_mismatch.monomial == qpow(ExponentForm(-2, 0, 0))
+    assert (literal["status"], alt["status"]) == ("mismatch", "pass")
+    assert literal["pipelineAgreement"] == "pass"
+    assert literal["firstMismatch"]["monomial"] == {"c0": -2, "c1": 0, "c2": 0, "t1": 0, "t2": 0}
 
 
 def test_parabolic_character_verifies(parabolic_modules):
     for v in (0, 1, 2, 3):
         report = verify_identity(ClosedFormId.PARABOLIC_CHARACTER, pspec(v), Window(0, 0, 6))
-        assert ok(report), (v, report.first_mismatch)
+        assert ok(report), (v, report.get("firstMismatch"))
 
 
 def test_pass_is_monotone_under_window_shrink():
@@ -241,7 +256,7 @@ def test_borel_13_passes_up_to_b7_d10():
     for weight in WEIGHTS:
         spec = ModuleSpec(BOREL, weight[0], weight[1], 12)
         report = verify_identity(ClosedFormId.BOREL_TRACE_13, spec, Window(7, 10, 0))
-        assert ok(report), (weight, report.first_mismatch, report.pipeline_mismatch)
+        assert ok(report), (weight, report.get("firstMismatch"), report.get("pipelineMismatch"))
 
 
 def test_tables_differing_across_samples_is_a_verification_error(monkeypatch, capsys):

@@ -11,7 +11,7 @@ from vermatheta.qseries import ExponentForm, Monomial
 from vermatheta.theta import borel_character_closed_form
 from vermatheta.verma import Gen, Root, commutator
 
-from conftest import WEIGHTS, matrix_rows, singular_dimension, straighten
+from conftest import WEIGHTS, WordStraightener, matrix_rows, singular_dimension, straighten
 
 F = Fraction
 
@@ -129,61 +129,6 @@ def test_parabolic_ladder_block_below_diagonal(parabolic_modules):
         if j < got.rows:
             want[j] = -(k - j)
         assert col == want
-
-
-class WordStraightener:
-    """Straightening by recursion over words of ``Gen`` letters, as the
-    package did before it worked on exponent triples; an oracle that shares
-    only the commutator rule with ``VermaModule``."""
-
-    def __init__(self, spec):
-        if spec.kind == BOREL:
-            self.letters = (Gen.E21, Gen.E32, Gen.E31)
-        else:
-            self.letters = (Gen.E21, Gen.E31, Gen.E32)
-        pos = {g: i for i, g in enumerate(self.letters)}
-        self.order = {g: pos.get(g, 10 if g in (Gen.H12, Gen.H23) else 20) for g in Gen}
-        self.hw = {Gen.H12: spec.lambda1, Gen.H23: spec.lambda2}
-        self.cap = spec.lambda2_int if spec.kind == PARABOLIC else None
-        self.cache = {}
-
-    def word_ok(self, word):
-        return self.cap is None or word.count(Gen.E32) <= self.cap
-
-    def apply(self, g, word):
-        key = (g, word)
-        if key in self.cache:
-            return self.cache[key]
-        if not word:
-            if g in self.letters:
-                result = {(g,): F(1)} if self.word_ok((g,)) else {}
-            elif g in self.hw:
-                result = {(): self.hw[g]}
-            else:
-                result = {}
-        elif self.order[g] <= self.order[word[0]]:
-            new = (g,) + word
-            result = {new: F(1)} if self.word_ok(new) else {}
-        else:
-            x, rest = word[0], word[1:]
-            acc = {}
-            for w2, c2 in self.apply(g, rest).items():
-                for w3, c3 in self.apply(x, w2).items():
-                    acc[w3] = acc.get(w3, F(0)) + c2 * c3
-            for coeff, gi in commutator(g, x):
-                for w3, c3 in self.apply(gi, rest).items():
-                    acc[w3] = acc.get(w3, F(0)) + coeff * c3
-            result = {w: c for w, c in acc.items() if c}
-        self.cache[key] = result
-        return result
-
-    def apply_gen(self, g, exps):
-        word = tuple(letter for letter, e in zip(self.letters, exps) for _ in range(e))
-        out = {}
-        for w, c in self.apply(g, word).items():
-            e2 = tuple(w.count(letter) for letter in self.letters)
-            out[e2] = out.get(e2, F(0)) + c
-        return {e: c for e, c in out.items() if c}
 
 
 def test_straightening_matches_word_oracle(borel_module, parabolic_modules):
