@@ -314,10 +314,17 @@ def bruteforce_region(spec: ModuleSpec, root: Root, window: Window, regularized:
     raise UsageError(f"no trace region for {spec.kind}/{root.value}")
 
 
-def required_depth(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
+def required_depth(spec: ModuleSpec, root: Root | None, window: Window, regularized: bool = False,
                    divergent_depth: int | None = None) -> int:
-    n_top, m0, slope = bruteforce_region(spec, root, window, regularized, divergent_depth)
-    return n_top + m0 + slope * n_top + sum(root.down_step)
+    """A request's working depth, never below ``spec.depth``: for a trace, its
+    brute-force region's deepest n+m plus one root step; for the character
+    (``root`` None), 2T, as its enumeration visits n, m <= T."""
+    if root is None:
+        deepest = 2 * window.T
+    else:
+        n_top, m0, slope = bruteforce_region(spec, root, window, regularized, divergent_depth)
+        deepest = n_top + m0 + slope * n_top + sum(root.down_step)
+    return max(spec.depth, deepest)
 
 
 def _window_spaces(region: tuple[int, int, int], window: Window, regularized: bool):
@@ -454,7 +461,7 @@ def trace_pipelines(spec: ModuleSpec, root: Root, window: Window, regularized: b
     are a VerificationError."""
     samples = lift_samples(spec, samples)
     region = bruteforce_region(spec, root, window, regularized)
-    deep = spec.with_depth(max(spec.depth, required_depth(spec, root, window, regularized)))
+    deep = spec.with_depth(required_depth(spec, root, window, regularized))
     tables = [
         branching_table(VermaModule(deep.with_weight(l1, l2)), root, region=region)
         for l1, l2 in samples

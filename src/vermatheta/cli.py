@@ -42,7 +42,7 @@ from .theta import (
     closed_form_with_notes,
     verify_identity,
 )
-from .verma import BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, genericity_guard
+from .verma import BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, check_genericity
 
 JOBS_ENV = "VERMATHETA_JOBS"
 
@@ -52,8 +52,8 @@ _CONFIG_KEYS = ("module", "lambda1", "lambda2", "depth", "B", "D", "T", "lambda_
 # the commands that lift exponents across weight samples
 _SAMPLED_COMMANDS = ("trace", "verify")
 
-#: The deepest n+m a command may work to, whether given by --depth or derived
-#: from the window; it bounds the work of one command.  The longest benchmarked
+#: The deepest n+m a command may work to, its working depth (see
+#: ``required_depth``); it bounds the work of one command.  The longest benchmarked
 #: check, parabolic-trace-12-alt-sign at B=9, D=20, lambda2=2, needs depth 127.
 MAX_DEPTH = 150
 
@@ -75,7 +75,7 @@ class RunConfig:
         return Window(self.B, self.D, self.T)
 
     def spec(self) -> ModuleSpec:
-        return guarded_spec(self.module, self.lambda1, self.lambda2, self.depth)
+        return ModuleSpec(self.module, self.lambda1, self.lambda2, self.depth)
 
     def as_json(self) -> dict:
         return {
@@ -88,25 +88,15 @@ class RunConfig:
         }
 
 
-def capped_depth(depth: int) -> int:
-    """``depth``, refused as a usage error when it is past ``MAX_DEPTH``."""
-    if depth > MAX_DEPTH:
-        raise UsageError(
-            f"the run needs depth {depth}, past the depth cap {MAX_DEPTH}; "
-            "use a smaller --depth or window"
-        )
-    return depth
-
-
-def guarded_spec(kind: str, lambda1, lambda2, depth: int) -> ModuleSpec:
-    """The spec a command runs on; a malformed spec, a depth past the cap or
-    a weight that fails the genericity guard is refused as a usage error."""
-    spec = ModuleSpec(kind, lambda1, lambda2, capped_depth(depth))
-    if not genericity_guard(spec.lambda1, spec.lambda2, depth, kind):
-        raise UsageError(
-            f"weight ({spec.lambda1}, {spec.lambda2}) fails the genericity guard for the "
-            f"{kind} module at depth {depth}; pick a non-integral weight"
-        )
+def guarded_spec(spec: ModuleSpec, work: int | None = None) -> ModuleSpec:
+    """``spec``, admitted to run: refused as a usage error when the working
+    depth ``work`` (by default ``spec.depth``) is past ``MAX_DEPTH``, or when
+    the weight fails the genericity guard at ``spec.depth``."""
+    work = spec.depth if work is None else work
+    if work > MAX_DEPTH:
+        raise UsageError(f"the run needs depth {work}, past the depth cap {MAX_DEPTH}; "
+                         "use a smaller --depth or window")
+    check_genericity(spec)
     return spec
 
 
@@ -190,7 +180,7 @@ def build_config(args) -> RunConfig:
         cfg.lambda_samples = parse_samples(samples)
     # a parabolic config's lambda2 must be a nonnegative integer; refusing a
     # bad one here keeps every command from running at another value
-    ModuleSpec(cfg.module, cfg.lambda1, cfg.lambda2, cfg.depth)
+    cfg.spec()
     return cfg
 
 
@@ -250,17 +240,18 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
             (i, *(borel_weight if CATALOG[i].kind == BOREL else (cfg.lambda1, l2)))
             for i in map(ClosedFormId, args.identity)
         ]
-    requested = [(i, guarded_spec(CATALOG[i].kind, l1, l2, cfg.depth)) for i, l1, l2 in weighted]
+    requested = [(i, ModuleSpec(CATALOG[i].kind, l1, l2, cfg.depth)) for i, l1, l2 in weighted]
 
     # one job per (catalog trace, spec): an *-alt-* variant shares its
-    # literal's pipeline run; samples are checked before any job runs
+    # literal's pipeline run.  Each job is admitted at its working depth before
+    # any job runs; the character's enumeration reads dimensions, so keeps --depth
     by_trace: dict = {}
     for identity, spec in requested:
         by_trace.setdefault((CATALOG[identity], spec), []).append(identity)
     tasks = []
     for (entry, spec), identities in by_trace.items():
-        if entry.root is not None:
-            capped_depth(required_depth(spec, entry.root, cfg.window, entry.regularized))
+        work = required_depth(spec, entry.root, cfg.window, entry.regularized)
+        spec = guarded_spec(spec if entry.root is None else spec.with_depth(work), work)
         tasks.append((tuple(identities), spec, cfg.window, lift_samples(spec, cfg.lambda_samples)))
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -279,8 +270,8 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
 
 
 def cmd_character(cfg: RunConfig, args) -> tuple[dict, int]:
-    capped_depth(2 * cfg.T)  # character_bruteforce visits n, m <= T
     spec = cfg.spec()
+    spec = guarded_spec(spec, required_depth(spec, None, cfg.window))
     brute = VermaModule(spec).character_bruteforce(cfg.T)
     window = Window(0, 0, cfg.T)
     if spec.kind == PARABOLIC:
@@ -333,7 +324,7 @@ def write_csv(rows: list[dict], path: str) -> None:
 
 def cmd_branch(cfg: RunConfig, args) -> tuple[dict, int]:
     root = Root(args.root)
-    table = branching_table(VermaModule(cfg.spec()), root)
+    table = branching_table(VermaModule(guarded_spec(cfg.spec())), root)
     rows = table_rows(table)
     if args.csv:
         write_csv(rows, args.csv)
@@ -352,7 +343,7 @@ def cmd_branch(cfg: RunConfig, args) -> tuple[dict, int]:
 
 def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, int]:
     root = Root(args.root)
-    module = VermaModule(cfg.spec())
+    module = VermaModule(guarded_spec(cfg.spec()))
     table = branching_table(module, root)
     rows = spectrum_table(module, table)
     coherent = all(row.get("coherent", True) for row in rows)
@@ -381,7 +372,7 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
     divergent_depth = cfg.depth if divergent else None
 
     need = required_depth(spec, root, window, regularized, divergent_depth)
-    deep = spec.with_depth(capped_depth(max(spec.depth, need)))
+    deep = guarded_spec(spec.with_depth(need))  # for every pipeline, the closed one too
     samples = lift_samples(spec, cfg.lambda_samples)
 
     series_by_name = {}

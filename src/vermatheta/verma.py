@@ -200,6 +200,15 @@ def genericity_guard(l1, l2, depth: int, kind: str = BOREL) -> bool:
     raise UsageError(f"unknown module kind {kind!r}")
 
 
+def check_genericity(spec: ModuleSpec) -> None:
+    """Raise GenericityError when ``spec``'s weight fails the guard at its depth."""
+    if not genericity_guard(spec.lambda1, spec.lambda2, spec.depth, spec.kind):
+        raise GenericityError(
+            f"weight ({spec.lambda1}, {spec.lambda2}) fails the genericity guard for the "
+            f"{spec.kind} module at depth {spec.depth}; pick a non-integral weight"
+        )
+
+
 def h_form(kind: str, lambda2: int | None, root: Root, n: int, m: int) -> ExponentForm:
     """h-value of the (n, m) weight space along ``root`` as an affine form.
 
@@ -230,11 +239,7 @@ class VermaModule:
     """Straightening engine and weight-space bookkeeping for one module."""
 
     def __init__(self, spec: ModuleSpec):
-        if not genericity_guard(spec.lambda1, spec.lambda2, spec.depth, spec.kind):
-            raise GenericityError(
-                f"weight ({spec.lambda1}, {spec.lambda2}) fails the genericity "
-                f"guard at depth {spec.depth} for the {spec.kind} module"
-            )
+        check_genericity(spec)
         self.spec = spec
         letters = (Gen.E21, Gen.E32, Gen.E31) if spec.kind == BOREL else (Gen.E21, Gen.E31, Gen.E32)
         self._letters = tuple(_GEN_INDEX[g] for g in letters)

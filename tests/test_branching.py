@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -267,6 +268,23 @@ def test_region_table_is_the_full_table_over_the_region(key):
         series = [trace_from_branching(t, window, key.regularized, spec=spec) for t in (part, full)]
         assert series[0].terms == series[1].terms
         assert series[0].terms
+
+
+@pytest.mark.parametrize("key", list(dict.fromkeys(e for e in CATALOG.values() if e.root)),
+                         ids=lambda e: f"{e.kind}-{e.root.value}")
+def test_required_depth_is_the_region_depth_plus_one_root_step(key):
+    # the working depth the depth cap is checked against: the brute force
+    # builds the Casimir on every region space, which reaches one root step
+    # below it; a character enumerates n, m <= T
+    l2s = (F(5, 7),) if key.kind == BOREL else (0, 2)
+    for l2, window, depth in product(l2s, (Window(5, 8, 8), Window(9, 20, 8)), (0, 10, 200)):
+        spec = ModuleSpec(key.kind, F(7, 3), l2, depth)
+        region = bruteforce_region(spec, key.root, window, key.regularized)
+        deepest = max(n + m for n, m in region_spaces(region)) + sum(key.root.down_step)
+        got = required_depth(spec, key.root, window, key.regularized)
+        assert got >= depth
+        assert got == max(depth, deepest), (l2, window, depth)
+        assert required_depth(spec, None, window) == max(depth, 2 * window.T)
 
 
 def test_region_must_be_closed_upward(borel_module):

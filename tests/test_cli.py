@@ -11,7 +11,8 @@ import pytest
 
 import vermatheta
 from vermatheta import BOREL, PARABOLIC, ModuleSpec, Root, Window
-from vermatheta.branching import required_depth
+from vermatheta import cli
+from vermatheta.branching import BranchingTable, required_depth
 from vermatheta.cli import MAX_DEPTH, RunConfig, build_config, build_parser, main
 from vermatheta.theta import ClosedFormId, annotate_variants, check_id, check_record, verify_identity
 
@@ -69,6 +70,62 @@ def test_guard_refusal_exits_2(tmp_path, capsys):
     code = main(["branch", "--module", "borel", "--root", "13", "--lambda1", "2"])
     assert code == 2
     assert "genericity guard" in capsys.readouterr().err
+
+
+def guard_line(weight: str, depth: int) -> str:
+    return (f"error: weight {weight} fails the genericity guard for the borel module at depth "
+            f"{depth}; pick a non-integral weight\n")
+
+
+@pytest.mark.parametrize("argv,weight,depth", [
+    pytest.param(["branch", "--root", "13", "--lambda1", "2"], "(2, 5/7)", 10, id="branch"),
+    # 40 passes the guard at --depth 10 and fails it at the working depth 17
+    pytest.param(["verify", "--identity", "borel-reg-trace-12", "--lambda1", "40", "--lambda2", "1/2"],
+                 "(40, 1/2)", 17, id="verify-working-depth"),
+    # a given sample is guarded where its module is built
+    pytest.param(["verify", "--identity", "borel-trace-13",
+                  "--lambda-samples", "7/3,5/7;10,1/2;13/4,9/11"], "(10, 1/2)", 10, id="verify-sample"),
+])
+def test_every_guard_refusal_prints_one_line(capsys, monkeypatch, argv, weight, depth):
+    monkeypatch.delenv("VERMATHETA_JOBS", raising=False)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == guard_line(weight, depth)
+
+
+@pytest.mark.parametrize("pipeline", ["brute", "branching", "closed", "all"])
+def test_trace_guard_refusal_does_not_depend_on_the_pipeline(capsys, monkeypatch, pipeline):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pipeline ran before the request was admitted")
+
+    for name in ("branching_table", "trace_brute_force", "closed_form_with_notes"):
+        monkeypatch.setattr(cli, name, refuse)
+    # the weight passes the guard at --depth 10 and fails it at the working depth 17
+    argv = ["trace", "--root", "12", "--regularized", "--lambda1", "40", "--lambda2", "1/2"]
+    assert main([*argv, "--pipeline", pipeline]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == guard_line("(40, 1/2)", 17)
+
+
+def test_verify_admits_every_job_before_any_runs(capsys, monkeypatch):
+    from vermatheta import branching
+
+    real, calls = branching.trace_brute_force, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(branching, "trace_brute_force", counted)
+    monkeypatch.delenv("VERMATHETA_JOBS", raising=False)
+    # borel-trace-13 passes the guard at its working depth 10; the regularized
+    # trace's job, second in the request, fails it at 17
+    assert main(["verify", "--identity", "borel-trace-13", "--identity", "borel-reg-trace-12",
+                 "--lambda1", "40", "--lambda2", "1/2"]) == 2
+    assert capsys.readouterr() == ("", guard_line("(40, 1/2)", 17))
+    assert calls == []
 
 
 def test_unknown_flag_exits_2():
@@ -498,20 +555,61 @@ def test_window_B_past_its_cap_exits_2(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("argv,need", [
+PAST_THE_CAP = [
     pytest.param(["character", "--depth", str(MAX_DEPTH + 1)], MAX_DEPTH + 1, id="character-depth"),
     pytest.param(["character", "--T", "76"], 152, id="character-T"),
     pytest.param(["trace", "--root", "13", "--D", "200"], 202, id="trace-window"),
+    # a divergent trace works one root step below its truncation depth
+    pytest.param(["trace", "--root", "12", "--depth", "150"], 151, id="trace-divergent-depth"),
+    pytest.param(["branch", "--root", "12", "--depth", "151"], 151, id="branch-depth"),
     pytest.param(["spectrum", "--root", "12", "--depth", "400"], 400, id="spectrum-depth"),
     pytest.param(["verify", "--identity", "parabolic-trace-12", "--module", "parabolic", "--B", "99"],
                  9820, id="verify-window"),
-])
+    pytest.param(["verify", "--identity", "parabolic-character", "--module", "parabolic", "--T", "76"],
+                 152, id="verify-character-T"),
+]
+
+# one past each of these is in PAST_THE_CAP
+AT_THE_CAP = [
+    pytest.param(["character", "--depth", "2", "--T", "75"], id="character-T"),
+    pytest.param(["verify", "--identity", "parabolic-character", "--module", "parabolic",
+                  "--T", "75", "--B", "0", "--D", "0", "--depth", "2"], id="verify-character-T"),
+    pytest.param(["trace", "--root", "12", "--depth", "149", "--pipeline", "closed"],
+                 id="trace-divergent-depth"),
+    pytest.param(["branch", "--root", "12", "--depth", str(MAX_DEPTH)], id="branch-depth"),
+    pytest.param(["spectrum", "--root", "12", "--depth", str(MAX_DEPTH)], id="spectrum-depth"),
+]
+
+
+@pytest.mark.parametrize("argv,need", PAST_THE_CAP)
 def test_work_past_the_depth_cap_exits_2(capsys, argv, need):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"error: the run needs depth {need}, past the depth cap {MAX_DEPTH}; "
                    "use a smaller --depth or window\n")
+
+
+@pytest.mark.parametrize("argv", AT_THE_CAP)
+def test_work_at_the_depth_cap_runs(tmp_path, monkeypatch, argv):
+    # tables to depth 150 take minutes to build; stubbed, branch and spectrum
+    # run their admission alone, on a module at that depth
+    depths = []
+
+    def empty_table(module, root):
+        depths.append(module.spec.depth)
+        return BranchingTable(module.spec.kind, root, (), (0, 0, -1))
+
+    monkeypatch.setattr(cli, "branching_table", empty_table)
+    monkeypatch.setattr(cli, "spectrum_table", lambda module, table: [])
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    assert depths == ([MAX_DEPTH] if argv[0] in ("branch", "spectrum") else [])
+
+
+def test_every_command_has_a_case_at_and_past_the_depth_cap():
+    assert {case.values[0][0] for case in PAST_THE_CAP} == set(cli._COMMANDS)
+    assert {case.values[0][0] for case in AT_THE_CAP} == set(cli._COMMANDS)
 
 
 def test_depth_cap_admits_the_deepest_benchmarked_check(tmp_path):
