@@ -6,9 +6,9 @@ Two independent pipelines produce each trace series:
   constituents of a branching table (one Verma or finite-dimensional sl(2)
   module per singular vector).
 * ``trace_brute_force`` diagonalizes the root Casimir on every weight
-  space by kernel ranks against a finite candidate list, then lifts the
-  numeric eigenvalues to affine forms by matching across several
-  guard-passing highest weights.
+  space by kernel ranks against a finite list of affine candidate forms,
+  reads each form's multiplicity off the spectrum at one guard-passing
+  highest weight and requires the same multiplicities at the others.
 
 On an sl(2) module of highest weight u, the Casimir E F + F E acts on the
 depth-k vector by (2k+1)u - 2k^2; a finite module L_i has depths 0..i only.
@@ -19,18 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .errors import UsageError, VerificationError
 from .exactalg import kernel_basis, mat_scalar_shift, rank
 from .qseries import ExponentForm, FormalSeries, Monomial, Window
-from .verma import (
-    _GEN_INDEX, BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, h_form, weight_numerators,
-)
+from .verma import _GEN_INDEX, BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, h_form
 
 VERMA = "verma"
 FINITE = "finite"
 
-#: Guard-passing weights used for replication and affine lifting.
+#: Guard-passing weights at which the brute force is replicated.
 DEFAULT_WEIGHTS = (
     (Fraction(7, 3), Fraction(5, 7)),
     (Fraction(11, 5), Fraction(-3, 7)),
@@ -39,10 +38,12 @@ DEFAULT_WEIGHTS = (
 
 
 def lift_samples(spec: ModuleSpec, samples=()) -> tuple:
-    """Weight samples used to certify genericity and lift exponents: the
-    given ones, checked against the spec, or defaults led by its weight.
+    """Weight samples at which the brute force is replicated: the given
+    ones, checked against the spec, or defaults led by its weight.
 
-    A sample set must separate affine exponent forms: three affinely
+    The multiplicities read at the first sample must recur at every other,
+    and the samples must span the weights the module varies over, so that
+    agreement is not confined to one line of weights: three affinely
     independent weights for the Borel module, at least two distinct lambda1
     values for the parabolic one, whose integral lambda2 is part of the module
     structure, so every sample carries the spec's.
@@ -56,13 +57,9 @@ def lift_samples(spec: ModuleSpec, samples=()) -> tuple:
         samples = samples[:3]
     samples = tuple((Fraction(a), Fraction(b)) for a, b in samples)
     if spec.kind == BOREL:
-        if len(samples) < 3:
-            raise UsageError("need three affinely independent weight samples")
-        det = (
-            (samples[1][0] - samples[0][0]) * (samples[2][1] - samples[0][1])
-            - (samples[2][0] - samples[0][0]) * (samples[1][1] - samples[0][1])
-        )
-        if det == 0:
+        x0, y0 = samples[0]
+        steps = [(x - x0, y - y0) for x, y in samples[1:]]
+        if not any(a * d != b * c for (a, b), (c, d) in combinations(steps, 2)):
             raise UsageError("need three affinely independent weight samples")
     else:
         if len({l1 for l1, _ in samples}) < 2:
@@ -202,9 +199,9 @@ def candidate_forms(module: VermaModule, root: Root, n: int, m: int) -> list:
     steps up the root string, whose h-value is w + 2k for the local h-value
     w, so the candidates are (2k+1)*(w + 2k) - 2k^2 = (2k+1)*w + 2k(k+1)
     over the nonempty spaces up the string; when w has an L part, the k-th
-    candidate sits at index k.  Along a root whose h-values are integral,
-    finite-module candidates (i^2 + 2i - w^2)/2 with i matching the parity
-    of w are added as a safety superset.
+    candidate sits at index k.  A finite constituent L_i has the same form
+    at its depth k, with i = w + 2k, so the list misses no constituent, and
+    ``kappa_spectrum`` checks that it misses no eigenvalue.
     """
     c0, c1, c2 = h_form(module.spec.kind, module.lambda2_int, root, n, m)
     # j = 2k+1 runs over the odd numbers, and 2k(k+1) = (j*j - 1)/2
@@ -213,15 +210,9 @@ def candidate_forms(module: VermaModule, root: Root, n: int, m: int) -> list:
     if c1 or c2:
         # the k-th form's L part is (2k+1) times w's, so the forms are distinct
         return forms
-    # a constant w makes the k and k' forms equal when w + k + k' + 1 = 0
-    out, seen = [], set()
-    finite = (ExponentForm((i * i + 2 * i - c0 * c0) // 2, 0, 0)
-              for i in range(abs(c0), module.spec.depth + 1, 2))
-    for form in (*forms, *finite):
-        if form not in seen:
-            seen.add(form)
-            out.append(form)
-    return out
+    # a constant w makes the k and k' forms equal when w + k + k' + 1 = 0,
+    # and equal forms are one eigenvalue
+    return list(dict.fromkeys(forms))
 
 
 def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None) -> tuple:
@@ -230,10 +221,11 @@ def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None) 
 
     The candidates are ``forms``, by default ``candidate_forms`` of the
     space.  The multiplicity of e is dim ker(kappa - e*I); completeness (the
-    multiplicities summing to the space dimension) is enforced, so a missing
-    candidate or a non-diagonalizable operator is a hard error.  The
-    Casimir's denominator is scale[raising] * scale[lowering], the weight
-    denominator, so each candidate shifts the matrix's numerators directly.
+    multiplicities summing to the space dimension) is enforced, so an
+    eigenvalue no candidate names, or a non-diagonalizable operator, is a
+    hard error.  The Casimir's denominator is scale[raising] *
+    scale[lowering], the weight denominator, so each candidate shifts the
+    matrix's numerators directly.
     """
     mat = module.operator_matrix(root, (n, m))
     if mat.den != module.denom:
@@ -262,14 +254,13 @@ def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None) 
     return tuple(found)
 
 
-def predicted_spectrum(table: BranchingTable, n: int, m: int, l1, l2) -> tuple:
+def predicted_spectrum(table: BranchingTable, module: VermaModule, n: int, m: int) -> tuple:
     """Eigenvalue multiset implied by a branching table at one weight space,
-    as sorted (numerator, multiplicity) pairs over the weight denominator
-    lcm(den l1, den l2), like ``kappa_spectrum``'s at that weight."""
-    q, p1, p2 = weight_numerators(l1, l2)
+    as sorted (numerator, multiplicity) pairs over ``module.denom``, like
+    ``kappa_spectrum``'s on that module."""
     out: dict = {}
-    for (c0, c1, c2), mult in table.spectrum(n, m):
-        e = c0 * q + c1 * p1 + c2 * p2
+    for form, mult in table.spectrum(n, m):
+        e = module.numerator(form)
         out[e] = out.get(e, 0) + mult
     return tuple(sorted(out.items()))
 
@@ -372,54 +363,33 @@ def trace_from_branching(table: BranchingTable, window: Window, regularized: boo
     )
 
 
-def _lift_multiplicities(values: list, measured: list, where) -> list:
-    """Solve constituent multiplicities per candidate form from the measured
-    value multiplicities at each weight sample; abort on ambiguity.
-
-    ``values[s][f]`` is form f's numerator at sample s and ``measured[s]``
-    that sample's (numerator, multiplicity) pairs.  Returns the
-    multiplicities in form order.
-    """
-    n_forms = len(values[0])
-    groups = []
-    for vals in values:
-        by_value: dict = {}
-        for f, value in enumerate(vals):
-            by_value.setdefault(value, []).append(f)
-        groups.append(by_value)
-    targets = [dict(pairs) for pairs in measured]
-    mult: list = [None] * n_forms
-    known = 0
-    progress = True
-    while progress and known < n_forms:
-        progress = False
-        for by_value, target in zip(groups, targets):
-            for value, group in by_value.items():
-                undetermined = [f for f in group if mult[f] is None]
-                if len(undetermined) == 1:
-                    rest = sum(mult[f] for f in group if mult[f] is not None)
-                    count = target.get(value, 0) - rest
-                    if count < 0:
-                        raise VerificationError(f"inconsistent eigenvalue counts at {where}")
-                    mult[undetermined[0]] = count
-                    known += 1
-                    progress = True
-    if known < n_forms:
-        raise VerificationError(f"ambiguous affine lift of eigenvalues at {where}")
-    for by_value, pairs in zip(groups, measured):
-        seen = {value: sum(mult[f] for f in group) for value, group in by_value.items()}
-        for value, count in pairs:
-            if seen.get(value, 0) != count:
-                raise VerificationError(f"lifted multiplicities disagree at {where}")
-    return mult
-
-
 def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
-    """Multiplicity of each candidate form on the (n, m) space, lifted from
-    its kernel-rank spectra at the modules' weights, one module per sample."""
-    values = [[mod.numerator(f) for f in forms] for mod in modules]
-    measured = [kappa_spectrum(mod, root, n, m, forms) for mod in modules]
-    return _lift_multiplicities(values, measured, (n, m))
+    """Multiplicity of each candidate form on the (n, m) space, read off its
+    kernel-rank spectrum at the first module's weight and required to be the
+    same at every other module's, one module per weight sample.
+
+    A form's count is the multiplicity of its value, so the forms' values at
+    each sample must be pairwise distinct, and they are at every weight the
+    guard passes.  Two string forms coincide only where w = -(k+k'+1), which
+    at depth d needs the L part of w to be an integer in [-d, 2d]: L1, L2 or
+    L1+L2 on the Borel module, L1 on parabolic roots 12 and 13.  The guard
+    keeps those values off every integer in [-3d-3, 3d+3].  On parabolic
+    root 13 w also carries lambda2, and the bound needs d >= lambda2, which
+    the root-13 region (n_top = D + lambda2) guarantees.  Parabolic root
+    23's w is constant, and ``candidate_forms`` merges its equal forms.
+    """
+    counts = None
+    for mod in modules:
+        values = [mod.numerator(f) for f in forms]
+        if len(set(values)) < len(values):
+            raise VerificationError(f"ambiguous affine lift of eigenvalues at {(n, m)}")
+        measured = dict(kappa_spectrum(mod, root, n, m, forms))
+        got = [measured.get(value, 0) for value in values]
+        if counts is None:
+            counts = got
+        elif got != counts:
+            raise VerificationError(f"lifted multiplicities disagree at {(n, m)}")
+    return counts
 
 
 def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
@@ -427,8 +397,9 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
                       divergent_depth: int | None = None) -> FormalSeries:
     """Windowed trace series computed from kernel-rank spectra alone.
 
-    Numeric eigenvalues are lifted to affine exponents by simultaneous
-    matching across the weight samples; a non-unique lift is a hard error.
+    Each candidate form's multiplicity is read at the first weight sample and
+    must recur at the others (``lift_space``); any disagreement or ambiguity
+    is a hard error.
     """
     samples = lift_samples(spec, samples)
     region = bruteforce_region(spec, root, window, regularized, divergent_depth)
@@ -481,12 +452,11 @@ def spectrum_table(module: VermaModule, table: BranchingTable) -> list:
     """Per-weight-space eigenvalue multisets of the table's root Casimir on
     the spaces n+m <= depth - dn - dm, ready for serialization.
 
-    A row whose measured pairs differ from ``predicted_spectrum`` at the
-    module's weight gets ``"coherent": False``.  Values become Fractions
-    only for printing.
+    A row whose measured pairs differ from ``predicted_spectrum`` on the
+    module gets ``"coherent": False``.  Values become Fractions only for
+    printing.
     """
-    spec = module.spec
-    depth = spec.depth - sum(table.root.down_step)
+    depth = module.spec.depth - sum(table.root.down_step)
     rows = []
     for n in range(depth + 1):
         for m in range(depth + 1 - n):
@@ -501,7 +471,7 @@ def spectrum_table(module: VermaModule, table: BranchingTable) -> list:
                     {"value": str(Fraction(v, module.denom)), "multiplicity": c} for v, c in pairs
                 ],
             }
-            if predicted_spectrum(table, n, m, spec.lambda1, spec.lambda2) != pairs:
+            if predicted_spectrum(table, module, n, m) != pairs:
                 row["coherent"] = False
             rows.append(row)
     return rows

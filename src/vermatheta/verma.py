@@ -229,12 +229,6 @@ def h_form(kind: str, lambda2: int | None, root: Root, n: int, m: int) -> Expone
     return ExponentForm(lambda2 - n - m, 1, 0)
 
 
-def weight_numerators(l1, l2) -> tuple[int, int, int]:
-    """(q, p1, p2) with q = lcm(den l1, den l2), l1 = p1/q and l2 = p2/q."""
-    q = lcm(l1.denominator, l2.denominator)
-    return q, l1.numerator * (q // l1.denominator), l2.numerator * (q // l2.denominator)
-
-
 class VermaModule:
     """Straightening engine and weight-space bookkeeping for one module."""
 
@@ -245,9 +239,13 @@ class VermaModule:
         self._letters = tuple(_GEN_INDEX[g] for g in letters)
         # PBW position of each generator index; None for the Cartans and raisings
         self._pos = tuple(letters.index(g) if g in letters else None for g in Gen)
+        # the highest weight (L1, L2) = (p1, p2) / denom, denom = lcm(den L1, den L2)
+        l1, l2 = spec.lambda1, spec.lambda2
+        self.denom = lcm(l1.denominator, l2.denominator)
+        self._p1 = l1.numerator * (self.denom // l1.denominator)
+        self._p2 = l2.numerator * (self.denom // l2.denominator)
         # a cached coefficient c of generator g stands for c / scale[g]; lowering
         # letters commute only into lowering letters, so their scale stays 1
-        self.denom, self._p1, self._p2 = weight_numerators(spec.lambda1, spec.lambda2)
         self._scale = tuple(1 if g in letters else self.denom for g in Gen)
         hw = {Gen.H12: self._p1, Gen.H23: self._p2}
         self._hw = tuple(hw.get(g, 0) for g in Gen)

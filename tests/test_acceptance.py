@@ -122,9 +122,7 @@ def _spectrum_coherence(module, weight, v=None):
                 if not module.dim(n, m):
                     continue
                 got = kappa_spectrum(module, root, n, m)
-                want = predicted_spectrum(
-                    table, n, m, module.spec.lambda1, module.spec.lambda2
-                )
+                want = predicted_spectrum(table, module, n, m)
                 assert got == want, (weight, v, root, n, m)
                 checked += 1
     return checked

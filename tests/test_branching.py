@@ -19,6 +19,7 @@ from vermatheta import (
     trace_brute_force,
     trace_from_branching,
 )
+from vermatheta import branching
 from vermatheta.branching import (
     FINITE,
     VERMA,
@@ -188,7 +189,7 @@ def test_spectrum_matches_branching_prediction(borel_modules, root):
         for n in range(5):
             for m in range(5 - n):
                 got = kappa_spectrum(module, root, n, m)
-                want = predicted_spectrum(table, n, m, *weight)
+                want = predicted_spectrum(table, module, n, m)
                 assert got == want
 
 
@@ -202,7 +203,7 @@ def test_parabolic_spectrum_matches_branching_prediction(parabolic_modules, root
                 if not module.dim(n, m):
                     continue
                 got = kappa_spectrum(module, root, n, m)
-                want = predicted_spectrum(table, n, m, F(7, 3), v)
+                want = predicted_spectrum(table, module, n, m)
                 assert got == want
 
 
@@ -219,12 +220,6 @@ def up_string_candidates(module, root, n, m):
         if form not in forms:
             forms.append(form)
         k += 1
-    w = h_form(kind, l2, root, n, m)
-    if w.c1 == 0 and w.c2 == 0:
-        for i in range(abs(w.c0), module.spec.depth + 1, 2):
-            form = ExponentForm((i * i + 2 * i - w.c0 * w.c0) // 2, 0, 0)
-            if form not in forms:
-                forms.append(form)
     return forms
 
 
@@ -244,6 +239,23 @@ def test_candidate_forms_are_affine_and_cover_string(borel_module):
     assert ExponentForm(3 * -2 - 2, 3, 3) in forms  # k = 1: 3u - 2 at u = (-2,1,1)
     assert ExponentForm(5 * 0 - 8, 5, 5) in forms  # k = 2: 5u - 8 at u = (0,1,1)
     assert len(forms) == 3
+
+
+@pytest.mark.parametrize("root", list(Root))
+def test_a_missing_candidate_is_a_verification_error(borel_module, parabolic_modules, root):
+    # kappa_spectrum's completeness check is what turns a candidate list
+    # that misses an eigenvalue into an error
+    cases = 0
+    for module in (borel_module, parabolic_modules[(F(7, 3), 2)]):
+        for n, m in region_spaces((6, 6, -1)):
+            if not module.dim(n, m):
+                continue
+            forms = candidate_forms(module, root, n, m)
+            if dict(kappa_spectrum(module, root, n, m, forms)).get(module.numerator(forms[-1])):
+                with pytest.raises(VerificationError, match="eigenvalue candidates incomplete"):
+                    kappa_spectrum(module, root, n, m, forms[:-1])
+                cases += 1
+    assert cases > 10
 
 
 # -- trace assembly ------------------------------------------------------------------
@@ -463,6 +475,54 @@ def test_lifted_forms_predict_the_spectrum_at_a_held_out_weight(key):
             assert tuple(sorted(predicted.items())) == kappa_spectrum(probe, key.root, n, m), (l2, n, m)
             spaces += 1
         assert spaces
+
+
+@pytest.mark.parametrize("key", list(dict.fromkeys(e for e in CATALOG.values() if e.root)),
+                         ids=lambda e: f"{e.kind}-{e.root.value}")
+def test_candidate_values_are_distinct_at_every_lift_sample(key):
+    # lift_space reads each form's count off the multiplicity of its value,
+    # so at no sample may two candidates of a measured space share a value
+    window = Window(5, 8, 8)
+    l2s = (F(5, 7),) if key.kind == BOREL else (0, 1, 2)
+    for l2 in l2s:
+        spec = ModuleSpec(key.kind, F(7, 3), l2, 10)
+        spec = spec.with_depth(required_depth(spec, key.root, window, key.regularized))
+        modules = [VermaModule(spec.with_weight(*w)) for w in lift_samples(spec)]
+        spaces = 0
+        for n, m in region_spaces(bruteforce_region(spec, key.root, window, key.regularized)):
+            if not modules[0].dim(n, m):
+                continue
+            forms = candidate_forms(modules[0], key.root, n, m)
+            for module in modules:
+                values = [module.numerator(f) for f in forms]
+                assert len(set(values)) == len(values), (l2, n, m, module.spec.lambda1)
+            spaces += 1
+        assert spaces
+
+
+def test_lift_space_refuses_a_duplicated_form(borel_modules):
+    modules = [borel_modules[w] for w in WEIGHTS]
+    forms = candidate_forms(modules[0], Root.A13, 2, 2)
+    assert lift_space(modules, Root.A13, 2, 2, forms) == [1, 1, 1]
+    with pytest.raises(VerificationError, match="ambiguous affine lift"):
+        lift_space(modules, Root.A13, 2, 2, [*forms, forms[0]])
+
+
+@pytest.mark.parametrize("off", range(3))
+def test_lift_space_refuses_counts_that_differ_across_samples(borel_modules, monkeypatch, off):
+    # each sample's counts must be the first sample's: one module whose
+    # spectrum loses an eigenvalue, whichever it is, fails the lift
+    modules = [borel_modules[w] for w in WEIGHTS]
+    forms = candidate_forms(modules[0], Root.A13, 2, 2)
+    real = branching.kappa_spectrum
+
+    def short_at_one_module(module, root, n, m, forms=None):
+        pairs = real(module, root, n, m, forms)
+        return pairs[1:] if module is modules[off] else pairs
+
+    monkeypatch.setattr(branching, "kappa_spectrum", short_at_one_module)
+    with pytest.raises(VerificationError, match="lifted multiplicities disagree"):
+        lift_space(modules, Root.A13, 2, 2, forms)
 
 
 @pytest.mark.parametrize("kind, l2", [(BOREL, F(5, 7)), (PARABOLIC, 0), (PARABOLIC, 1),

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -168,8 +169,8 @@ def test_spectrum_incoherence_is_a_mismatch(tmp_path, monkeypatch):
 
     real = branching.predicted_spectrum
 
-    def off_at_1_0(table, n, m, l1, l2):
-        predicted = real(table, n, m, l1, l2)
+    def off_at_1_0(table, module, n, m):
+        predicted = real(table, module, n, m)
         return predicted + ((F(0), 1),) if (n, m) == (1, 0) else predicted
 
     monkeypatch.setattr(branching, "predicted_spectrum", off_at_1_0)
@@ -281,6 +282,20 @@ def test_malformed_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, config, j
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_borel_samples_are_accepted_in_any_order(capsys):
+    # the four weights span the plane although the first three are collinear
+    spanning = ["7/3,5/7", "10/3,5/7", "13/3,5/7", "7/3,12/7"]
+    argv = ["trace", "--root", "13", "--B", "3", "--D", "4", "--lambda-samples"]
+    assert main([*argv, ";".join(spanning)]) == 0
+    capsys.readouterr()
+    assert main([*argv, ";".join(spanning[:3])]) == 2
+    assert capsys.readouterr() == ("", "error: need three affinely independent weight samples\n")
+    small = ["trace", "--root", "13", "--B", "1", "--D", "1", "--lambda-samples"]
+    for order in permutations(spanning):
+        assert main([*small, ";".join(order)]) == 0, order
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", [["character"], ["branch", "--root", "12"],
