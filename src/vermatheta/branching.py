@@ -290,17 +290,22 @@ def bruteforce_region(spec: ModuleSpec, root: Root, window: Window, regularized:
         return divergent_depth, divergent_depth, -1
     if regularized:
         return window.T, window.T, 0
+    # every convergent region is capped at n <= D + L2 (L2 read as 0 on the
+    # Borel module); the root fixes its shape.
+    # Root 13: the k=0 slot at (n, m) carries c0 = L2 - n - m after folding
+    # an integral L2, so the shells reach D + L2 on the parabolic module.
+    # Parabolic root 12: a constituent k steps up the string through (n, m)
+    # has its origin at (n-k, m), a nonempty space only if k <= n - m + L2.
+    # The k-th slot's constant part (2k+1)(m-2n) + 2k(k+1) is then at most
+    # (2k+1)(L2-n) + k, so keeping it >= -D forces the integer n - L2 to be
+    # at most (D+k)/(2k+1), hence at most D, whatever B is.  The bound is
+    # tight: at B 9, D 20, L2 2 the region one row shorter loses a term.
+    cap = window.D + (spec.lambda2_int if spec.kind == PARABOLIC else 0)
     if root is Root.A13:
-        # the k=0 slot at (n, m) carries c0 = L2 - n - m after folding an
-        # integral L2, so the shells reach D + L2 on the parabolic module
-        cap = window.D + (spec.lambda2_int if spec.kind == PARABOLIC else 0)
         return cap, cap, -1
     if spec.kind == PARABOLIC and root is Root.A12:
-        j_max = max(0, (window.B - 1) // 2)
-        v = spec.lambda2_int
-        return v + window.D + 2 * j_max * (j_max + 1), v, 1
+        return cap, spec.lambda2_int, 1
     if spec.kind == PARABOLIC and root is Root.A23:
-        cap = window.D + spec.lambda2_int
         return cap, cap, 0
     raise UsageError(f"no trace region for {spec.kind}/{root.value}")
 

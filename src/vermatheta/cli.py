@@ -54,7 +54,7 @@ _SAMPLED_COMMANDS = ("trace", "verify")
 
 #: The deepest n+m a command may work to, its working depth (see
 #: ``required_depth``); it bounds the work of one command.  The longest benchmarked
-#: check, parabolic-trace-12-alt-sign at B=9, D=20, lambda2=2, needs depth 127.
+#: check, parabolic-trace-12-alt-sign at B=9, D=20, lambda2=2, needs depth 47.
 MAX_DEPTH = 150
 
 

@@ -282,6 +282,62 @@ def test_region_table_is_the_full_table_over_the_region(key):
         assert series[0].terms
 
 
+#: parabolic root-12 windows with B much larger than D, where slots far down
+#: the string carry small L-coefficients but large constant parts
+WIDE_WINDOWS = (Window(7, 1, 2), Window(9, 0, 2), Window(5, 8, 8))
+
+
+def _slot_depth(lambda2: int, window: Window) -> int:
+    """The depth of a triangle holding every parabolic root-12 slot the window's
+    B admits: the k-th slot has L-coefficient 2k+1, so k <= j = (B-1)//2, and
+    on a nonempty space (m <= n + lambda2) its constant part stays >= -D only
+    if (2k+1)(n - lambda2) <= D + 2k(k+1), so n <= lambda2 + D + 2j(j+1); the
+    deepest such space, plus one root step."""
+    j = max(0, (window.B - 1) // 2)
+    n_top = lambda2 + window.D + 2 * j * (j + 1)
+    return 2 * n_top + lambda2 + 1
+
+
+@pytest.mark.parametrize("window", WIDE_WINDOWS, ids=lambda w: f"B{w.B}-D{w.D}")
+def test_parabolic_12_region_is_sound_where_B_exceeds_D(window):
+    # the region does not grow with B: its trace must still be the trace
+    # over a triangle deep enough for every slot B admits
+    for l2 in (0, 2, 5):
+        spec = ModuleSpec(PARABOLIC, F(7, 3), l2, _slot_depth(l2, window))
+        module = VermaModule(spec)
+        region = bruteforce_region(spec, Root.A12, window, False)
+        part = branching_table(module, Root.A12, region=region)
+        full = branching_table(module, Root.A12)
+        series = [trace_from_branching(t, window, spec=spec) for t in (part, full)]
+        assert series[0].terms == series[1].terms, l2
+        assert series[0].terms
+
+
+@pytest.mark.parametrize("window", [w for w in WIDE_WINDOWS if w.D >= 1],
+                         ids=lambda w: f"B{w.B}-D{w.D}")
+def test_parabolic_12_region_one_row_shorter_loses_a_term(window):
+    lost = []
+    for l2 in (0, 2, 5):
+        spec = ModuleSpec(PARABOLIC, F(7, 3), l2, 10)
+        n_top, m0, slope = bruteforce_region(spec, Root.A12, window, False)
+        spec = spec.with_depth(required_depth(spec, Root.A12, window))
+        module = VermaModule(spec)
+        series = [trace_from_branching(branching_table(module, Root.A12, region=r), window)
+                  for r in ((n_top, m0, slope), (n_top - 1, m0, slope))]
+        lost.append(series[0].terms != series[1].terms)
+    assert any(lost)
+
+
+def test_convergent_regions_do_not_depend_on_B():
+    traces = dict.fromkeys(e for e in CATALOG.values()
+                           if e.root and not e.regularized and not is_divergent(e.kind, e.root, False))
+    assert len(traces) == 4
+    for key, l2, (D, T) in product(traces, (0, 2, 5), ((0, 0), (1, 2), (8, 8))):
+        spec = ModuleSpec(key.kind, F(7, 3), F(5, 7) if key.kind == BOREL else l2, 10)
+        regions = {bruteforce_region(spec, key.root, Window(B, D, T), False) for B in (1, 9, 301)}
+        assert len(regions) == 1, (key, l2, D, T)
+
+
 @pytest.mark.parametrize("key", list(dict.fromkeys(e for e in CATALOG.values() if e.root)),
                          ids=lambda e: f"{e.kind}-{e.root.value}")
 def test_required_depth_is_the_region_depth_plus_one_root_step(key):
@@ -289,7 +345,8 @@ def test_required_depth_is_the_region_depth_plus_one_root_step(key):
     # builds the Casimir on every region space, which reaches one root step
     # below it; a character enumerates n, m <= T
     l2s = (F(5, 7),) if key.kind == BOREL else (0, 2)
-    for l2, window, depth in product(l2s, (Window(5, 8, 8), Window(9, 20, 8)), (0, 10, 200)):
+    windows = (Window(5, 8, 8), Window(9, 20, 8), Window(21, 1, 2))
+    for l2, window, depth in product(l2s, windows, (0, 10, 200)):
         spec = ModuleSpec(key.kind, F(7, 3), l2, depth)
         region = bruteforce_region(spec, key.root, window, key.regularized)
         deepest = max(n + m for n, m in region_spaces(region)) + sum(key.root.down_step)

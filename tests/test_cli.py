@@ -578,8 +578,8 @@ PAST_THE_CAP = [
     pytest.param(["trace", "--root", "12", "--depth", "150"], 151, id="trace-divergent-depth"),
     pytest.param(["branch", "--root", "12", "--depth", "151"], 151, id="branch-depth"),
     pytest.param(["spectrum", "--root", "12", "--depth", "400"], 400, id="spectrum-depth"),
-    pytest.param(["verify", "--identity", "parabolic-trace-12", "--module", "parabolic", "--B", "99"],
-                 9820, id="verify-window"),
+    pytest.param(["verify", "--identity", "parabolic-trace-12", "--module", "parabolic", "--D", "74"],
+                 152, id="verify-window"),
     pytest.param(["verify", "--identity", "parabolic-character", "--module", "parabolic", "--T", "76"],
                  152, id="verify-character-T"),
 ]
@@ -591,6 +591,10 @@ AT_THE_CAP = [
                   "--T", "75", "--B", "0", "--D", "0", "--depth", "2"], id="verify-character-T"),
     pytest.param(["trace", "--root", "12", "--depth", "149", "--pipeline", "closed"],
                  id="trace-divergent-depth"),
+    # the literal catalog entry is a misprint, so its sign variant is the
+    # one that passes
+    pytest.param(["verify", "--identity", "parabolic-trace-12-alt-sign", "--module", "parabolic",
+                  "--D", "73"], id="verify-window"),
     pytest.param(["branch", "--root", "12", "--depth", str(MAX_DEPTH)], id="branch-depth"),
     pytest.param(["spectrum", "--root", "12", "--depth", str(MAX_DEPTH)], id="spectrum-depth"),
 ]
@@ -630,9 +634,25 @@ def test_every_command_has_a_case_at_and_past_the_depth_cap():
 def test_depth_cap_admits_the_deepest_benchmarked_check(tmp_path):
     # the deep-parabolic-12 benchmark: parabolic-trace-12-alt-sign at B=9, D=20, lambda2=2
     spec = ModuleSpec(PARABOLIC, F(7, 3), 2, 10)
-    assert required_depth(spec, Root.A12, Window(9, 20, 8), False) == 127 <= MAX_DEPTH
+    assert required_depth(spec, Root.A12, Window(9, 20, 8), False) == 47 <= MAX_DEPTH
     code, _ = run(tmp_path, "character", "--depth", str(MAX_DEPTH), "--T", "2")
     assert code == 0
+
+
+def test_parabolic_12_working_depth_does_not_grow_with_B(tmp_path):
+    # the window's constant part alone bounds the region, so at the default
+    # D 8 and lambda2 1 a wide B works to depth 2(D + lambda2) + lambda2 + 1,
+    # 20, and the literal entry's misprint shows against its sign variant
+    spec = ModuleSpec(PARABOLIC, F(7, 3), 1, 10)
+    assert {required_depth(spec, Root.A12, Window(B, 8, 8)) for B in (1, 99)} == {20}
+    code, payload = run(tmp_path, "verify", "--identity", "parabolic-trace-12",
+                        "--identity", "parabolic-trace-12-alt-sign", "--module", "parabolic",
+                        "--B", "99")
+    assert code == 1
+    check, alt = json.loads(payload)["checks"]
+    assert (check["status"], alt["status"]) == ("mismatch", "pass")
+    assert check["pipelineAgreement"] == "pass"
+    assert "classification: formula-discrepancy (computational pipelines agree)" in check["notes"]
 
 
 def test_interleaved_identities_keep_request_order_in_parallel(tmp_path, monkeypatch):
