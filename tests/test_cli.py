@@ -382,17 +382,64 @@ GOLDEN_CASES = [
          "--B", "3", "--D", "4", "--T", "0", "--depth", "6"),
         1,
     ),
+    (
+        # the table is also written to branch_parabolic_13.csv
+        "branch_parabolic_13.json",
+        ("branch", "--module", "parabolic", "--lambda2", "2", "--root", "13", "--depth", "4"),
+        0,
+    ),
+    (
+        "spectrum_parabolic_12.json",
+        ("spectrum", "--module", "parabolic", "--lambda2", "1", "--root", "12", "--depth", "4"),
+        0,
+    ),
+    (
+        "character_parabolic.json",
+        ("character", "--module", "parabolic", "--lambda2", "1", "--T", "3"),
+        0,
+    ),
+    (
+        "trace_borel_12_branching.json",
+        ("trace", "--module", "borel", "--root", "12", "--depth", "4", "--B", "3", "--D", "4",
+         "--T", "0", "--pipeline", "branching"),
+        0,
+    ),
+    (
+        "trace_borel_12_brute.json",
+        ("trace", "--module", "borel", "--root", "12", "--depth", "4", "--B", "3", "--D", "4",
+         "--T", "0", "--pipeline", "brute"),
+        0,
+    ),
+    (
+        "trace_borel_12_regularized.json",
+        ("trace", "--module", "borel", "--root", "12", "--regularized", "--B", "2", "--D", "3",
+         "--T", "1"),
+        0,
+    ),
 ]
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("golden,args,want_code", GOLDEN_CASES)
 def test_reports_match_checked_in_goldens(tmp_path, golden, args, want_code):
-    import pathlib
-
+    csv_path = tmp_path / "table.csv"
+    if args[0] == "branch":
+        args = (*args, "--csv", str(csv_path))
     code, payload = run(tmp_path, *args)
     assert code == want_code
-    want = (pathlib.Path(__file__).parent / "golden" / golden).read_bytes()
-    assert payload == want
+    assert payload == (GOLDEN_DIR / golden).read_bytes()
+    if args[0] == "branch":
+        assert csv_path.read_bytes() == (GOLDEN_DIR / golden.replace(".json", ".csv")).read_bytes()
+
+
+@pytest.mark.parametrize("golden,args,want_code",
+                         [case for case in GOLDEN_CASES if case[1][0] == "verify"])
+def test_verify_goldens_match_with_two_jobs(tmp_path, monkeypatch, golden, args, want_code):
+    monkeypatch.setenv("VERMATHETA_JOBS", "2")
+    code, payload = run(tmp_path, *args)
+    assert code == want_code
+    assert payload == (GOLDEN_DIR / golden).read_bytes()
 
 
 def test_parallel_env_matches_sequential(tmp_path):
