@@ -2,9 +2,10 @@
 
 Two independent pipelines produce each trace series:
 
-* ``trace_from_branching`` sums the known sl(2) spectrum over the
-  constituents of a branching table (one Verma or finite-dimensional sl(2)
-  module per singular vector).
+* ``trace_branching`` builds a branching table at every weight sample
+  (one Verma or finite-dimensional sl(2) module per singular vector),
+  requires them all equal, and ``trace_from_branching`` sums the known
+  sl(2) spectrum over the table's constituents.
 * ``trace_brute_force`` diagonalizes the root Casimir on every weight
   space by kernel ranks against a finite list of affine candidate forms,
   reads each form's multiplicity off the spectrum at one guard-passing
@@ -429,24 +430,32 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
     return FormalSeries(pairs, window)
 
 
-def trace_pipelines(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
-                    samples=()) -> tuple[FormalSeries, FormalSeries]:
-    """The (branching, brute) series of one convergent trace, both at the
-    depth the window needs.  The branching table is built over the brute
-    force's region at every weight sample; tables that differ across samples
-    are a VerificationError."""
-    samples = lift_samples(spec, samples)
-    region = bruteforce_region(spec, root, window, regularized)
-    deep = spec.with_depth(required_depth(spec, root, window, regularized))
+def trace_branching(spec: ModuleSpec, root: Root, window: Window,
+                    regularized: bool = False, samples=None,
+                    divergent_depth: int | None = None) -> FormalSeries:
+    """Windowed trace series assembled from branching tables, one built per
+    weight sample over the brute force's region; tables that differ across
+    samples are a VerificationError.  A divergent trace is only meaningful
+    as a fixed-depth window sum, so its region is the triangle
+    n+m <= ``divergent_depth``, as in ``trace_brute_force``."""
+    region = bruteforce_region(spec, root, window, regularized, divergent_depth)
     tables = [
-        branching_table(VermaModule(deep.with_weight(l1, l2)), root, region=region)
-        for l1, l2 in samples
+        branching_table(VermaModule(spec.with_weight(l1, l2)), root, region=region)
+        for l1, l2 in lift_samples(spec, samples)
     ]
     if any(table != tables[0] for table in tables[1:]):
         raise VerificationError("branching tables differ across weight samples")
+    return trace_from_branching(tables[0], window, regularized, spec=spec)
+
+
+def trace_pipelines(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
+                    samples=()) -> tuple[FormalSeries, FormalSeries]:
+    """The (branching, brute) series of one convergent trace, both at the
+    depth the window needs."""
+    deep = spec.with_depth(required_depth(spec, root, window, regularized))
     return (
-        trace_from_branching(tables[0], window, regularized, spec=deep),
-        trace_brute_force(deep, root, window, regularized, samples=samples),
+        trace_branching(deep, root, window, regularized, samples),
+        trace_brute_force(deep, root, window, regularized, samples),
     )
 
 

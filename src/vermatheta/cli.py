@@ -20,13 +20,12 @@ from pathlib import Path
 from .branching import (
     DEFAULT_WEIGHTS,
     branching_table,
-    bruteforce_region,
     is_divergent,
     lift_samples,
     required_depth,
     spectrum_table,
+    trace_branching,
     trace_brute_force,
-    trace_from_branching,
     trace_pipelines,
 )
 from .errors import UsageError, VerificationError
@@ -137,6 +136,8 @@ def read_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
+        if key in values:
+            raise UsageError(f"config key {key!r} is given twice")
         values[key] = value
     return values
 
@@ -216,7 +217,7 @@ def _verify_task(job: tuple) -> list[dict]:
     return [record for _, record in checks]
 
 
-def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
+def cmd_verify(cfg: RunConfig, args) -> tuple[list, dict]:
     jobs = parse_int(os.environ.get(JOBS_ENV, "1"), JOBS_ENV)
     if jobs < 1:
         raise UsageError(f"{JOBS_ENV} must be a positive integer, got {jobs}")
@@ -260,16 +261,13 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[dict, int]:
         results = [_verify_task(t) for t in tasks]
 
     pending = {key: iter(records) for key, records in zip(by_trace, results)}
-    checks = [next(pending[CATALOG[identity], spec]) for identity, spec in requested]
-    ok = all(c["status"] == "pass" and c["pipelineAgreement"] == "pass" for c in checks)
-    report = {"config": {**cfg.as_json(), "command": "verify"}, "checks": checks}
-    return report, 0 if ok else 1
+    return [next(pending[CATALOG[identity], spec]) for identity, spec in requested], {}
 
 
 # -- character -----------------------------------------------------------------
 
 
-def cmd_character(cfg: RunConfig, args) -> tuple[dict, int]:
+def cmd_character(cfg: RunConfig, args) -> tuple[list, dict]:
     spec = cfg.spec()
     spec = guarded_spec(spec, required_depth(spec, None, cfg.window))
     brute = VermaModule(spec).character_bruteforce(cfg.T)
@@ -281,88 +279,60 @@ def cmd_character(cfg: RunConfig, args) -> tuple[dict, int]:
         closed, notes = borel_character_closed_form(window), []
         name = "borel-character"
     cmp = brute.equal_on(closed, window)
-    check = check_record(name, window, [(spec.lambda1, spec.lambda2)], notes,
-                         passed=cmp.passed, first_mismatch=cmp)
-    report = {
-        "config": {**cfg.as_json(), "command": "character"},
-        "checks": [check],
-        "series": brute.to_records(),
-    }
-    return report, 0 if cmp.passed else 1
+    return [check_record(name, window, [(spec.lambda1, spec.lambda2)], notes,
+                         passed=cmp.passed, first_mismatch=cmp)], {"series": brute.to_records()}
 
 
 # -- branch / spectrum ---------------------------------------------------------
 
 
+#: The columns of a branch table row, in the JSON report and the CSV dump.
+TABLE_COLUMNS = ("root", "n", "m", "kind", "hw_c0", "hw_c1", "hw_c2", "multiplicity")
+
+
 def table_rows(table) -> list[dict]:
-    rows = []
-    for term in table.terms:
-        rows.append(
-            {
-                "root": table.root.value,
-                "n": term.origin[0],
-                "m": term.origin[1],
-                "kind": term.kind,
-                "hw_c0": term.hw.c0,
-                "hw_c1": term.hw.c1,
-                "hw_c2": term.hw.c2,
-                "multiplicity": term.multiplicity,
-            }
-        )
-    return rows
+    return [
+        dict(zip(TABLE_COLUMNS, (table.root.value, *term.origin, term.kind, *term.hw,
+                                 term.multiplicity)))
+        for term in table.terms
+    ]
 
 
 def write_csv(rows: list[dict], path: str) -> None:
-    header = "root,n,m,kind,hw_c0,hw_c1,hw_c2,multiplicity"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r['root']},{r['n']},{r['m']},{r['kind']},{r['hw_c0']},{r['hw_c1']},{r['hw_c2']},{r['multiplicity']}"
-        )
+    lines = [",".join(TABLE_COLUMNS)]
+    lines += [",".join(str(row[c]) for c in TABLE_COLUMNS) for row in rows]
     write_file(path, "\n".join(lines) + "\n")
 
 
-def cmd_branch(cfg: RunConfig, args) -> tuple[dict, int]:
+def cmd_branch(cfg: RunConfig, args) -> tuple[list, dict]:
     root = Root(args.root)
     table = branching_table(VermaModule(guarded_spec(cfg.spec())), root)
     rows = table_rows(table)
     if args.csv:
         write_csv(rows, args.csv)
-    check = check_record(
+    return [check_record(
         f"branching-accounting-{cfg.module}-{root.value}", cfg.window,
         [(cfg.lambda1, cfg.lambda2)],
         [f"constituents account for every weight space to depth {cfg.depth}"],
-    )
-    report = {
-        "config": {**cfg.as_json(), "command": "branch"},
-        "checks": [check],
-        "table": rows,
-    }
-    return report, 0
+    )], {"table": rows}
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, int]:
+def cmd_spectrum(cfg: RunConfig, args) -> tuple[list, dict]:
     root = Root(args.root)
     module = VermaModule(guarded_spec(cfg.spec()))
     table = branching_table(module, root)
     rows = spectrum_table(module, table)
     coherent = all(row.get("coherent", True) for row in rows)
-    check = check_record(
+    return [check_record(
         f"spectrum-branching-coherence-{cfg.module}-{root.value}", cfg.window,
         [(cfg.lambda1, cfg.lambda2)], passed=coherent, agreed=coherent,
-    )
-    report = {
-        "config": {**cfg.as_json(), "command": "spectrum"},
-        "checks": [check],
-        "spectra": rows,
-    }
-    return report, 0 if coherent else 1
+    )], {"spectra": rows}
 
 
 # -- trace ---------------------------------------------------------------------
 
 
-def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
+def cmd_trace(cfg: RunConfig, args) -> tuple[list, dict]:
     root = Root(args.root)
     regularized = bool(args.regularized)
     spec = cfg.spec()
@@ -375,19 +345,12 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
     deep = guarded_spec(spec.with_depth(need))  # for every pipeline, the closed one too
     samples = lift_samples(spec, cfg.lambda_samples)
 
-    series_by_name = {}
     want = args.pipeline
-    if want in ("branching", "all"):
-        # a divergent trace is only meaningful as a fixed-depth window sum,
-        # so both pipelines truncate at the configured depth: its region is
-        # the triangle n+m <= depth
-        region = bruteforce_region(spec, root, window, regularized, divergent_depth)
-        table = branching_table(VermaModule(deep), root, region=region)
-        series_by_name["branching"] = trace_from_branching(table, window, regularized, spec=deep)
-    if want in ("brute", "all"):
-        series_by_name["brute"] = trace_brute_force(
-            deep, root, window, regularized, samples=samples, divergent_depth=divergent_depth
-        )
+    series_by_name = {
+        name: pipeline(deep, root, window, regularized, samples, divergent_depth)
+        for name, pipeline in (("branching", trace_branching), ("brute", trace_brute_force))
+        if want in (name, "all")
+    }
     if want in ("closed", "all"):
         closed_ids = [] if divergent else [
             i for i, entry in CATALOG.items() if entry == (spec.kind, root, regularized)
@@ -407,20 +370,22 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[dict, int]:
             + ("-regularized" if regularized else ""),
             window, samples, notes, cmp.passed, cmp.passed, first_mismatch=cmp,
         ))
-    report = {
-        "config": {**cfg.as_json(), "command": "trace"},
-        "checks": checks,
-        "notes": notes,
-        "series": {name: s.to_records() for name, s in sorted(series_by_name.items())},
-    }
-    return report, 0 if all(c["status"] == "pass" for c in checks) else 1
+    series = {name: s.to_records() for name, s in sorted(series_by_name.items())}
+    return checks, {"notes": notes, "series": series}
 
 
 # -- entry ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are usage errors: one line, exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vermatheta",
         description="Exact branching rules, Casimir spectra and partial theta "
         "traces for sl(3) Borel and parabolic Verma modules.",
@@ -460,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="three-way identity verification")
     common(p)
-    p.add_argument("--all", action="store_true", help="run the whole identity suite")
-    p.add_argument("--identity", action="append", default=[],
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run the whole identity suite")
+    which.add_argument("--identity", action="append", default=[],
                    choices=[i.value for i in ClosedFormId],
                    help="verify one identity (repeatable)")
     return parser
@@ -477,19 +443,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = build_config(args)
-        report, code = _COMMANDS[args.command](cfg, args)
-        emit(report, args.output)
+        checks, payload = _COMMANDS[args.command](cfg, args)
+        emit({"config": {**cfg.as_json(), "command": args.command}, "checks": checks, **payload},
+             args.output)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except VerificationError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
-    return code
+    return int(any(c["status"] != "pass" or c["pipelineAgreement"] != "pass" for c in checks))
 
 
 def entry() -> None:

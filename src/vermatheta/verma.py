@@ -210,23 +210,18 @@ def check_genericity(spec: ModuleSpec) -> None:
 
 
 def h_form(kind: str, lambda2: int | None, root: Root, n: int, m: int) -> ExponentForm:
-    """h-value of the (n, m) weight space along ``root`` as an affine form.
+    """h-value of the (n, m) weight space along ``root`` as an affine form:
+    h1 = (m - 2n) + L1, h2 = (n - 2m) + L2, and h1 + h2 for root 13.
 
     For the parabolic module its integral L2, passed as ``lambda2``, is
     folded into the constant part, so parabolic forms always have c2 = 0;
     the Borel forms do not read ``lambda2``.
     """
-    if kind == BOREL:
-        if root is Root.A12:
-            return ExponentForm(m - 2 * n, 1, 0)
-        if root is Root.A23:
-            return ExponentForm(n - 2 * m, 0, 1)
-        return ExponentForm(-n - m, 1, 1)
-    if root is Root.A12:
-        return ExponentForm(m - 2 * n, 1, 0)
-    if root is Root.A23:
-        return ExponentForm(lambda2 + n - 2 * m, 0, 0)
-    return ExponentForm(lambda2 - n - m, 1, 0)
+    h1, h2 = ExponentForm(m - 2 * n, 1, 0), ExponentForm(n - 2 * m, 0, 1)
+    c0, c1, c2 = h1 if root is Root.A12 else h2 if root is Root.A23 else h1 + h2
+    if kind == PARABOLIC:
+        c0, c2 = c0 + c2 * lambda2, 0
+    return ExponentForm(c0, c1, c2)
 
 
 class VermaModule:

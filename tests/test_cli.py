@@ -100,7 +100,7 @@ def test_trace_guard_refusal_does_not_depend_on_the_pipeline(capsys, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a pipeline ran before the request was admitted")
 
-    for name in ("branching_table", "trace_brute_force", "closed_form_with_notes"):
+    for name in ("trace_branching", "trace_brute_force", "closed_form_with_notes"):
         monkeypatch.setattr(cli, name, refuse)
     # the weight passes the guard at --depth 10 and fails it at the working depth 17
     argv = ["trace", "--root", "12", "--regularized", "--lambda1", "40", "--lambda2", "1/2"]
@@ -129,10 +129,30 @@ def test_verify_admits_every_job_before_any_runs(capsys, monkeypatch):
     assert calls == []
 
 
-def test_unknown_flag_exits_2():
+def test_unknown_flag_exits_2(capsys):
+    assert main(["verify", "--no-such-flag"]) == 2
+    assert capsys.readouterr() == ("", "error: unrecognized arguments: --no-such-flag\n")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--identity", "no-such-identity"], id="invalid-identity"),
+    pytest.param(["trace", "--root", "14"], id="invalid-root"),
+    pytest.param(["trace"], id="missing-root"),
+    pytest.param(["--B", "3"], id="missing-command"),
+    pytest.param(["verify", "--all", "--identity", "borel-trace-13"], id="all-with-identity"),
+])
+def test_refused_arguments_print_one_line(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--no-such-flag"])
-    assert exc.value.code == 2
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "[--all | --identity" in capsys.readouterr().out
 
 
 def test_branch_csv_dump(tmp_path):
@@ -182,6 +202,29 @@ def test_spectrum_incoherence_is_a_mismatch(tmp_path, monkeypatch):
     assert [(r["n"], r["m"], r["coherent"]) for r in report["spectra"] if "coherent" in r] == [
         (1, 0, False)
     ]
+
+
+def test_trace_refuses_tables_that_differ_across_samples(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from vermatheta import branching
+
+    real, calls = branching.branching_table, []
+
+    def perturbed(module, root, region=None):
+        table = real(module, root, region)
+        calls.append(table)
+        if len(calls) == 2:  # the second of the three weight samples
+            first = replace(table.terms[0], multiplicity=table.terms[0].multiplicity + 1)
+            table = replace(table, terms=(first,) + table.terms[1:])
+        return table
+
+    monkeypatch.setattr(branching, "branching_table", perturbed)
+    argv = ["trace", "--root", "13", "--B", "3", "--D", "4", "--T", "0", "--pipeline", "branching"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "verification failure: branching tables differ across weight samples\n")
+    assert len(calls) == 3
 
 
 def test_trace_divergent_is_labeled_and_deterministic(tmp_path):
@@ -267,6 +310,8 @@ MALFORMED = [
     pytest.param(["verify", "--identity", "borel-trace-13"], None, "abc", id="env-jobs-abc"),
     pytest.param(["verify", "--identity", "borel-trace-13"], None, "0", id="env-jobs-0"),
     pytest.param(["verify", "--identity", "borel-trace-13"], None, "-3", id="env-jobs-negative"),
+    pytest.param(["verify", "--identity", "borel-trace-13"], "B = 3\nB = 5\n", None,
+                 id="config-repeated-key"),
 ]
 
 
@@ -352,6 +397,13 @@ def test_file_errors_exit_2_without_traceback(tmp_path, command, flag, name):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+def test_repeated_config_key_is_named(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("B = 3\nD = 2\nB = 5\n")
+    assert main(["verify", "--identity", "borel-trace-13", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr() == ("", "error: config key 'B' is given twice\n")
 
 
 def test_bad_config_line_rejected(tmp_path):
