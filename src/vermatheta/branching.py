@@ -38,6 +38,13 @@ DEFAULT_WEIGHTS = (
 )
 
 
+def _spans_plane(samples) -> bool:
+    """True when the weight samples are not all on one line."""
+    (x0, y0), *rest = samples
+    steps = [(x - x0, y - y0) for x, y in rest]
+    return any(a * d != b * c for (a, b), (c, d) in combinations(steps, 2))
+
+
 def lift_samples(spec: ModuleSpec, samples=()) -> tuple:
     """Weight samples at which the brute force is replicated: the given
     ones, checked against the spec, or defaults led by its weight.
@@ -47,20 +54,21 @@ def lift_samples(spec: ModuleSpec, samples=()) -> tuple:
     agreement is not confined to one line of weights: three affinely
     independent weights for the Borel module, at least two distinct lambda1
     values for the parabolic one, whose integral lambda2 is part of the module
-    structure, so every sample carries the spec's.
+    structure, so every sample carries the spec's.  A Borel default on the
+    line through the first two samples is skipped.
     """
     if not samples:
         samples = [(spec.lambda1, spec.lambda2)]
         for l1, l2 in DEFAULT_WEIGHTS:
             l2 = spec.lambda2 if spec.kind == PARABOLIC else l2
-            if (l1, l2) not in samples:
+            if (l1, l2) not in samples and (
+                spec.kind == PARABOLIC or len(samples) < 2 or _spans_plane([*samples, (l1, l2)])
+            ):
                 samples.append((l1, l2))
         samples = samples[:3]
     samples = tuple((Fraction(a), Fraction(b)) for a, b in samples)
     if spec.kind == BOREL:
-        x0, y0 = samples[0]
-        steps = [(x - x0, y - y0) for x, y in samples[1:]]
-        if not any(a * d != b * c for (a, b), (c, d) in combinations(steps, 2)):
+        if not _spans_plane(samples):
             raise UsageError("need three affinely independent weight samples")
     else:
         if len({l1 for l1, _ in samples}) < 2:
@@ -199,18 +207,17 @@ def candidate_forms(module: VermaModule, root: Root, n: int, m: int) -> list:
     A constituent passing through (n, m) at string depth k has its origin k
     steps up the root string, whose h-value is w + 2k for the local h-value
     w, so the candidates are (2k+1)*(w + 2k) - 2k^2 = (2k+1)*w + 2k(k+1)
-    over the nonempty spaces up the string; when w has an L part, the k-th
-    candidate sits at index k.  A finite constituent L_i has the same form
-    at its depth k, with i = w + 2k, so the list misses no constituent, and
-    ``kappa_spectrum`` checks that it misses no eigenvalue.
+    over the nonempty spaces up the string.  A finite constituent L_i has the
+    same form at its depth k, with i = w + 2k, so the list misses no
+    constituent, and ``kappa_spectrum`` checks that it misses no eigenvalue.
     """
     c0, c1, c2 = h_form(module.spec.kind, module.lambda2_int, root, n, m)
+    dn, dm = root.down_step
+    run = 0
+    while module.dim(n - run * dn, m - run * dm):
+        run += 1
     # j = 2k+1 runs over the odd numbers, and 2k(k+1) = (j*j - 1)/2
-    forms = [ExponentForm(j * c0 + (j * j - 1) // 2, j * c1, j * c2)
-             for j in range(1, 2 * module.string_run(root, n, m), 2)]
-    if c1 or c2:
-        # the k-th form's L part is (2k+1) times w's, so the forms are distinct
-        return forms
+    forms = (ExponentForm(j * c0 + (j * j - 1) // 2, j * c1, j * c2) for j in range(1, 2 * run, 2))
     # a constant w makes the k and k' forms equal when w + k + k' + 1 = 0,
     # and equal forms are one eigenvalue
     return list(dict.fromkeys(forms))
@@ -418,12 +425,7 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
         if not modules[0].dim(n, m):
             continue
         forms = candidate_forms(modules[0], root, n, m)
-        # the k = 0 form is w; a form whose L part is (2k+1) times a nonzero
-        # one leaves the window once 2k+1 > B, so only k <= (B-1)//2 can put
-        # this space in it
-        w = forms[0]
-        reach = forms[: (window.B - 1) // 2 + 1] if w.c1 or w.c2 else forms
-        if not any(window.contains(Monomial(f, *t_part)) for f in reach):
+        if not any(window.contains(Monomial(f, *t_part)) for f in forms):
             continue
         counts = lift_space(modules, root, n, m, forms)
         pairs.extend((Monomial(form, *t_part), count) for form, count in zip(forms, counts))

@@ -254,8 +254,9 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[list, dict]:
         work = required_depth(spec, entry.root, cfg.window, entry.regularized)
         spec = guarded_spec(spec if entry.root is None else spec.with_depth(work), work)
         tasks.append((tuple(identities), spec, cfg.window, lift_samples(spec, cfg.lambda_samples)))
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_task, tasks))
     else:
         results = [_verify_task(t) for t in tasks]

@@ -12,23 +12,39 @@ deterministic.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 from .errors import UsageError
 
 
+#: The most digits a parsed numerator or denominator may have, and the largest
+#: exponent a parsed string may carry: the interpreter's default limit on
+#: int-string conversion, so every accepted value prints in a report.
+MAX_DIGITS = 4300
+
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\Z", re.IGNORECASE)
+
+
 def rat(value) -> Fraction:
-    """Parse a rational from an int, Fraction or a string like '7/3'."""
+    """Parse a rational from an int, Fraction or a string like '7/3' or '1e-3';
+    an exponent past ``MAX_DIGITS`` is refused before it is expanded."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
         try:
-            return Fraction(value.strip())
+            q = None if exponent and abs(int(exponent[1])) > MAX_DIGITS else Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
+        else:
+            if q is not None and max(abs(q.numerator), q.denominator) < 10**MAX_DIGITS:
+                return q
+            raise UsageError(f"{value!r} is past the limit of {MAX_DIGITS} digits")
     raise UsageError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -70,8 +86,9 @@ def mat_scalar_shift(a: QMatrix, shift: int) -> QMatrix:
 
 
 def _numerator_rows(m: QMatrix) -> list[list[int]]:
+    """The numerators row by row; none for a matrix with no columns."""
     num, cols = m.num, m.cols
-    return [list(num[i : i + cols]) for i in range(0, m.rows * cols, cols)]
+    return [list(num[i : i + cols]) for i in range(0, m.rows * cols, cols or 1)]
 
 
 def _echelon(rows: list[list[int]]) -> list[int]:
@@ -107,8 +124,6 @@ def _echelon(rows: list[list[int]]) -> list[int]:
 
 
 def rank(m: QMatrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
     return len(_echelon(_numerator_rows(m)))
 
 
@@ -121,10 +136,6 @@ def kernel_basis(m: QMatrix) -> list[tuple[int, ...]]:
     s it must cancel, the whole vector is first scaled by |p| / gcd(s, p).
     Vectors are ordered by free column index.
     """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [tuple(int(c == f) for c in range(m.cols)) for f in range(m.cols)]
     rows = _numerator_rows(m)
     pivot_cols = _echelon(rows)
     pivot_set = set(pivot_cols)

@@ -247,7 +247,6 @@ class VermaModule:
         # the parabolic module's integral L2, which caps the E32 exponent
         self.lambda2_int = spec.lambda2_int if spec.kind == PARABOLIC else None
         self._cache = tuple({} for _ in Gen)
-        self._runs = {root: {} for root in Root}
 
     def numerator(self, form: ExponentForm) -> int:
         """``form`` at this module's highest weight, as an integer over ``denom``."""
@@ -276,25 +275,6 @@ class VermaModule:
         if self.spec.kind == BOREL:
             return min(n, m) + 1
         return max(0, min(n, m) - max(0, m - self.lambda2_int) + 1)
-
-    def string_run(self, root: Root, n: int, m: int) -> int:
-        """Number of nonempty weight spaces from (n, m) up the root string,
-        (n, m) included.  Each string is walked once per module: the run of
-        every space passed on the way is kept."""
-        runs = self._runs[root]
-        dn, dm = root.down_step
-        path = []
-        while (n, m) not in runs:
-            if not self.dim(n, m):
-                runs[n, m] = 0
-                break
-            path.append((n, m))
-            n, m = n - dn, m - dm
-        run = runs[n, m]
-        for space in reversed(path):
-            run += 1
-            runs[space] = run
-        return run
 
     # -- straightening -----------------------------------------------------
 

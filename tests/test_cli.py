@@ -312,6 +312,13 @@ MALFORMED = [
     pytest.param(["verify", "--identity", "borel-trace-13"], None, "-3", id="env-jobs-negative"),
     pytest.param(["verify", "--identity", "borel-trace-13"], "B = 3\nB = 5\n", None,
                  id="config-repeated-key"),
+    pytest.param(["character", "--T", "1", "--lambda1", "1e5000"], None, None,
+                 id="argv-lambda1-exponent"),
+    pytest.param(["character", "--T", "1", "--lambda2", "1e4400"], None, None,
+                 id="argv-lambda2-exponent"),
+    pytest.param(["character", "--T", "1"], "lambda1 = 1e5000\n", None, id="config-exponent"),
+    pytest.param(["trace", "--root", "13", "--lambda-samples", "7/3,5/7;1e5000,1;13/4,9/11"],
+                 None, None, id="argv-samples-exponent"),
 ]
 
 
@@ -327,6 +334,18 @@ def test_malformed_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, config, j
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_a_weight_on_the_default_samples_line_skips_that_default(capsys):
+    # (37/15, 13/7) = 2*(7/3, 5/7) - (11/5, -3/7) lies on the line through
+    # the first two defaults, so the third one completes the samples
+    argv = ["trace", "--root", "13", "--B", "1", "--D", "2", "--T", "0",
+            "--lambda1", "37/15", "--lambda2", "13/7"]
+    assert main(argv) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["lambdaSamples"] == [["37/15", "13/7"], ["7/3", "5/7"], ["13/4", "9/11"]]
+    assert main([*argv, "--lambda-samples", "37/15,13/7;7/3,5/7;11/5,-3/7"]) == 2
+    assert capsys.readouterr() == ("", "error: need three affinely independent weight samples\n")
 
 
 def test_borel_samples_are_accepted_in_any_order(capsys):
@@ -752,6 +771,35 @@ def test_parabolic_12_working_depth_does_not_grow_with_B(tmp_path):
     assert (check["status"], alt["status"]) == ("mismatch", "pass")
     assert check["pipelineAgreement"] == "pass"
     assert "classification: formula-discrepancy (computational pipelines agree)" in check["notes"]
+
+
+def test_jobs_past_the_job_count_start_one_worker_per_job(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size and maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    args = ["verify", "--identity", "borel-trace-13", "--identity", "borel-reg-trace-12",
+            "--B", "1", "--D", "2", "--T", "1"]
+    monkeypatch.setenv("VERMATHETA_JOBS", "1")
+    serial = run(tmp_path, *args)
+    assert started == []
+    monkeypatch.setenv("VERMATHETA_JOBS", "1000")
+    assert run(tmp_path, *args) == serial
+    assert started == [2]
 
 
 def test_interleaved_identities_keep_request_order_in_parallel(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vermatheta import kernel_basis, mat_scalar_shift, rank, rat
+from vermatheta import QMatrix, kernel_basis, mat_scalar_shift, rank, rat
 from vermatheta.errors import UsageError
 
 from conftest import matrix_rows, qmatrix, shifted
@@ -39,6 +39,23 @@ def test_rat_parses_strings_and_numbers():
     for bad in (object(), "abc", "1/0", ""):
         with pytest.raises(UsageError):
             rat(bad)
+
+
+def test_rat_refuses_oversized_values_before_expanding_them():
+    assert rat("1e4299") == 10**4299
+    assert rat("-1e-4299") == F(-1, 10**4299)
+    for big in ("1e5000", "1e4300", "1e-4300", "2.5e-4301", "1E+4_400", "1e100000000",
+                "1e" + "9" * 5000):
+        with pytest.raises(UsageError):
+            rat(big)
+
+
+def test_empty_matrices_have_rank_0():
+    no_rows = QMatrix.from_integers(0, 3, [], 1)
+    no_cols = QMatrix.from_integers(3, 0, [], 1)
+    assert rank(no_rows) == rank(no_cols) == 0
+    assert kernel_basis(no_rows) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_basis(no_cols) == []
 
 
 def test_rank_zero_matrix():

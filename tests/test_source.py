@@ -1,6 +1,7 @@
 """Static checks on the package source, standing in for a linter."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,9 @@ import pytest
 import vermatheta
 
 SOURCES = sorted(Path(vermatheta.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+#: the code that runs: the package and the benchmark harness, not the tests
+PROGRAM = SOURCES + sorted(p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -39,3 +43,49 @@ def test_unused_import_check_sees_leftovers():
         "os.sep\n"
     )
     assert unused_imports(tree) == ["dataclass", "PAIRS"]
+
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+\Z")
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names a module reads: a loaded name or attribute, an imported name,
+    or a part of a dotted string constant such as ``"VermaModule.apply_gen"``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.match(node.value):
+            names.update(node.value.split("."))
+    return names
+
+
+def dead_definitions(tree: ast.Module, program: list[ast.Module]) -> list[str]:
+    """The functions, methods and classes ``tree`` defines that no module of
+    ``program`` reads; dunder methods are called implicitly."""
+    read = set().union(*map(read_names, program))
+    return sorted(
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_definition_is_read(path):
+    program = [ast.parse(p.read_text(encoding="utf-8")) for p in PROGRAM]
+    assert dead_definitions(ast.parse(path.read_text(encoding="utf-8")), program) == []
+
+
+def test_dead_definition_check_sees_leftovers():
+    tree = ast.parse(
+        "class Module:\n    def __init__(self): pass\n    def used(self): pass\n"
+        "    def spare(self): pass\ndef wrapped(): pass\ndef stored(): pass\n"
+    )
+    reader = ast.parse("Module().used()\nSPANS = ('mod.wrapped',)\nstored = None\n")
+    assert dead_definitions(tree, [tree, reader]) == ["spare", "stored"]
