@@ -422,9 +422,7 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
     modules = [VermaModule(spec.with_weight(l1, l2)) for (l1, l2) in samples]
     pairs = []
     for n, m, t_part in _window_spaces(region, window, regularized):
-        if not modules[0].dim(n, m):
-            continue
-        forms = candidate_forms(modules[0], root, n, m)
+        forms = candidate_forms(modules[0], root, n, m)  # none on an empty space
         if not any(window.contains(Monomial(f, *t_part)) for f in forms):
             continue
         counts = lift_space(modules, root, n, m, forms)
