@@ -9,7 +9,6 @@ separately from pipeline failures), 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from .branching import (
     trace_pipelines,
 )
 from .errors import UsageError, VerificationError
-from .exactalg import rat
+from .exactalg import MAX_DIGITS, rat
 from .qseries import Window
 from .theta import (
     CATALOG,
@@ -55,6 +54,16 @@ _SAMPLED_COMMANDS = ("trace", "verify")
 #: ``required_depth``); it bounds the work of one command.  The longest benchmarked
 #: check, parabolic-trace-12-alt-sign at B=9, D=20, lambda2=2, needs depth 47.
 MAX_DEPTH = 150
+
+#: The largest integral L-part a weight may have: the genericity guard's band
+#: at the depth cap.  The guard passes an integral part beyond its band, and a
+#: constituent's finiteness test walks the root string as far as that part.
+MAX_WEIGHT_PART = 3 * MAX_DEPTH + 3
+
+#: The most digits a report prints in one integer: a spectrum's eigenvalue
+#: sums two weight parts of ``MAX_DIGITS`` digits each, over the product of
+#: their denominators, and scales and shifts that by a few more digits.
+REPORT_DIGITS = 2 * MAX_DIGITS + 10
 
 
 @dataclass
@@ -182,6 +191,12 @@ def build_config(args) -> RunConfig:
     # a parabolic config's lambda2 must be a nonnegative integer; refusing a
     # bad one here keeps every command from running at another value
     cfg.spec()
+    for l1, l2 in ((cfg.lambda1, cfg.lambda2), *cfg.lambda_samples):
+        for part in (l1, l2) if cfg.module == PARABOLIC else (l1, l2, l1 + l2):
+            if part.denominator == 1 and abs(part) > MAX_WEIGHT_PART:
+                raise UsageError(f"weight ({l1}, {l2}) has the integral part {part}, past the "
+                                 f"cap {MAX_WEIGHT_PART} in absolute value; pick a non-integral or "
+                                 "nearer weight")
     return cfg
 
 
@@ -256,6 +271,8 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[list, dict]:
         tasks.append((tuple(identities), spec, cfg.window, lift_samples(spec, cfg.lambda_samples)))
     workers = min(jobs, len(tasks))
     if workers > 1:
+        import concurrent.futures  # only a pool needs it, and it costs every start-up
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_task, tasks))
     else:
@@ -444,6 +461,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    sys.set_int_max_str_digits(REPORT_DIGITS)
     try:
         args = build_parser().parse_args(argv)
         cfg = build_config(args)

@@ -168,6 +168,22 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
         raise UsageError(f"{identity.value} needs a {kind} module spec")
     v = spec.lambda2_int if kind == PARABOLIC else None
 
+    if identity in (ClosedFormId.PARABOLIC_TRACE_23, ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT):
+        extra = 1 if identity is ClosedFormId.PARABOLIC_TRACE_23 else 0
+        return FormalSeries(
+            [(qpow(ExponentForm((2 * k + 1) * i - 2 * k * k, 0, 0)), i + 1 if i <= v else v + 1)
+             for i in range(window.D + 1) for k in range(i + extra + 1)],
+            window,
+        ), []
+    if identity is ClosedFormId.PARABOLIC_CHARACTER:
+        return _expand_term(
+            # t1^i t2^(-2i) has t-degree i and both factors raise it, so a
+            # base term past the cap 2T never reaches the window
+            [(1, tmono(i, -2 * i)) for i in range(min(v, 2 * window.T) + 1)],
+            [tmono(-2, 1), tmono(-1, -1)],
+            window,
+        )
+
     pairs: list = []
     notes: list[str] = []
 
@@ -178,16 +194,17 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
             if note not in notes:
                 notes.append(note)
 
-    if identity is ClosedFormId.BOREL_TRACE_13:
-        for k in _k_terms(window):
-            o = 2 * k + 1
+    # the sign of L1 in the parabolic-trace-12 pair: -1 as the catalog
+    # writes the literal, +1 in its alt-sign correction
+    s = -1 if identity is ClosedFormId.PARABOLIC_TRACE_12 else 1
+    for k in _k_terms(window):
+        o = 2 * k + 1
+        if identity is ClosedFormId.BOREL_TRACE_13:
             accumulate(
                 [(1, qpow(ExponentForm(-2 * k * k, o, o)))],
                 [qpow(ExponentForm(-o, 0, 0))] * 2,
             )
-    elif identity is ClosedFormId.BOREL_REG_TRACE_12:
-        for k in _k_terms(window):
-            o = 2 * k + 1
+        elif identity is ClosedFormId.BOREL_REG_TRACE_12:
             f_u = Monomial(ExponentForm(-2 * o, 0, 0), -2, 1)
             f_w = Monomial(ExponentForm(o, 0, 0), 1, -2)
             f_v = Monomial(ExponentForm(-o, 0, 0), -1, -1)
@@ -199,9 +216,7 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
                 [(-1, Monomial(ExponentForm(-2 * k * k - 2 * o, o, 0), -2 * (k + 1), k + 1))],
                 [f_u, f_v],
             )
-    elif identity is ClosedFormId.BOREL_REG_TRACE_23:
-        for k in _k_terms(window):
-            o = 2 * k + 1
+        elif identity is ClosedFormId.BOREL_REG_TRACE_23:
             g_w = Monomial(ExponentForm(-2 * o, 0, 0), 1, -2)
             g_u = Monomial(ExponentForm(o, 0, 0), -2, 1)
             g_v = Monomial(ExponentForm(-o, 0, 0), -1, -1)
@@ -213,35 +228,7 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
                 [(-1, Monomial(ExponentForm(-2 * k * k - 2 * o, 0, o), k + 1, -2 * (k + 1)))],
                 [g_w, g_v],
             )
-    elif identity is ClosedFormId.PARABOLIC_TRACE_12:
-        for k in _k_terms(window):
-            o = 2 * k + 1
-            accumulate(
-                [
-                    (1, qpow(ExponentForm(-2 * k * k, -o, 0))),
-                    (-1, qpow(ExponentForm(-2 * k * k - o * (v + 1), -o, 0))),
-                ],
-                [qpow(ExponentForm(-o, 0, 0)), qpow(ExponentForm(o, 0, 0))],
-            )
-    elif identity is ClosedFormId.PARABOLIC_TRACE_12_ALT_SIGN:
-        for k in _k_terms(window):
-            o = 2 * k + 1
-            accumulate(
-                [
-                    (1, qpow(ExponentForm(-2 * k * k, o, 0))),
-                    (-1, qpow(ExponentForm(-2 * k * k + o * (v + 1), o, 0))),
-                ],
-                [qpow(ExponentForm(-o, 0, 0)), qpow(ExponentForm(o, 0, 0))],
-            )
-    elif identity in (ClosedFormId.PARABOLIC_TRACE_23, ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT):
-        extra = 1 if identity is ClosedFormId.PARABOLIC_TRACE_23 else 0
-        for i in range(window.D + 1):
-            mult = (i + 1) if i <= v else (v + 1)
-            pairs.extend((qpow(ExponentForm((2 * k + 1) * i - 2 * k * k, 0, 0)), mult)
-                         for k in range(i + extra + 1))
-    elif identity is ClosedFormId.PARABOLIC_TRACE_13:
-        for k in _k_terms(window):
-            o = 2 * k + 1
+        elif identity is ClosedFormId.PARABOLIC_TRACE_13:
             accumulate(
                 [
                     (1, qpow(ExponentForm(-2 * k * k + o * v, o, 0))),
@@ -249,15 +236,14 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
                 ],
                 [qpow(ExponentForm(-o, 0, 0))] * 2,
             )
-    elif identity is ClosedFormId.PARABOLIC_CHARACTER:
-        accumulate(
-            # t1^i t2^(-2i) has t-degree i and both factors raise it, so a
-            # base term past the cap 2T never reaches the window
-            [(1, tmono(i, -2 * i)) for i in range(min(v, 2 * window.T) + 1)],
-            [tmono(-2, 1), tmono(-1, -1)],
-        )
-    else:
-        raise UsageError(f"unknown identity {identity}")
+        else:  # the parabolic-trace-12 pair
+            accumulate(
+                [
+                    (1, qpow(ExponentForm(-2 * k * k, s * o, 0))),
+                    (-1, qpow(ExponentForm(-2 * k * k + s * o * (v + 1), s * o, 0))),
+                ],
+                [qpow(ExponentForm(-o, 0, 0)), qpow(ExponentForm(o, 0, 0))],
+            )
     return FormalSeries(pairs, window), notes
 
 

@@ -14,7 +14,14 @@ import vermatheta
 from vermatheta import BOREL, PARABOLIC, ModuleSpec, Root, Window
 from vermatheta import cli
 from vermatheta.branching import BranchingTable, required_depth
-from vermatheta.cli import MAX_DEPTH, RunConfig, build_config, build_parser, main
+from vermatheta.cli import (
+    MAX_DEPTH,
+    MAX_WEIGHT_PART,
+    RunConfig,
+    build_config,
+    build_parser,
+    main,
+)
 from vermatheta.theta import ClosedFormId, annotate_variants, check_id, check_record, verify_identity
 
 F = Fraction
@@ -319,6 +326,8 @@ MALFORMED = [
     pytest.param(["character", "--T", "1"], "lambda1 = 1e5000\n", None, id="config-exponent"),
     pytest.param(["trace", "--root", "13", "--lambda-samples", "7/3,5/7;1e5000,1;13/4,9/11"],
                  None, None, id="argv-samples-exponent"),
+    pytest.param(["spectrum", "--root", "12", "--depth", "8", "--lambda1=1" + "0" * 4300], None,
+                 None, id="argv-lambda1-4301-digits"),
 ]
 
 
@@ -485,6 +494,32 @@ GOLDEN_CASES = [
         "trace_borel_12_regularized.json",
         ("trace", "--module", "borel", "--root", "12", "--regularized", "--B", "2", "--D", "3",
          "--T", "1"),
+        0,
+    ),
+    (
+        "trace_borel_13_closed.json",
+        ("trace", "--module", "borel", "--root", "13", "--B", "5", "--D", "8", "--T", "0",
+         "--pipeline", "closed"),
+        0,
+    ),
+    (
+        "trace_borel_23_regularized_closed.json",
+        ("trace", "--module", "borel", "--root", "23", "--regularized", "--B", "5", "--D", "6",
+         "--T", "3", "--pipeline", "closed"),
+        0,
+    ),
+    (
+        # the literal's series is empty in every window (its terms carry -L1);
+        # verify_parabolic_variants.json pins it through its mismatch
+        "trace_parabolic_12_closed.json",
+        ("trace", "--module", "parabolic", "--lambda2", "2", "--root", "12", "--B", "5", "--D", "8",
+         "--T", "0", "--pipeline", "closed"),
+        0,
+    ),
+    (
+        "trace_parabolic_13_closed.json",
+        ("trace", "--module", "parabolic", "--lambda2", "2", "--root", "13", "--B", "5", "--D", "8",
+         "--T", "0", "--pipeline", "closed"),
         0,
     ),
 ]
@@ -749,6 +784,72 @@ def test_every_command_has_a_case_at_and_past_the_depth_cap():
     assert {case.values[0][0] for case in AT_THE_CAP} == set(cli._COMMANDS)
 
 
+SAMPLED_TRACE = ["trace", "--root", "12", "--regularized", "--B", "3", "--D", "2", "--T", "2"]
+
+
+def with_samples(first: str) -> list:
+    return ["--lambda-samples", f"{first};7/3,5/7;11/5,-3/7"]
+
+
+# (command, its weight flags at the cap, the same one past it, and the weight
+# and integral part that the refusal names): every integral L-part that a
+# module is built at, in the config weight and in a weight sample
+WEIGHT_PART_CASES = [
+    pytest.param(["spectrum", "--root", "12", "--depth", "3"], ["--lambda1=453"],
+                 ["--lambda1=454"], "(454, 5/7)", "454", id="borel-L1"),
+    pytest.param(["spectrum", "--root", "12", "--depth", "3"], ["--lambda1=-453"],
+                 ["--lambda1=-454"], "(-454, 5/7)", "-454", id="borel-negative-L1"),
+    pytest.param(["spectrum", "--root", "23", "--depth", "3"], ["--lambda2=453"],
+                 ["--lambda2=454"], "(7/3, 454)", "454", id="borel-L2"),
+    pytest.param(["spectrum", "--root", "13", "--depth", "3"], ["--lambda1=300", "--lambda2=153"],
+                 ["--lambda1=300", "--lambda2=154"], "(300, 154)", "454", id="borel-L1+L2"),
+    pytest.param(["spectrum", "--module", "parabolic", "--root", "23", "--depth", "3"],
+                 ["--lambda2=453"], ["--lambda2=454"], "(7/3, 454)", "454",
+                 id="parabolic-lambda2"),
+    pytest.param(["character", "--module", "parabolic", "--T", "1"], ["--lambda2=453"],
+                 ["--lambda2=454"], "(7/3, 454)", "454", id="character-parabolic-lambda2"),
+    pytest.param(SAMPLED_TRACE, with_samples("453,1/3"), with_samples("454,1/3"), "(454, 1/3)",
+                 "454", id="sample-L1"),
+]
+
+
+@pytest.mark.parametrize("argv,at,past,weight,part", WEIGHT_PART_CASES)
+def test_integral_weight_parts_past_the_cap_exit_2(tmp_path, capsys, argv, at, past, weight, part):
+    assert MAX_WEIGHT_PART == 453
+    code, payload = run(tmp_path, *argv, *at)
+    assert code == 0 and payload
+    capsys.readouterr()
+    assert main([*argv, *past]) == 2
+    assert capsys.readouterr() == ("", f"error: weight {weight} has the integral part {part}, "
+                                   "past the cap 453 in absolute value; pick a non-integral or "
+                                   "nearer weight\n")
+
+
+# a numerator and a denominator of 4,300 digits each, the most rat accepts;
+# the second weight's eigenvalues have about 8,600 digits
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "--root", "12", "--depth", "8", f"--lambda1={3 * 10**4299 + 1}/3"],
+                 id="root-12"),
+    pytest.param(["spectrum", "--root", "13", "--depth", "4", f"--lambda1={10**4299 + 1}/3",
+                  f"--lambda2=1/{10**4299 + 7}"], id="root-13"),
+])
+def test_a_weight_at_the_digit_limit_prints_its_spectrum(tmp_path, argv):
+    code, payload = run(tmp_path, *argv)
+    assert code == 0
+    report = json.loads(payload)
+    assert report["config"]["lambda1"] == argv[5].removeprefix("--lambda1=")
+    assert report["spectra"]
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    env = {**os.environ, "PYTHONPATH": str(Path(vermatheta.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vermatheta.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.stdout == "False\n"
+
+
 def test_depth_cap_admits_the_deepest_benchmarked_check(tmp_path):
     # the deep-parabolic-12 benchmark: parabolic-trace-12-alt-sign at B=9, D=20, lambda2=2
     spec = ModuleSpec(PARABOLIC, F(7, 3), 2, 10)
@@ -791,7 +892,7 @@ def test_jobs_past_the_job_count_start_one_worker_per_job(tmp_path, monkeypatch)
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     args = ["verify", "--identity", "borel-trace-13", "--identity", "borel-reg-trace-12",
             "--B", "1", "--D", "2", "--T", "1"]
     monkeypatch.setenv("VERMATHETA_JOBS", "1")
