@@ -17,10 +17,10 @@ depth-k vector by (2k+1)u - 2k^2; a finite module L_i has depths 0..i only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import UsageError, VerificationError
 from .exactalg import kernel_basis, mat_scalar_shift, rank
@@ -78,20 +78,23 @@ def lift_samples(spec: ModuleSpec, samples=()) -> tuple:
     return samples
 
 
-@dataclass(frozen=True)
-class BranchingTerm:
+class BranchingTerm(NamedTuple):
     kind: str  # VERMA or FINITE
     hw: ExponentForm  # finite constituents store (i, 0, 0)
     multiplicity: int
     origin: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BranchingTable:
+class _TableFields(NamedTuple):
     kind: str
     root: Root
     terms: tuple
     region: tuple[int, int, int]  # the covered spaces, as in ``region_spaces``
+
+
+class BranchingTable(_TableFields):
+    """A root's constituents over a region; unlike its fields' tuple it has
+    an instance dict, which holds the cached string index."""
 
     @cached_property
     def _strings(self) -> dict:
@@ -130,8 +133,8 @@ class BranchingTable:
 def _classify(module: VermaModule, root: Root, n: int, m: int, vector) -> tuple:
     """Return (kind, hw form) for the constituent generated by an integral
     singular vector, testing finiteness inside the module rather than
-    assuming it: a lowering letter has scale 1, so its powers act on the
-    vector in integers."""
+    assuming it: a lowering letter's coefficients are integers on either
+    kind of straightener, so its powers act on the vector in integers."""
     form = h_form(module.spec.kind, module.lambda2_int, root, n, m)
     i, rem = divmod(module.numerator(form), module.denom)
     if not rem and i >= 0:
@@ -139,7 +142,7 @@ def _classify(module: VermaModule, root: Root, n: int, m: int, vector) -> tuple:
         element = {exps: c for exps, c in zip(basis, vector) if c}
         lowering = _GEN_INDEX[root.lowering]
         for _ in range(i + 1):
-            element = module._act(lowering, element)
+            element = module.straightener.act(lowering, element)
         if not element:
             return (FINITE, ExponentForm(i, 0, 0))
     return (VERMA, form)
@@ -419,7 +422,7 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
     need = required_depth(spec, root, window, regularized, divergent_depth)
     if spec.depth < need:
         raise UsageError(f"trace needs depth {need}, module is certified to {spec.depth}")
-    modules = [VermaModule(spec.with_weight(l1, l2)) for (l1, l2) in samples]
+    modules = [VermaModule(spec.with_weight(l1, l2), shared=True) for (l1, l2) in samples]
     pairs = []
     for n, m, t_part in _window_spaces(region, window, regularized):
         forms = candidate_forms(modules[0], root, n, m)  # none on an empty space
@@ -440,7 +443,7 @@ def trace_branching(spec: ModuleSpec, root: Root, window: Window,
     n+m <= ``divergent_depth``, as in ``trace_brute_force``."""
     region = bruteforce_region(spec, root, window, regularized, divergent_depth)
     tables = [
-        branching_table(VermaModule(spec.with_weight(l1, l2)), root, region=region)
+        branching_table(VermaModule(spec.with_weight(l1, l2), shared=True), root, region=region)
         for l1, l2 in lift_samples(spec, samples)
     ]
     if any(table != tables[0] for table in tables[1:]):

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .branching import (
     trace_brute_force,
     trace_pipelines,
 )
-from .errors import UsageError, VerificationError
+from .errors import UsageError, VerificationError, shown
 from .exactalg import MAX_DIGITS, rat
 from .qseries import Window
 from .theta import (
@@ -66,17 +65,18 @@ MAX_WEIGHT_PART = 3 * MAX_DEPTH + 3
 REPORT_DIGITS = 2 * MAX_DIGITS + 10
 
 
-@dataclass
 class RunConfig:
-    module: str = BOREL
-    lambda1: Fraction = Fraction(7, 3)
-    lambda2: Fraction = Fraction(5, 7)
-    depth: int = 10
-    B: int = 5
-    D: int = 8
-    T: int = 8
-    lambda_samples: tuple = ()
-    lambda2_given: bool = True
+    """A command's settings, from the defaults, a config file and flags."""
+
+    def __init__(self, module: str = BOREL, lambda1: Fraction = Fraction(7, 3),
+                 lambda2: Fraction = Fraction(5, 7), depth: int = 10, B: int = 5, D: int = 8,
+                 T: int = 8, lambda_samples: tuple = (), lambda2_given: bool = True):
+        self.module, self.lambda1, self.lambda2, self.depth = module, lambda1, lambda2, depth
+        self.B, self.D, self.T = B, D, T
+        self.lambda_samples, self.lambda2_given = lambda_samples, lambda2_given
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if isinstance(other, RunConfig) else NotImplemented
 
     @property
     def window(self) -> Window:
@@ -102,7 +102,7 @@ def guarded_spec(spec: ModuleSpec, work: int | None = None) -> ModuleSpec:
     the weight fails the genericity guard at ``spec.depth``."""
     work = spec.depth if work is None else work
     if work > MAX_DEPTH:
-        raise UsageError(f"the run needs depth {work}, past the depth cap {MAX_DEPTH}; "
+        raise UsageError(f"the run needs depth {shown(work)}, past the depth cap {MAX_DEPTH}; "
                          "use a smaller --depth or window")
     check_genericity(spec)
     return spec
@@ -112,7 +112,7 @@ def parse_int(value, name: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+        raise UsageError(f"{name} must be an integer, got {shown(value)}") from None
 
 
 def parse_samples(text: str) -> tuple:
@@ -123,7 +123,7 @@ def parse_samples(text: str) -> tuple:
             continue
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise UsageError(f"bad weight sample {chunk!r}; expected 'p/q,r/s'")
+            raise UsageError(f"bad weight sample {shown(chunk)}; expected 'p/q,r/s'")
         pairs.append((rat(parts[0]), rat(parts[1])))
     if not pairs:
         raise UsageError("--lambda-samples / lambda_samples is given but lists no weight sample")
@@ -141,12 +141,12 @@ def read_config_file(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"bad config line {raw!r}; expected 'key = value'")
+            raise UsageError(f"bad config line {shown(raw)}; expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key {key!r}")
+            raise UsageError(f"unknown config key {shown(key)}")
         if key in values:
-            raise UsageError(f"config key {key!r} is given twice")
+            raise UsageError(f"config key {shown(key)} is given twice")
         values[key] = value
     return values
 
@@ -161,7 +161,7 @@ def build_config(args) -> RunConfig:
     module = pick("module", getattr(args, "module", None))
     if module is not None:
         if module not in (BOREL, PARABOLIC):
-            raise UsageError(f"unknown module kind {module!r}")
+            raise UsageError(f"unknown module kind {shown(module)}")
         cfg.module = module
     l1 = pick("lambda1", args.lambda1)
     if l1 is not None:
@@ -179,7 +179,7 @@ def build_config(args) -> RunConfig:
     # no constituent within the depth cap sits deeper than k = MAX_DEPTH on
     # its root string, so no term has an L-coefficient 2k+1 past this
     if cfg.B > 2 * MAX_DEPTH + 1:
-        raise UsageError(f"B = {cfg.B} is past the cap {2 * MAX_DEPTH + 1} that the depth cap "
+        raise UsageError(f"B = {shown(cfg.B)} is past the cap {2 * MAX_DEPTH + 1} that the depth cap "
                          f"{MAX_DEPTH} allows; use a smaller --B")
     samples = pick("lambda_samples", args.lambda_samples)
     if samples is not None:
@@ -235,7 +235,7 @@ def _verify_task(job: tuple) -> list[dict]:
 def cmd_verify(cfg: RunConfig, args) -> tuple[list, dict]:
     jobs = parse_int(os.environ.get(JOBS_ENV, "1"), JOBS_ENV)
     if jobs < 1:
-        raise UsageError(f"{JOBS_ENV} must be a positive integer, got {jobs}")
+        raise UsageError(f"{JOBS_ENV} must be a positive integer, got {shown(jobs)}")
     # Borel identities run at a Borel config's weight; a config aimed at the
     # parabolic module carries an integral lambda2, so they use the default
     borel_weight = (cfg.lambda1, cfg.lambda2) if cfg.module == BOREL else DEFAULT_WEIGHTS[0]

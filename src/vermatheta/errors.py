@@ -20,3 +20,17 @@ class GenericityError(UsageError):
 class VerificationError(RuntimeError):
     """An internal consistency check failed (this indicates a real bug or a
     wrong mathematical assumption, never bad user input)."""
+
+
+#: The most characters of a refused input that an error message repeats.
+SHOWN_CHARS = 60
+
+
+def shown(value) -> str:
+    """``value``'s repr for an error message, cut after ``SHOWN_CHARS``
+    characters with the length of the whole added, so that a long refused
+    input still gives a short line."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .errors import UsageError
+from .errors import UsageError, shown
 
 
 #: The most digits a parsed numerator or denominator may have, and the largest
@@ -44,8 +44,8 @@ def rat(value) -> Fraction:
         else:
             if q is not None and max(abs(q.numerator), q.denominator) < 10**MAX_DIGITS:
                 return q
-            raise UsageError(f"{value!r} is past the limit of {MAX_DIGITS} digits")
-    raise UsageError(f"cannot interpret {value!r} as an exact rational")
+            raise UsageError(f"{shown(value)} is past the limit of {MAX_DIGITS} digits")
+    raise UsageError(f"cannot interpret {shown(value)} as an exact rational")
 
 
 class QMatrix:

@@ -21,7 +21,6 @@ t1^L1 t2^L2 is dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Rational
 from typing import NamedTuple
 
@@ -74,15 +73,19 @@ def tmono(t1: int, t2: int) -> Monomial:
     return Monomial(EXP_ZERO, t1, t2)
 
 
-@dataclass(frozen=True)
-class Window:
+class _WindowFields(NamedTuple):
     B: int  # cap on |lambda1|, |lambda2| coefficients: 0 <= c1, c2 <= B
     D: int  # cap on the constant part: -D <= c0 <= D
     T: int  # cap on regularization degrees: |t1|, |t2| <= T
 
-    def __post_init__(self):
-        if self.B < 0 or self.D < 0 or self.T < 0:
+
+class Window(_WindowFields):
+    __slots__ = ()
+
+    def __new__(cls, B: int, D: int, T: int):
+        if B < 0 or D < 0 or T < 0:
             raise UsageError("window bounds must be nonnegative")
+        return super().__new__(cls, B, D, T)
 
     def contains(self, mono: Monomial) -> bool:
         c0, c1, c2 = mono.qexp

@@ -20,17 +20,41 @@ PBW monomials:
   E21^a E31^c E32^i v with 0 <= i <= L2, weight coordinates (a+c, c+i).
   Bases are ordered by increasing E32 exponent.
 
-Straightening caches each generator's image of each PBW monomial in one dict
-per generator index (its position in ``Gen``), keyed by the exponent triple;
-the cached coefficients are integers over a per-generator scale (see
-``VermaModule.__init__``).  ``operator_matrix`` reads these integers directly
-and builds its matrix as integer numerators over one denominator.  A module
-holds its highest weight as integers over the weight denominator ``denom``,
-and ``numerator`` evaluates an affine form there to an integer over it, so
-the pipelines never build a Fraction and their series have int
-coefficients.  Fractions are built only at the edges: ``ModuleSpec`` and the
-genericity guard hold the weight as Fractions, ``apply_gen`` returns them for
-callers outside the pipelines, and reports print eigenvalues through them.
+Straightening lives in ``Straightener``, one per module structure (the kind
+and, for the parabolic module, the integral L2 that caps E32) and one set of
+Cartan values.  It caches each generator's image of each PBW monomial in one
+dict per generator index (its position in ``Gen``), keyed by the exponent
+triple.  There are two kinds:
+
+* A weight-bound straightener works at one highest weight, held as integers
+  (p1, p2) over the weight denominator ``denom``; a cached coefficient of a
+  generator is an integer over that generator's scale (see
+  ``Straightener.__init__``).  A module at a single weight (``branch``,
+  ``spectrum``, ``character``) owns one: one weight has nothing to share,
+  and packed ints cost it more time and memory than its small ones.
+* A packed straightener works at a symbolic weight.  The raising and Cartan
+  generators' coefficients are affine in (L1, L2), and the lowering ones'
+  are integers, so a coefficient c0 + c1*L1 + c2*L2 is held as the one int
+  c0 + c1*2^64 + c2*2^192: each ci is a balanced 64-bit digit, in slots 0,
+  1 and 3.  A product of two nonconstant forms lands in an empty slot (L1^2
+  in slot 2, L1*L2 in slot 4, L2^2 in slot 6), and ``unpack`` refuses a
+  nonzero empty slot, so affinity is checked, not assumed.  The parabolic
+  L2 stays the integer it is and is folded into c0, as ``h_form`` does.
+  The sample modules of a trace, one per weight sample in each pipeline,
+  share the one packed straightener of their structure, which also keeps
+  each operator matrix once, as unpacked coefficient tuples that every
+  sample evaluates at its own weight.  ``shared_straightener`` keeps the
+  last one alive, so the two pipelines of a trace and consecutive traces of
+  one structure reuse it; a trace of another structure drops it.
+
+A module holds its highest weight as integers over ``denom``, and
+``numerator`` evaluates an affine form there to an integer over it;
+``operator_matrix`` builds its matrix as integer numerators over one
+denominator, so the pipelines never build a Fraction and their series have
+int coefficients.  Fractions are built only at the edges: ``ModuleSpec`` and
+the genericity guard hold the weight as Fractions, ``apply_gen`` returns
+them for callers outside the pipelines, and reports print eigenvalues
+through them.
 
 The highest-weight parameters are substituted as exact rationals before any
 matrix is formed; genericity is certified by the guard below and by
@@ -39,12 +63,13 @@ re-running structural checks at several guard-passing weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
-from .errors import GenericityError, TruncationError, UsageError, VerificationError
+from .errors import GenericityError, TruncationError, UsageError, VerificationError, shown
 from .exactalg import QMatrix
 from .qseries import ExponentForm, FormalSeries, Monomial, Window
 
@@ -145,24 +170,27 @@ BOREL = "borel"
 PARABOLIC = "parabolic"
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class _SpecFields(NamedTuple):
     kind: str
     lambda1: Fraction
     lambda2: Fraction
     depth: int
 
-    def __post_init__(self):
-        if self.kind not in (BOREL, PARABOLIC):
-            raise UsageError(f"unknown module kind {self.kind!r}")
-        object.__setattr__(self, "lambda1", Fraction(self.lambda1))
-        object.__setattr__(self, "lambda2", Fraction(self.lambda2))
-        if self.depth < 0:
+
+class ModuleSpec(_SpecFields):
+    """A module kind, its highest weight (L1, L2) as Fractions and its depth."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, lambda1, lambda2, depth: int):
+        if kind not in (BOREL, PARABOLIC):
+            raise UsageError(f"unknown module kind {shown(kind)}")
+        lambda1, lambda2 = Fraction(lambda1), Fraction(lambda2)
+        if depth < 0:
             raise UsageError("depth must be nonnegative")
-        if self.kind == PARABOLIC and (
-            self.lambda2.denominator != 1 or self.lambda2 < 0
-        ):
+        if kind == PARABOLIC and (lambda2.denominator != 1 or lambda2 < 0):
             raise UsageError("parabolic modules need lambda2 a nonnegative integer")
+        return super().__new__(cls, kind, lambda1, lambda2, depth)
 
     @property
     def lambda2_int(self) -> int:
@@ -171,10 +199,10 @@ class ModuleSpec:
         return int(self.lambda2)
 
     def with_depth(self, depth: int) -> "ModuleSpec":
-        return replace(self, depth=depth)
+        return ModuleSpec(self.kind, self.lambda1, self.lambda2, depth)
 
     def with_weight(self, l1, l2) -> "ModuleSpec":
-        return replace(self, lambda1=Fraction(l1), lambda2=Fraction(l2))
+        return ModuleSpec(self.kind, l1, l2, self.depth)
 
 
 def genericity_guard(l1, l2, depth: int, kind: str = BOREL) -> bool:
@@ -224,29 +252,150 @@ def h_form(kind: str, lambda2: int | None, root: Root, n: int, m: int) -> Expone
     return ExponentForm(c0, c1, c2)
 
 
-class VermaModule:
-    """Straightening engine and weight-space bookkeeping for one module."""
+#: The PBW letters of each module kind, leftmost first.
+_LETTERS = {BOREL: (Gen.E21, Gen.E32, Gen.E31), PARABOLIC: (Gen.E21, Gen.E31, Gen.E32)}
 
-    def __init__(self, spec: ModuleSpec):
-        check_genericity(spec)
-        self.spec = spec
-        letters = (Gen.E21, Gen.E32, Gen.E31) if spec.kind == BOREL else (Gen.E21, Gen.E31, Gen.E32)
+# The packed point: L1 and L2 in slots 1 and 3 of 64 bits each (see the
+# module docstring).  Every |ci| < 2^63 holds with room to spare: the
+# coefficients grow about cubically with depth, and over every generator
+# and root Casimir on every space the largest has 14 bits (Borel, depth
+# 40), 16 bits (Borel, depth 70) and 12 bits (parabolic L2 2, depth 60),
+# so about 2^20 at the depth cap of 150.
+_SLOT = 64
+_PACKED_L1, _PACKED_L2 = 1 << _SLOT, 1 << 3 * _SLOT
+_HALF, _DIGIT = 1 << _SLOT - 1, (1 << _SLOT) - 1
+
+
+def unpack(packed: int) -> ExponentForm:
+    """The affine form c0 + c1*L1 + c2*L2 a packed coefficient holds; a
+    nonzero empty slot is a coefficient that is not affine in the weight."""
+    if -_HALF <= packed < _HALF:  # a constant, such as every lowering coefficient
+        return ExponentForm(packed, 0, 0)
+    digits = []
+    for _ in range(4):
+        digit = ((packed + _HALF) & _DIGIT) - _HALF
+        digits.append(digit)
+        packed = (packed - digit) >> _SLOT
+    c0, c1, empty, c2 = digits
+    if empty or packed:
+        raise VerificationError("a straightened coefficient is not affine in the weight")
+    return ExponentForm(c0, c1, c2)
+
+
+class Straightener:
+    """PBW straightening for one module structure, the kind and the
+    parabolic ``cap`` on E32, with the Cartans acting on v by ``hw``.
+
+    A weight-bound straightener has ``hw`` the numerators (p1, p2) of one
+    weight over ``denom``.  A packed one has ``hw`` the packed point and
+    ``denom`` 1, so its coefficients are the affine forms themselves, and
+    it keeps the operator matrices that modules assemble on it.
+    """
+
+    def __init__(self, kind: str, cap: int | None, hw: tuple, denom: int, packed: bool = False):
+        letters = _LETTERS[kind]
         self._letters = tuple(_GEN_INDEX[g] for g in letters)
         # PBW position of each generator index; None for the Cartans and raisings
         self._pos = tuple(letters.index(g) if g in letters else None for g in Gen)
+        # a cached coefficient c of generator g stands for c / scale[g]; lowering
+        # letters commute only into lowering letters, so their scale stays 1
+        self._scale = tuple(1 if g in letters else denom for g in Gen)
+        cartan = {Gen.H12: hw[0], Gen.H23: hw[1]}
+        self._hw = tuple(cartan.get(g, 0) for g in Gen)
+        self._cap = cap
+        self._cache = tuple({} for _ in Gen)
+        #: operator matrices by (op, n, m), as the unpacked coefficient tuples
+        #: (c0s, c1s, c2s) of their entries; None unless packed
+        self.matrices = {} if packed else None
+
+    def image(self, g: int, exps: tuple) -> dict:
+        """Generator index ``g`` times the PBW monomial ``exps``, as
+        {exponents: integer coefficient over ``self._scale[g]``}.
+
+        Unless g is a PBW letter at or left of the leading letter x, it commutes
+        past x: g x r = x (g r) + [g, x] r.  The chain of peeled monomials r is
+        filled bottom-up, so the stack grows with commutator nesting only."""
+        cache = self._cache[g]
+        pos = self._pos[g]
+        chain = []
+        e = exps
+        while e not in cache:
+            a, b, c = e
+            lead = 0 if a else 1 if b else 2 if c else None
+            if pos is not None and (lead is None or pos <= lead):
+                if pos == 2 and self._cap is not None and c >= self._cap:
+                    cache[e] = {}
+                else:
+                    cache[e] = {(a + (pos == 0), b + (pos == 1), c + (pos == 2)): 1}
+            elif lead is None:
+                hw = self._hw[g]  # a Cartan acts on v by its weight; a raising kills v
+                cache[e] = {e: hw} if hw else {}
+            else:
+                rest = (a - 1, b, c) if lead == 0 else (0, b - 1, c) if lead == 1 else (0, 0, c - 1)
+                chain.append((e, rest, self._letters[lead]))
+                e = rest
+        comm = _COMMUTATORS[g]
+        scale = self._scale
+        for e, rest, x in reversed(chain):
+            x_cache = self._cache[x]
+            acc: dict = {}
+            for w2, c2 in cache[rest].items():
+                sub = x_cache.get(w2)
+                if sub is None:
+                    sub = self.image(x, w2)
+                for w3, c3 in sub.items():
+                    acc[w3] = acc.get(w3, 0) + c2 * c3
+            for coeff, gi in comm[x]:
+                coeff = coeff * scale[g] // scale[gi]
+                for w3, c3 in self.image(gi, rest).items():
+                    acc[w3] = acc.get(w3, 0) + coeff * c3
+            cache[e] = {w: v for w, v in acc.items() if v}
+        return cache[exps]
+
+    def act(self, g: int, element: dict) -> dict:
+        """Generator index ``g`` on an integer combination of PBW monomials,
+        with coefficients as ``image`` gives them."""
+        cache = self._cache[g]
+        out: dict = {}
+        for exps, coeff in element.items():
+            image = cache.get(exps)
+            if image is None:
+                image = self.image(g, exps)
+            for e2, c in image.items():
+                out[e2] = out.get(e2, 0) + coeff * c
+        return {e: c for e, c in out.items() if c}
+
+
+@lru_cache(maxsize=1)
+def shared_straightener(kind: str, cap: int | None) -> Straightener:
+    """The packed straightener of a module structure.  Only the last one
+    asked for stays alive, so the two pipelines of a trace, and consecutive
+    traces of one structure, reuse it."""
+    return Straightener(kind, cap, (_PACKED_L1, _PACKED_L2 if cap is None else cap), 1, packed=True)
+
+
+class VermaModule:
+    """Weight-space bookkeeping and operator matrices for one module at one
+    highest weight, straightened by a weight-bound straightener of its own
+    or, when ``shared``, by the packed one of its structure."""
+
+    def __init__(self, spec: ModuleSpec, shared: bool = False):
+        check_genericity(spec)
+        self.spec = spec
         # the highest weight (L1, L2) = (p1, p2) / denom, denom = lcm(den L1, den L2)
         l1, l2 = spec.lambda1, spec.lambda2
         self.denom = lcm(l1.denominator, l2.denominator)
         self._p1 = l1.numerator * (self.denom // l1.denominator)
         self._p2 = l2.numerator * (self.denom // l2.denominator)
-        # a cached coefficient c of generator g stands for c / scale[g]; lowering
-        # letters commute only into lowering letters, so their scale stays 1
-        self._scale = tuple(1 if g in letters else self.denom for g in Gen)
-        hw = {Gen.H12: self._p1, Gen.H23: self._p2}
-        self._hw = tuple(hw.get(g, 0) for g in Gen)
+        # the denominator of each generator's coefficients at this weight
+        self._scale = tuple(1 if g in _LETTERS[spec.kind] else self.denom for g in Gen)
         # the parabolic module's integral L2, which caps the E32 exponent
         self.lambda2_int = spec.lambda2_int if spec.kind == PARABOLIC else None
-        self._cache = tuple({} for _ in Gen)
+        if shared:
+            self.straightener = shared_straightener(spec.kind, self.lambda2_int)
+        else:
+            self.straightener = Straightener(spec.kind, self.lambda2_int, (self._p1, self._p2),
+                                             self.denom)
 
     def numerator(self, form: ExponentForm) -> int:
         """``form`` at this module's highest weight, as an integer over ``denom``."""
@@ -276,71 +425,18 @@ class VermaModule:
             return min(n, m) + 1
         return max(0, min(n, m) - max(0, m - self.lambda2_int) + 1)
 
-    # -- straightening -----------------------------------------------------
-
-    def _apply(self, g: int, exps: tuple) -> dict:
-        """Generator index ``g`` times the PBW monomial ``exps``, as
-        {exponents: integer coefficient over ``self._scale[g]``}.
-
-        Unless g is a PBW letter at or left of the leading letter x, it commutes
-        past x: g x r = x (g r) + [g, x] r.  The chain of peeled monomials r is
-        filled bottom-up, so the stack grows with commutator nesting only."""
-        cache = self._cache[g]
-        pos = self._pos[g]
-        chain = []
-        e = exps
-        while e not in cache:
-            a, b, c = e
-            lead = 0 if a else 1 if b else 2 if c else None
-            if pos is not None and (lead is None or pos <= lead):
-                if pos == 2 and self.lambda2_int is not None and c >= self.lambda2_int:
-                    cache[e] = {}
-                else:
-                    cache[e] = {(a + (pos == 0), b + (pos == 1), c + (pos == 2)): 1}
-            elif lead is None:
-                hw = self._hw[g]  # a Cartan acts on v by its weight; a raising kills v
-                cache[e] = {e: hw} if hw else {}
-            else:
-                rest = (a - 1, b, c) if lead == 0 else (0, b - 1, c) if lead == 1 else (0, 0, c - 1)
-                chain.append((e, rest, self._letters[lead]))
-                e = rest
-        comm = _COMMUTATORS[g]
-        scale = self._scale
-        for e, rest, x in reversed(chain):
-            x_cache = self._cache[x]
-            acc: dict = {}
-            for w2, c2 in cache[rest].items():
-                sub = x_cache.get(w2)
-                if sub is None:
-                    sub = self._apply(x, w2)
-                for w3, c3 in sub.items():
-                    acc[w3] = acc.get(w3, 0) + c2 * c3
-            for coeff, gi in comm[x]:
-                coeff = coeff * scale[g] // scale[gi]
-                for w3, c3 in self._apply(gi, rest).items():
-                    acc[w3] = acc.get(w3, 0) + coeff * c3
-            cache[e] = {w: v for w, v in acc.items() if v}
-        return cache[exps]
-
-    def _act(self, g: int, element: dict) -> dict:
-        """Generator index ``g`` on a combination of PBW monomials; the result's
-        coefficients are to be divided by ``self._scale[g]``, so an integer
-        combination stays integral."""
-        cache = self._cache[g]
-        out: dict = {}
-        for exps, coeff in element.items():
-            image = cache.get(exps)
-            if image is None:
-                image = self._apply(g, exps)
-            for e2, c in image.items():
-                out[e2] = out.get(e2, 0) + coeff * c
-        return {e: c for e, c in out.items() if c}
-
     def apply_gen(self, g: Gen, element: dict) -> dict:
         """Act by a generator on a rational combination of PBW monomials."""
         gi = _GEN_INDEX[g]
-        scale = self._scale[gi]
-        return {e: Fraction(c, scale) for e, c in self._act(gi, element).items()}
+        image = self.straightener.image
+        packed = self.straightener.matrices is not None
+        out: dict = {}
+        for exps, coeff in element.items():
+            for e, c in image(gi, exps).items():
+                value = (Fraction(self.numerator(unpack(c)), self.denom) if packed
+                         else Fraction(c, self._scale[gi]))
+                out[e] = out.get(e, 0) + coeff * value
+        return {e: c for e, c in out.items() if c}
 
     # -- operator matrices ---------------------------------------------------
 
@@ -351,8 +447,6 @@ class VermaModule:
         n, m = source
         if n + m > self.spec.depth:
             raise TruncationError(f"weight space {source} lies beyond depth {self.spec.depth}")
-        basis = self.weight_space(n, m)
-        act = self._act
         if isinstance(op, Root):
             dn, dm = op.down_step
             if n + m + dn + dm > self.spec.depth:
@@ -360,7 +454,38 @@ class VermaModule:
                     f"casimir at {source} needs the ({n + dn}, {m + dm}) space "
                     f"beyond depth {self.spec.depth}"
                 )
-            target = basis
+            target = source
+            den = self._scale[_GEN_INDEX[op.raising]] * self._scale[_GEN_INDEX[op.lowering]]
+        else:
+            dn, dm = _WEIGHT_STEP[op]
+            target = (n + dn, m + dm)
+            if sum(target) > self.spec.depth:
+                raise TruncationError(
+                    f"target space {target} lies beyond depth {self.spec.depth}"
+                )
+            den = self._scale[_GEN_INDEX[op]]
+        shape = self.dim(*target), self.dim(n, m)
+        matrices = self.straightener.matrices
+        if matrices is None:
+            return QMatrix.from_integers(*shape, self._assemble(op, source, target), den)
+        coeffs = matrices.get((op, n, m))
+        if coeffs is None:
+            forms = [unpack(c) for c in self._assemble(op, source, target)]
+            coeffs = matrices[op, n, m] = tuple(tuple(f[i] for f in forms) for i in range(3))
+        c0s, c1s, c2s = coeffs
+        if den == self.denom:
+            p1, p2 = self._p1, self._p2
+            num = [c0 * den + c1 * p1 + c2 * p2 for c0, c1, c2 in zip(c0s, c1s, c2s)]
+        else:  # a lowering letter, whose coefficients are integers
+            num = c0s
+        return QMatrix.from_integers(*shape, num, den)
+
+    def _assemble(self, op, source: tuple[int, int], target: tuple[int, int]) -> list:
+        """The straightener's coefficients of ``op`` from the source space to
+        the target space, as a row-major list."""
+        basis = self.weight_space(*source)
+        act = self.straightener.act
+        if isinstance(op, Root):
             up, down = _GEN_INDEX[op.raising], _GEN_INDEX[op.lowering]
             images = []
             for exps in basis:
@@ -369,32 +494,22 @@ class VermaModule:
                 for e, c in act(down, act(up, vec)).items():
                     img[e] = img.get(e, 0) + c
                 images.append(img)
-            den = self._scale[up] * self._scale[down]
-            label = f"casimir({op.value})"
         else:
-            dn, dm = _WEIGHT_STEP[op]
-            tn, tm = n + dn, m + dm
-            if tn + tm > self.spec.depth:
-                raise TruncationError(
-                    f"target space ({tn}, {tm}) lies beyond depth {self.spec.depth}"
-                )
-            target = self.weight_space(tn, tm)
             gi = _GEN_INDEX[op]
             images = [act(gi, {exps: 1}) for exps in basis]
-            den = self._scale[gi]
-            label = op.value
-        index = {exps: i for i, exps in enumerate(target)}
+        index = {exps: i for i, exps in enumerate(self.weight_space(*target))}
         cols = len(basis)
-        num = [0] * (len(target) * cols)
+        num = [0] * (len(index) * cols)
         for j, img in enumerate(images):
             for e, c in img.items():
                 if not c:
                     continue
                 i = index.get(e)
                 if i is None:
+                    label = f"casimir({op.value})" if isinstance(op, Root) else op.value
                     raise VerificationError(f"straightened term left its weight space in {label}")
                 num[i * cols + j] = c
-        return QMatrix.from_integers(len(target), cols, num, den)
+        return num
 
     # -- characters ----------------------------------------------------------
 

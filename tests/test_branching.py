@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -19,7 +18,7 @@ from vermatheta import (
     trace_brute_force,
     trace_from_branching,
 )
-from vermatheta import branching
+from vermatheta import branching, verma
 from vermatheta.branching import (
     FINITE,
     VERMA,
@@ -33,6 +32,7 @@ from vermatheta.branching import (
     predicted_spectrum,
     region_spaces,
     required_depth,
+    trace_pipelines,
 )
 from vermatheta.errors import UsageError, VerificationError
 from vermatheta.qseries import ExponentForm, Monomial
@@ -717,7 +717,7 @@ def test_dynkin_flip_oracle():
 
     terms = branching_table(module, Root.A12).terms
     flipped_terms = {
-        replace(t, hw=ExponentForm(t.hw.c0, t.hw.c2, t.hw.c1), origin=t.origin[::-1])
+        t._replace(hw=ExponentForm(t.hw.c0, t.hw.c2, t.hw.c1), origin=t.origin[::-1])
         for t in terms
     }
     assert len(terms) == len(flipped_terms) == 49
@@ -733,3 +733,37 @@ def test_dynkin_flip_oracle():
             Monomial(ExponentForm(mono.qexp.c0, mono.qexp.c2, mono.qexp.c1), mono.t2, mono.t1): c
             for mono, c in series.terms.items()
         } == mirrored.terms, root
+
+
+# -- straightener sharing ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec, root, regularized", [
+    (ModuleSpec(BOREL, F(7, 3), F(5, 7), 4), Root.A13, False),
+    (ModuleSpec(BOREL, F(7, 3), F(5, 7), 4), Root.A12, True),
+    (ModuleSpec(PARABOLIC, F(7, 3), 2, 4), Root.A12, False),
+])
+def test_trace_pipelines_build_one_straightener(monkeypatch, spec, root, regularized):
+    # both pipelines and all three weight samples, six modules, straighten
+    # on one packed straightener, and no module builds one of its own
+    built, modules = [], []
+
+    class Counted(verma.Straightener):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    real_init = VermaModule.__init__
+
+    def recorded(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        modules.append(self)
+
+    monkeypatch.setattr(verma, "Straightener", Counted)
+    monkeypatch.setattr(VermaModule, "__init__", recorded)
+    verma.shared_straightener.cache_clear()
+    trace_pipelines(spec, root, Window(3, 4, 1), regularized)
+    verma.shared_straightener.cache_clear()
+    assert len(built) == 1 and built[0].matrices
+    assert len(modules) == 6 and all(m.straightener is built[0] for m in modules)
+    assert len({(m.spec.lambda1, m.spec.lambda2) for m in modules}) == 3

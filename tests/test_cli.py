@@ -212,8 +212,6 @@ def test_spectrum_incoherence_is_a_mismatch(tmp_path, monkeypatch):
 
 
 def test_trace_refuses_tables_that_differ_across_samples(monkeypatch, capsys):
-    from dataclasses import replace
-
     from vermatheta import branching
 
     real, calls = branching.branching_table, []
@@ -222,8 +220,8 @@ def test_trace_refuses_tables_that_differ_across_samples(monkeypatch, capsys):
         table = real(module, root, region)
         calls.append(table)
         if len(calls) == 2:  # the second of the three weight samples
-            first = replace(table.terms[0], multiplicity=table.terms[0].multiplicity + 1)
-            table = replace(table, terms=(first,) + table.terms[1:])
+            first = table.terms[0]._replace(multiplicity=table.terms[0].multiplicity + 1)
+            table = table._replace(terms=(first,) + table.terms[1:])
         return table
 
     monkeypatch.setattr(branching, "branching_table", perturbed)
@@ -344,6 +342,36 @@ def test_malformed_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, config, j
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["character", "--lambda1=" + "1" * 20_000], None),
+    (["verify", "--B", "x" * 20_000], None),
+    (["trace", "--root", "13", "--lambda-samples", "x" * 20_000], None),
+    (["trace", "--root", "13", "--lambda-samples", "7/3,5/7;" + "1" * 20_000 + ",1"], None),
+    (["character"], "x" * 20_000 + "\n"),
+    (["character"], "k" * 20_000 + " = 1\n"),
+], ids=["lambda1", "B", "samples", "sample-part", "config-line", "config-key"])
+def test_overlong_inputs_give_short_error_lines(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config)
+        argv = [*argv, "--config", str(cfg_file)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200 and "characters)" in err, err
+
+
+def test_short_refused_inputs_are_repeated_in_full(capsys):
+    for argv, message in (
+        (["character", "--lambda1", "abc"], "cannot interpret 'abc' as an exact rational"),
+        (["verify", "--B", "x" * 50], f"B must be an integer, got {'x' * 50!r}"),
+        (["trace", "--root", "13", "--lambda-samples", "abc"],
+         "bad weight sample 'abc'; expected 'p/q,r/s'"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 def test_a_weight_on_the_default_samples_line_skips_that_default(capsys):
     # (37/15, 13/7) = 2*(7/3, 5/7) - (11/5, -3/7) lies on the line through
@@ -850,6 +878,18 @@ def test_importing_the_cli_leaves_out_the_process_pool():
     assert proc.stdout == "False\n"
 
 
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    # both cost every start-up: dataclasses generates code for each class
+    # and imports inspect
+    env = {**os.environ, "PYTHONPATH": str(Path(vermatheta.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vermatheta.cli; "
+         "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.stdout == "[]\n"
+
 def test_depth_cap_admits_the_deepest_benchmarked_check(tmp_path):
     # the deep-parabolic-12 benchmark: parabolic-trace-12-alt-sign at B=9, D=20, lambda2=2
     spec = ModuleSpec(PARABOLIC, F(7, 3), 2, 10)
@@ -948,3 +988,17 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         exit_code = main(shlex.split(command)[1:])
         err = capsys.readouterr().err
         assert exit_code in (0, 1) and "error:" not in err, (command, err)
+
+
+def test_single_weight_commands_keep_weight_bound_straighteners(tmp_path):
+    # one weight has nothing to share, so branch, spectrum and character
+    # never ask for the packed straightener
+    from vermatheta import verma
+
+    verma.shared_straightener.cache_clear()
+    for module in (["--module", "borel"], ["--module", "parabolic", "--lambda2", "2"]):
+        for command in (["branch", "--root", "13"], ["spectrum", "--root", "12"], ["character"]):
+            code, _ = run(tmp_path, *command, *module, "--depth", "4", "--T", "2")
+            assert code == 0, command
+    info = verma.shared_straightener.cache_info()
+    assert info.hits + info.misses == 0

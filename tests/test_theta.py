@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -267,8 +266,8 @@ def test_tables_differing_across_samples_is_a_verification_error(monkeypatch, ca
         table = real(module, root, region)
         calls.append(table)
         if len(calls) % 3 == 2:  # the second of the three weight samples
-            first = replace(table.terms[0], multiplicity=table.terms[0].multiplicity + 1)
-            table = replace(table, terms=(first,) + table.terms[1:])
+            first = table.terms[0]._replace(multiplicity=table.terms[0].multiplicity + 1)
+            table = table._replace(terms=(first,) + table.terms[1:])
         return table
 
     monkeypatch.setattr(branching, "branching_table", perturbed)

@@ -6,10 +6,10 @@ import pytest
 from vermatheta import (
     BOREL, PARABOLIC, ModuleSpec, VermaModule, Window, genericity_guard, mat_scalar_shift, rank,
 )
-from vermatheta.errors import GenericityError, TruncationError, UsageError
+from vermatheta.errors import GenericityError, TruncationError, UsageError, VerificationError
 from vermatheta.qseries import ExponentForm, Monomial
 from vermatheta.theta import borel_character_closed_form
-from vermatheta.verma import Gen, Root, commutator
+from vermatheta.verma import Gen, Root, commutator, shared_straightener, unpack
 
 from conftest import WEIGHTS, WordStraightener, matrix_rows, singular_dimension, straighten
 
@@ -150,6 +150,90 @@ def test_cold_cache_straightening_of_a_long_monomial():
     module = VermaModule(ModuleSpec(BOREL, l1, F(5, 7), 1602))
     mu = l1 + a
     assert module.apply_gen(Gen.E12, {(a, a, 0): 1}) == {(a - 1, a, 0): a * (mu - a + 1)}
+
+
+
+# -- the shared packed straightener ----------------------------------------------
+
+#: Weights the shared straightener is checked at, in order: each kind's
+#: second weight reads the first one's cached operator matrices.
+SHARED_WEIGHTS = [
+    (BOREL, F(7, 3), F(5, 7)), (BOREL, F(11, 6), F(-4, 9)),
+    *((PARABOLIC, l1, l2) for l2 in range(4) for l1 in (F(7, 3), F(11, 6))),
+]
+
+
+def packed_coefficients(straightener):
+    return (c for cache in straightener._cache for image in cache.values() for c in image.values())
+
+
+def test_shared_straightener_matches_the_weight_bound_one():
+    # every generator and root Casimir on every space to depth 8 gives the
+    # same QMatrix on a module of the shared straightener as on a module of
+    # its own at the same weight, and so does apply_gen
+    shared_straightener.cache_clear()
+    checked = 0
+    for kind, l1, l2 in SHARED_WEIGHTS:
+        spec = ModuleSpec(kind, l1, l2, 8)
+        shared, bound = VermaModule(spec, shared=True), VermaModule(spec)
+        for n in range(9):
+            for m in range(9 - n):
+                for op in (*Gen, *Root):
+                    try:
+                        want = bound.operator_matrix(op, (n, m))
+                    except TruncationError:
+                        with pytest.raises(TruncationError):
+                            shared.operator_matrix(op, (n, m))
+                        continue
+                    got = shared.operator_matrix(op, (n, m))
+                    assert (got.rows, got.cols, got.num, got.den) == (
+                        want.rows, want.cols, want.num, want.den), (spec, op, n, m)
+                    checked += 1
+                for exps in bound.weight_space(n, m):
+                    for g in Gen:
+                        for element in ({exps: 1}, {exps: F(-2, 5)}):
+                            assert shared.apply_gen(g, element) == bound.apply_gen(g, element)
+        if kind == PARABOLIC:
+            # the integral L2 is folded into c0, as h_form does
+            assert all(unpack(c).c2 == 0 for c in packed_coefficients(shared.straightener))
+    assert checked == 4250
+
+
+def test_unpack_reads_affine_forms_and_refuses_empty_slots():
+    for form in ((0, 0, 0), (5, -3, 7), (-(2**62), 2**62 + 1, -1), (2**63 - 1, -(2**63), 0)):
+        c0, c1, c2 = form
+        assert unpack(c0 + c1 * 2**64 + c2 * 2**192) == form
+    # L1^2, L1*L2 and L2^2 land in the empty slots 2, 4 and 6
+    for bad in (2**128, 3 - 2**128, 2**256 + 2**64, -(2**384), 2**448):
+        with pytest.raises(VerificationError, match="not affine"):
+            unpack(bad)
+
+
+@pytest.mark.parametrize("kind, l2, depth", [(BOREL, F(5, 7), 40), (PARABOLIC, 2, 60)])
+def test_packed_coefficients_stay_far_below_their_slots(kind, l2, depth):
+    shared_straightener.cache_clear()
+    module = VermaModule(ModuleSpec(kind, F(7, 3), l2, depth), shared=True)
+    top = depth - 2
+    for n in range(top + 1):
+        for root in Root:
+            if module.dim(n, top - n):
+                module.operator_matrix(root, (n, top - n))
+    largest = max(abs(c) for packed in packed_coefficients(module.straightener)
+                  for c in unpack(packed))
+    assert 2**8 < largest < 2**32
+
+
+def test_sample_modules_share_one_straightener_per_structure():
+    shared_straightener.cache_clear()
+    a, b = (VermaModule(ModuleSpec(BOREL, l1, l2, 4), shared=True)
+            for l1, l2 in ((F(7, 3), F(5, 7)), (F(11, 5), F(-3, 7))))
+    assert a.straightener is b.straightener
+    assert VermaModule(a.spec).straightener is not a.straightener
+    # another structure drops it; at most one is alive
+    parabolic = VermaModule(ModuleSpec(PARABOLIC, F(7, 3), 1, 4), shared=True)
+    assert parabolic.straightener is not a.straightener
+    assert VermaModule(a.spec, shared=True).straightener is not a.straightener
+    assert shared_straightener.cache_info().currsize == 1
 
 
 # -- weight spaces ---------------------------------------------------------------
