@@ -135,7 +135,7 @@ def _classify(module: VermaModule, root: Root, n: int, m: int, vector) -> tuple:
     singular vector, testing finiteness inside the module rather than
     assuming it: a lowering letter's coefficients are integers on either
     kind of straightener, so its powers act on the vector in integers."""
-    form = h_form(module.spec.kind, module.lambda2_int, root, n, m)
+    form = h_form(module.cap, root, n, m)
     i, rem = divmod(module.numerator(form), module.denom)
     if not rem and i >= 0:
         basis = module.weight_space(n, m)
@@ -214,7 +214,7 @@ def candidate_forms(module: VermaModule, root: Root, n: int, m: int) -> list:
     same form at its depth k, with i = w + 2k, so the list misses no
     constituent, and ``kappa_spectrum`` checks that it misses no eigenvalue.
     """
-    c0, c1, c2 = h_form(module.spec.kind, module.lambda2_int, root, n, m)
+    c0, c1, c2 = h_form(module.cap, root, n, m)
     dn, dm = root.down_step
     run = 0
     while module.dim(n - run * dn, m - run * dm):
@@ -311,13 +311,13 @@ def bruteforce_region(spec: ModuleSpec, root: Root, window: Window, regularized:
     # (2k+1)(L2-n) + k, so keeping it >= -D forces the integer n - L2 to be
     # at most (D+k)/(2k+1), hence at most D, whatever B is.  The bound is
     # tight: at B 9, D 20, L2 2 the region one row shorter loses a term.
-    cap = window.D + (spec.lambda2_int if spec.kind == PARABOLIC else 0)
+    n_top = window.D + (spec.cap or 0)
     if root is Root.A13:
-        return cap, cap, -1
-    if spec.kind == PARABOLIC and root is Root.A12:
-        return cap, spec.lambda2_int, 1
-    if spec.kind == PARABOLIC and root is Root.A23:
-        return cap, cap, 0
+        return n_top, n_top, -1
+    if spec.cap is not None and root is Root.A12:
+        return n_top, spec.cap, 1
+    if spec.cap is not None and root is Root.A23:
+        return n_top, n_top, 0
     raise UsageError(f"no trace region for {spec.kind}/{root.value}")
 
 
@@ -475,20 +475,19 @@ def spectrum_table(module: VermaModule, table: BranchingTable) -> list:
     """
     depth = module.spec.depth - sum(table.root.down_step)
     rows = []
-    for n in range(depth + 1):
-        for m in range(depth + 1 - n):
-            if not module.dim(n, m):
-                continue
-            pairs = kappa_spectrum(module, table.root, n, m)
-            row = {
-                "n": n,
-                "m": m,
-                "dim": module.dim(n, m),
-                "eigenvalues": [
-                    {"value": str(Fraction(v, module.denom)), "multiplicity": c} for v, c in pairs
-                ],
-            }
-            if predicted_spectrum(table, module, n, m) != pairs:
-                row["coherent"] = False
-            rows.append(row)
+    for n, m in region_spaces((depth, depth, -1)):
+        if not module.dim(n, m):
+            continue
+        pairs = kappa_spectrum(module, table.root, n, m)
+        row = {
+            "n": n,
+            "m": m,
+            "dim": module.dim(n, m),
+            "eigenvalues": [
+                {"value": str(Fraction(v, module.denom)), "multiplicity": c} for v, c in pairs
+            ],
+        }
+        if predicted_spectrum(table, module, n, m) != pairs:
+            row["coherent"] = False
+        rows.append(row)
     return rows

@@ -26,7 +26,7 @@ from .branching import (
     trace_brute_force,
     trace_pipelines,
 )
-from .errors import UsageError, VerificationError, shown
+from .errors import UsageError, VerificationError, cut, shown
 from .exactalg import MAX_DIGITS, rat
 from .qseries import Window
 from .theta import (
@@ -194,9 +194,9 @@ def build_config(args) -> RunConfig:
     for l1, l2 in ((cfg.lambda1, cfg.lambda2), *cfg.lambda_samples):
         for part in (l1, l2) if cfg.module == PARABOLIC else (l1, l2, l1 + l2):
             if part.denominator == 1 and abs(part) > MAX_WEIGHT_PART:
-                raise UsageError(f"weight ({l1}, {l2}) has the integral part {part}, past the "
-                                 f"cap {MAX_WEIGHT_PART} in absolute value; pick a non-integral or "
-                                 "nearer weight")
+                raise UsageError(f"weight {cut(f'({l1}, {l2})')} has the integral part "
+                                 f"{cut(str(part))}, past the cap {MAX_WEIGHT_PART} in absolute "
+                                 "value; pick a non-integral or nearer weight")
     return cfg
 
 
@@ -395,11 +395,17 @@ def cmd_trace(cfg: RunConfig, args) -> tuple[list, dict]:
 # -- entry ---------------------------------------------------------------------
 
 
+#: The most characters of an argparse refusal kept whole, above its longest
+#: message of its own: the 267 of ``verify --identity``'s invalid choice
+PARSER_CHARS = 300
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose refusals are usage errors: one line, exit 2."""
+    """An argument parser whose refusals are usage errors: one line, exit 2,
+    cut as ``cut`` does, since argparse repeats refused values whole."""
 
     def error(self, message):
-        raise UsageError(message)
+        raise UsageError(cut(message, PARSER_CHARS))
 
 
 def build_parser() -> argparse.ArgumentParser:

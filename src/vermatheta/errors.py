@@ -26,11 +26,15 @@ class VerificationError(RuntimeError):
 SHOWN_CHARS = 60
 
 
-def shown(value) -> str:
-    """``value``'s repr for an error message, cut after ``SHOWN_CHARS``
-    characters with the length of the whole added, so that a long refused
-    input still gives a short line."""
-    text = repr(value)
-    if len(text) <= SHOWN_CHARS:
+def cut(text: str, limit: int = SHOWN_CHARS) -> str:
+    """``text`` for an error message, cut after ``limit`` characters with the
+    length of the whole added, so that a long refused input still gives a
+    short line."""
+    if len(text) <= limit:
         return text
-    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
+def shown(value) -> str:
+    """``value``'s repr, cut as ``cut`` does."""
+    return cut(repr(value))

@@ -166,7 +166,7 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
     kind = CATALOG[identity].kind
     if spec.kind != kind:
         raise UsageError(f"{identity.value} needs a {kind} module spec")
-    v = spec.lambda2_int if kind == PARABOLIC else None
+    v = spec.cap
 
     if identity in (ClosedFormId.PARABOLIC_TRACE_23, ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT):
         extra = 1 if identity is ClosedFormId.PARABOLIC_TRACE_23 else 0

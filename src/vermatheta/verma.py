@@ -21,10 +21,10 @@ PBW monomials:
   Bases are ordered by increasing E32 exponent.
 
 Straightening lives in ``Straightener``, one per module structure (the kind
-and, for the parabolic module, the integral L2 that caps E32) and one set of
-Cartan values.  It caches each generator's image of each PBW monomial in one
-dict per generator index (its position in ``Gen``), keyed by the exponent
-triple.  There are two kinds:
+and ``ModuleSpec.cap``: the parabolic module's integral L2, which caps E32,
+or None for the Borel module) and one set of Cartan values.  It caches each
+generator's image of each PBW monomial in one dict per generator index (its
+position in ``Gen``), keyed by the exponent triple.  There are two kinds:
 
 * A weight-bound straightener works at one highest weight, held as integers
   (p1, p2) over the weight denominator ``denom``; a cached coefficient of a
@@ -39,7 +39,7 @@ triple.  There are two kinds:
   1 and 3.  A product of two nonconstant forms lands in an empty slot (L1^2
   in slot 2, L1*L2 in slot 4, L2^2 in slot 6), and ``unpack`` refuses a
   nonzero empty slot, so affinity is checked, not assumed.  The parabolic
-  L2 stays the integer it is and is folded into c0, as ``h_form`` does.
+  ``cap`` stays the integer it is and is folded into c0, as ``h_form`` does.
   The sample modules of a trace, one per weight sample in each pipeline,
   share the one packed straightener of their structure, which also keeps
   each operator matrix once, as unpacked coefficient tuples that every
@@ -141,19 +141,6 @@ _COMMUTATORS = tuple(
     tuple(tuple((c, _GEN_INDEX[x]) for c, x in commutator(g, h)) for h in Gen) for g in Gen
 )
 
-# weight step of each generator in (n, m) coordinates
-_WEIGHT_STEP = {
-    Gen.E21: (1, 0),
-    Gen.E12: (-1, 0),
-    Gen.E32: (0, 1),
-    Gen.E23: (0, -1),
-    Gen.E31: (1, 1),
-    Gen.E13: (-1, -1),
-    Gen.H12: (0, 0),
-    Gen.H23: (0, 0),
-}
-
-
 class Root(Enum):
     A12 = ("12", Gen.E12, Gen.E21, (1, 0))
     A23 = ("23", Gen.E23, Gen.E32, (0, 1))
@@ -164,6 +151,16 @@ class Root(Enum):
         member._value_ = label
         member.raising, member.lowering, member.down_step = raising, lowering, down_step
         return member
+
+
+# weight step of each generator in (n, m) coordinates: a lowering letter steps
+# down its root, a raising one back up, and a Cartan stays put
+_WEIGHT_STEP = {
+    Gen.H12: (0, 0),
+    Gen.H23: (0, 0),
+    **{r.lowering: r.down_step for r in Root},
+    **{r.raising: (-r.down_step[0], -r.down_step[1]) for r in Root},
+}
 
 
 BOREL = "borel"
@@ -193,10 +190,10 @@ class ModuleSpec(_SpecFields):
         return super().__new__(cls, kind, lambda1, lambda2, depth)
 
     @property
-    def lambda2_int(self) -> int:
-        if self.lambda2.denominator != 1:
-            raise UsageError("lambda2 is not an integer")
-        return int(self.lambda2)
+    def cap(self) -> int | None:
+        """The parabolic module's integral L2, which caps the E32 exponent;
+        None for the Borel module."""
+        return int(self.lambda2) if self.kind == PARABOLIC else None
 
     def with_depth(self, depth: int) -> "ModuleSpec":
         return ModuleSpec(self.kind, self.lambda1, self.lambda2, depth)
@@ -237,18 +234,18 @@ def check_genericity(spec: ModuleSpec) -> None:
         )
 
 
-def h_form(kind: str, lambda2: int | None, root: Root, n: int, m: int) -> ExponentForm:
+def h_form(cap: int | None, root: Root, n: int, m: int) -> ExponentForm:
     """h-value of the (n, m) weight space along ``root`` as an affine form:
     h1 = (m - 2n) + L1, h2 = (n - 2m) + L2, and h1 + h2 for root 13.
 
-    For the parabolic module its integral L2, passed as ``lambda2``, is
-    folded into the constant part, so parabolic forms always have c2 = 0;
-    the Borel forms do not read ``lambda2``.
+    A parabolic ``cap``, the module's integral L2, is folded into the
+    constant part, so parabolic forms always have c2 = 0; the Borel module
+    has ``cap`` None and keeps L2 symbolic.
     """
     h1, h2 = ExponentForm(m - 2 * n, 1, 0), ExponentForm(n - 2 * m, 0, 1)
     c0, c1, c2 = h1 if root is Root.A12 else h2 if root is Root.A23 else h1 + h2
-    if kind == PARABOLIC:
-        c0, c2 = c0 + c2 * lambda2, 0
+    if cap is not None:
+        c0, c2 = c0 + c2 * cap, 0
     return ExponentForm(c0, c1, c2)
 
 
@@ -374,6 +371,11 @@ def shared_straightener(kind: str, cap: int | None) -> Straightener:
     return Straightener(kind, cap, (_PACKED_L1, _PACKED_L2 if cap is None else cap), 1, packed=True)
 
 
+def _label(op) -> str:
+    """An operator's name in messages: a generator, or a root's Casimir."""
+    return f"casimir({op.value})" if isinstance(op, Root) else op.value
+
+
 class VermaModule:
     """Weight-space bookkeeping and operator matrices for one module at one
     highest weight, straightened by a weight-bound straightener of its own
@@ -389,13 +391,12 @@ class VermaModule:
         self._p2 = l2.numerator * (self.denom // l2.denominator)
         # the denominator of each generator's coefficients at this weight
         self._scale = tuple(1 if g in _LETTERS[spec.kind] else self.denom for g in Gen)
-        # the parabolic module's integral L2, which caps the E32 exponent
-        self.lambda2_int = spec.lambda2_int if spec.kind == PARABOLIC else None
+        # a plain attribute, as ``dim`` reads it on every call
+        self.cap = spec.cap
         if shared:
-            self.straightener = shared_straightener(spec.kind, self.lambda2_int)
+            self.straightener = shared_straightener(spec.kind, self.cap)
         else:
-            self.straightener = Straightener(spec.kind, self.lambda2_int, (self._p1, self._p2),
-                                             self.denom)
+            self.straightener = Straightener(spec.kind, self.cap, (self._p1, self._p2), self.denom)
 
     def numerator(self, form: ExponentForm) -> int:
         """``form`` at this module's highest weight, as an integer over ``denom``."""
@@ -408,12 +409,11 @@ class VermaModule:
         if n < 0 or m < 0:
             return ()
         basis = []
-        if self.spec.kind == BOREL:
+        if self.cap is None:
             for c in range(min(n, m) + 1):
                 basis.append((n - c, m - c, c))
         else:
-            cap = self.lambda2_int
-            for c in range(min(n, m), max(0, m - cap) - 1, -1):
+            for c in range(min(n, m), max(0, m - self.cap) - 1, -1):
                 basis.append((n - c, c, m - c))
         return tuple(basis)
 
@@ -421,9 +421,9 @@ class VermaModule:
         """Size of ``weight_space(n, m)``, counted without building it."""
         if n < 0 or m < 0:
             return 0
-        if self.spec.kind == BOREL:
+        if self.cap is None:
             return min(n, m) + 1
-        return max(0, min(n, m) - max(0, m - self.lambda2_int) + 1)
+        return max(0, min(n, m) - max(0, m - self.cap) + 1)
 
     def apply_gen(self, g: Gen, element: dict) -> dict:
         """Act by a generator on a rational combination of PBW monomials."""
@@ -445,25 +445,17 @@ class VermaModule:
         on the (n, m) weight space; columns follow the source basis order.
         """
         n, m = source
-        if n + m > self.spec.depth:
-            raise TruncationError(f"weight space {source} lies beyond depth {self.spec.depth}")
-        if isinstance(op, Root):
-            dn, dm = op.down_step
-            if n + m + dn + dm > self.spec.depth:
-                raise TruncationError(
-                    f"casimir at {source} needs the ({n + dn}, {m + dm}) space "
-                    f"beyond depth {self.spec.depth}"
-                )
-            target = source
+        if isinstance(op, Root):  # lowers, then raises back: one root step below the source
+            (dn, dm), target = op.down_step, source
             den = self._scale[_GEN_INDEX[op.raising]] * self._scale[_GEN_INDEX[op.lowering]]
         else:
             dn, dm = _WEIGHT_STEP[op]
             target = (n + dn, m + dm)
-            if sum(target) > self.spec.depth:
-                raise TruncationError(
-                    f"target space {target} lies beyond depth {self.spec.depth}"
-                )
             den = self._scale[_GEN_INDEX[op]]
+        # the deepest space the operator touches: its source or one step below
+        if n + m + max(0, dn + dm) > self.spec.depth:
+            raise TruncationError(f"{_label(op)} on the weight space {source} reaches past "
+                                  f"depth {self.spec.depth}")
         shape = self.dim(*target), self.dim(n, m)
         matrices = self.straightener.matrices
         if matrices is None:
@@ -502,12 +494,9 @@ class VermaModule:
         num = [0] * (len(index) * cols)
         for j, img in enumerate(images):
             for e, c in img.items():
-                if not c:
-                    continue
                 i = index.get(e)
                 if i is None:
-                    label = f"casimir({op.value})" if isinstance(op, Root) else op.value
-                    raise VerificationError(f"straightened term left its weight space in {label}")
+                    raise VerificationError(f"straightened term left its weight space in {_label(op)}")
                 num[i * cols + j] = c
         return num
 

@@ -102,7 +102,7 @@ class WordStraightener:
         self.order = {g: pos.get(g, 10 if g in (Gen.H12, Gen.H23) else 20) for g in Gen}
         self.hw = dict(zip((Gen.H12, Gen.H23), hw or (spec.lambda1, spec.lambda2)))
         self.expand = expand
-        self.cap = spec.lambda2_int if spec.kind == PARABOLIC else None
+        self.cap = spec.cap
         self.cache = {}
 
     def word_ok(self, word):

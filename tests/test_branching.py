@@ -211,11 +211,10 @@ def up_string_candidates(module, root, n, m):
     """The candidate list as built by walking up the root string from (n, m),
     one dim and h_form call per step."""
     dn, dm = root.down_step
-    kind, l2 = module.spec.kind, module.lambda2_int
     forms = []
     k = 0
     while n - k * dn >= 0 and m - k * dm >= 0 and module.dim(n - k * dn, m - k * dm):
-        w_up = h_form(kind, l2, root, n - k * dn, m - k * dm)
+        w_up = h_form(module.cap, root, n - k * dn, m - k * dm)
         form = w_up.scaled(2 * k + 1) + ExponentForm(-2 * k * k, 0, 0)
         if form not in forms:
             forms.append(form)

@@ -363,12 +363,38 @@ def test_overlong_inputs_give_short_error_lines(tmp_path, capsys, argv, config):
     assert len(err.encode()) < 200 and "characters)" in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["branch", "--root", "x" * 20_000],
+    ["verify", "--identity", "y" * 20_000],
+    ["character", "--module", "z" * 20_000],
+    ["branch", "--root", "12", "x" * 20_000],
+    ["branch", "--root", "12", "--" + "o" * 20_000],
+    ["c" * 20_000],
+    ["branch", "--root", " ".join("x" * 10_000)],
+    ["character", "--lambda1", "1" * 4_000],
+], ids=["root", "identity", "module", "extra-argument", "unknown-option", "command", "spaces",
+        "weight-part"])
+def test_overlong_parser_and_weight_part_refusals_give_short_error_lines(capsys, argv):
+    # argparse repeats a refused value whole, and its longest refusal of its
+    # own, the --identity choices, alone passes the 200 bytes held above
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 400 and "characters)" in err, err
+
+
 def test_short_refused_inputs_are_repeated_in_full(capsys):
     for argv, message in (
         (["character", "--lambda1", "abc"], "cannot interpret 'abc' as an exact rational"),
         (["verify", "--B", "x" * 50], f"B must be an integer, got {'x' * 50!r}"),
         (["trace", "--root", "13", "--lambda-samples", "abc"],
          "bad weight sample 'abc'; expected 'p/q,r/s'"),
+        (["branch", "--root", "99"], "argument --root: invalid choice: '99' (choose from '12', '23', '13')"),
+        (["nope"], "argument command: invalid choice: 'nope' (choose from 'character', 'branch', "
+                   "'spectrum', 'trace', 'verify')"),
+        (["branch", "--root", "12", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+        (["verify", "--identity", "y"], "argument --identity: invalid choice: 'y' (choose from "
+         + ", ".join(repr(i.value) for i in ClosedFormId) + ")"),
     ):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")

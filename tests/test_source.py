@@ -1,6 +1,8 @@
 """Static checks on the package source, standing in for a linter."""
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -89,3 +91,19 @@ def test_dead_definition_check_sees_leftovers():
     )
     reader = ast.parse("Module().used()\nSPANS = ('mod.wrapped',)\nstored = None\n")
     assert dead_definitions(tree, [tree, reader]) == ["spare", "stored"]
+
+
+def test_tracer_targets_name_existing_attributes():
+    # the benchmark's tracer wraps these names by getattr; a rename or a
+    # deletion fails here, naming it, not inside the traced run's subprocess
+    spec = importlib.util.spec_from_file_location("tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"vermatheta.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

@@ -9,7 +9,7 @@ from vermatheta import (
 from vermatheta.errors import GenericityError, TruncationError, UsageError, VerificationError
 from vermatheta.qseries import ExponentForm, Monomial
 from vermatheta.theta import borel_character_closed_form
-from vermatheta.verma import Gen, Root, commutator, shared_straightener, unpack
+from vermatheta.verma import _WEIGHT_STEP, Gen, Root, commutator, shared_straightener, unpack
 
 from conftest import WEIGHTS, WordStraightener, matrix_rows, singular_dimension, straighten
 
@@ -30,6 +30,21 @@ def test_commutators_follow_matrix_unit_rules():
     assert commutator(Gen.E12, Gen.E23) == ((1, Gen.E13),)
     assert commutator(Gen.H12, Gen.E21) == ((-2, Gen.E21),)
     assert commutator(Gen.H23, Gen.E21) == ((1, Gen.E21),)
+
+
+def test_weight_steps_match_the_cartan_commutators():
+    # a generator stepping (dn, dm) shifts h1 by -2dn + dm and h2 by dn - 2dm
+    for g in Gen:
+        dn, dm = _WEIGHT_STEP[g]
+        for h, c in ((Gen.H12, -2 * dn + dm), (Gen.H23, dn - 2 * dm)):
+            assert commutator(h, g) == (((c, g),) if c else ()), (g, h)
+
+
+def commutator_step(g: Gen) -> tuple[int, int]:
+    """g's weight step (dn, dm), solved from [H12, g] = (-2dn + dm) g and
+    [H23, g] = (dn - 2dm) g."""
+    a, b = (sum(c for c, x in commutator(h, g) if x is g) for h in (Gen.H12, Gen.H23))
+    return -(2 * a + b) // 3, -(a + 2 * b) // 3
 
 
 # -- straightening --------------------------------------------------------------
@@ -415,10 +430,27 @@ def test_casimir_on_highest_weight_vector(borel_module):
 
 def test_casimir_truncation_rejected_beyond_depth():
     mod = VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 4))
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"^casimir\(13\) on the weight space \(2, 1\) reaches past depth 4$"):
         mod.operator_matrix(Root.A13, (2, 1))
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"^E21 on the weight space \(2, 2\) reaches past depth 4$"):
         mod.operator_matrix(Gen.E21, (2, 2))
+    # every operator on every space to one past the depth is refused exactly
+    # when its source, or the space it reaches, lies past the depth; a
+    # Casimir reaches one step down its root, as its lowering letter does
+    checked = 0
+    for spec in (ModuleSpec(BOREL, F(7, 3), F(5, 7), 4), ModuleSpec(PARABOLIC, F(7, 3), 2, 4)):
+        module = VermaModule(spec)
+        for op in (*Gen, *Root):
+            dn, dm = commutator_step(op.lowering if isinstance(op, Root) else op)
+            for n, m in ((n, s - n) for s in range(6) for n in range(s + 1)):
+                try:
+                    module.operator_matrix(op, (n, m))
+                    refused = False
+                except TruncationError:
+                    refused = True
+                assert refused == (max(n + m, n + m + dn + dm) > 4), (spec.kind, op, (n, m))
+                checked += 1
+    assert checked == 462
 
 
 # -- characters -------------------------------------------------------------------
@@ -495,6 +527,15 @@ def test_parabolic_spec_requires_integer_lambda2():
         ModuleSpec(PARABOLIC, F(7, 3), F(5, 7), 10)
     with pytest.raises(UsageError):
         ModuleSpec(PARABOLIC, F(7, 3), -1, 10)
+
+
+def test_only_the_parabolic_module_caps_e32():
+    assert ModuleSpec(BOREL, F(7, 3), 3, 4).cap is None
+    assert VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 4)).cap is None
+    for v in (0, 3):
+        spec = ModuleSpec(PARABOLIC, F(7, 3), v, 4)
+        assert type(spec.cap) is int and spec.cap == v
+        assert VermaModule(spec).cap == v
 
 
 def test_parabolic_lowering_cap(parabolic_modules):
