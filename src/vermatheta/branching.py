@@ -2,14 +2,20 @@
 
 Two independent pipelines produce each trace series:
 
-* ``trace_branching`` builds a branching table at every weight sample
-  (one Verma or finite-dimensional sl(2) module per singular vector),
-  requires them all equal, and ``trace_from_branching`` sums the known
-  sl(2) spectrum over the table's constituents.
+* ``trace_branching`` builds a branching table (one Verma or
+  finite-dimensional sl(2) module per singular vector), and
+  ``trace_from_branching`` sums the known sl(2) spectrum over the table's
+  constituents.
 * ``trace_brute_force`` diagonalizes the root Casimir on every weight
-  space by kernel ranks against a finite list of affine candidate forms,
-  reads each form's multiplicity off the spectrum at one guard-passing
-  highest weight and requires the same multiplicities at the others.
+  space by kernel ranks against a finite list of affine candidate forms
+  and reads off each form's multiplicity.
+
+Each pipeline runs at several guard-passing highest weights, the weight
+samples.  Every weight space is measured at the first sample, confirmed at
+the others; weight-free spaces carry over.  A space is weight-free when its
+matrix's entries and the forms it is tested against have no L-part
+(``VermaModule.weight_free``): every sample then poses the first sample's
+problem times its own denominator, so the first answer stands for all.
 
 On an sl(2) module of highest weight u, the Casimir E F + F E acts on the
 depth-k vector by (2k+1)u - 2k^2; a finite module L_i has depths 0..i only.
@@ -130,6 +136,10 @@ class BranchingTable(_TableFields):
             yield term.hw.scaled(2 * k + 1) + ExponentForm(-2 * k * k, 0, 0), term.multiplicity
 
 
+def _constant(form: ExponentForm) -> bool:
+    return not (form.c1 or form.c2)
+
+
 def _classify(module: VermaModule, root: Root, n: int, m: int, vector) -> tuple:
     """Return (kind, hw form) for the constituent generated by an integral
     singular vector, testing finiteness inside the module rather than
@@ -148,6 +158,26 @@ def _classify(module: VermaModule, root: Root, n: int, m: int, vector) -> tuple:
     return (VERMA, form)
 
 
+def _space_terms(module: VermaModule, root: Root, n: int, m: int) -> list:
+    """The constituents with their origin at (n, m), one per classification
+    of the singular vectors there, in (kind, hw) order.
+
+    ``_classify`` reads a vector only when the space's h-value is a
+    nonnegative integer; elsewhere every singular vector is a Verma origin
+    of the h-form, so one rank gives their number."""
+    mat = module.operator_matrix(root.raising, (n, m))
+    form = h_form(module.cap, root, n, m)
+    i, rem = divmod(module.numerator(form), module.denom)
+    if rem or i < 0:
+        free = mat.cols - rank(mat)
+        return [BranchingTerm(VERMA, form, free, (n, m))] if free else []
+    counts: dict = {}
+    for vec in kernel_basis(mat):
+        key = _classify(module, root, n, m, vec)
+        counts[key] = counts.get(key, 0) + 1
+    return [BranchingTerm(kind, hw, mult, (n, m)) for (kind, hw), mult in sorted(counts.items())]
+
+
 def region_spaces(region: tuple[int, int, int]):
     """The (n, m) spaces of a region (n_top, m0, slope), those with
     n <= n_top and m <= m0 + slope*n, in n-major order."""
@@ -158,7 +188,8 @@ def region_spaces(region: tuple[int, int, int]):
 def branching_table(module: VermaModule, root: Root,
                     region: tuple[int, int, int] | None = None) -> BranchingTable:
     """Enumerate singular vectors per weight space and aggregate constituents
-    over a region, by default the triangle n+m <= the module's depth.
+    over a region, by default the triangle n+m <= the module's depth; a
+    trace builds it at its first weight sample only (``trace_branching``).
 
     The region must be closed upward along the root string, so every
     constituent through a covered space has its origin in the table.  Raises
@@ -180,16 +211,8 @@ def branching_table(module: VermaModule, root: Root,
                 f"region {region} is not closed upward along root {root.value}: "
                 f"it holds {(n, m)} but not {up}"
             )
-    terms = []
-    for n, m in spaces:
-        mat = module.operator_matrix(root.raising, (n, m))
-        counts: dict = {}
-        for vec in kernel_basis(mat):
-            key = _classify(module, root, n, m, vec)
-            counts[key] = counts.get(key, 0) + 1
-        for (kind, hw), mult in sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-            terms.append(BranchingTerm(kind, hw, mult, (n, m)))
-    table = BranchingTable(module.spec.kind, root, tuple(terms), region)
+    terms = tuple(term for n, m in spaces for term in _space_terms(module, root, n, m))
+    table = BranchingTable(module.spec.kind, root, terms, region)
     for n, m in spaces:
         want = module.dim(n, m)
         got = table.local_dimension(n, m)
@@ -226,6 +249,17 @@ def candidate_forms(module: VermaModule, root: Root, n: int, m: int) -> list:
     return list(dict.fromkeys(forms))
 
 
+def _casimir(module: VermaModule, root: Root, n: int, m: int):
+    """The root Casimir's matrix on (n, m), over the weight denominator."""
+    mat = module.operator_matrix(root, (n, m))
+    if mat.den != module.denom:
+        raise VerificationError(
+            f"casimir({root.value}) on {(n, m)} has denominator {mat.den}, "
+            f"not the weight denominator {module.denom}"
+        )
+    return mat
+
+
 def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None) -> tuple:
     """Eigenvalue multiset of the root Casimir on (n, m) by kernel ranks, as
     sorted (numerator, multiplicity) pairs over ``module.denom``.
@@ -238,12 +272,7 @@ def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None) 
     scale[lowering], the weight denominator, so each candidate shifts the
     matrix's numerators directly.
     """
-    mat = module.operator_matrix(root, (n, m))
-    if mat.den != module.denom:
-        raise VerificationError(
-            f"casimir({root.value}) on {(n, m)} has denominator {mat.den}, "
-            f"not the weight denominator {module.denom}"
-        )
+    mat = _casimir(module, root, n, m)
     d = mat.cols
     if forms is None:
         forms = candidate_forms(module, root, n, m)
@@ -367,7 +396,7 @@ def trace_from_branching(table: BranchingTable, window: Window, regularized: boo
     for term in table.terms:
         # Borel h-forms carry L1 or L2, and on the parabolic module every
         # root-23 constituent is finite because E32 is locally nilpotent
-        if term.kind == VERMA and not (term.hw.c1 or term.hw.c2):
+        if term.kind == VERMA and _constant(term.hw):
             raise VerificationError(
                 f"Verma constituent at {term.origin} has a constant highest weight {tuple(term.hw)}"
             )
@@ -379,10 +408,26 @@ def trace_from_branching(table: BranchingTable, window: Window, regularized: boo
     )
 
 
+def _values(module: VermaModule, forms: list, n: int, m: int) -> list:
+    """The forms' numerators at the module's weight, required pairwise distinct."""
+    values = [module.numerator(f) for f in forms]
+    if len(set(values)) < len(values):
+        raise VerificationError(f"ambiguous affine lift of eigenvalues at {(n, m)}")
+    return values
+
+
 def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
-    """Multiplicity of each candidate form on the (n, m) space, read off its
-    kernel-rank spectrum at the first module's weight and required to be the
-    same at every other module's, one module per weight sample.
+    """Multiplicity of each candidate form on the (n, m) space, one module
+    per weight sample: measured at the first sample, confirmed at the
+    others; weight-free spaces carry over.
+
+    The first module's kernel-rank spectrum gives the counts, which must sum
+    to the space's dimension.  Another module confirms them with one rank
+    per form of nonzero count, d - rank(kappa - e*I) == count: eigenspaces
+    of distinct eigenvalues are independent, so those nullities filling the
+    space leave every other form nullity 0, its count.  When the Casimir is
+    weight-free and the forms are constants, every sample's problem is the
+    first one's times its denominator, and the counts stand unconfirmed.
 
     A form's count is the multiplicity of its value, so the forms' values at
     each sample must be pairwise distinct, and they are at every weight the
@@ -394,16 +439,22 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     the root-13 region (n_top = D + lambda2) guarantees.  Parabolic root
     23's w is constant, and ``candidate_forms`` merges its equal forms.
     """
-    counts = None
-    for mod in modules:
-        values = [mod.numerator(f) for f in forms]
-        if len(set(values)) < len(values):
-            raise VerificationError(f"ambiguous affine lift of eigenvalues at {(n, m)}")
-        measured = dict(kappa_spectrum(mod, root, n, m, forms))
-        got = [measured.get(value, 0) for value in values]
-        if counts is None:
-            counts = got
-        elif got != counts:
+    first, *rest = modules
+    values = _values(first, forms, n, m)
+    measured = dict(kappa_spectrum(first, root, n, m, forms))
+    counts = [measured.get(value, 0) for value in values]
+    d = first.dim(n, m)
+    if sum(counts) != d:
+        raise VerificationError(
+            f"lifted multiplicities at {(n, m)} sum to {sum(counts)}, not the dimension {d}"
+        )
+    if first.weight_free(root, n, m) and all(map(_constant, forms)):
+        return counts
+    for mod in rest:
+        values = _values(mod, forms, n, m)
+        mat = _casimir(mod, root, n, m)
+        if any(count and mat.cols - rank(mat_scalar_shift(mat, value)) != count
+               for value, count in zip(values, counts)):
             raise VerificationError(f"lifted multiplicities disagree at {(n, m)}")
     return counts
 
@@ -413,9 +464,9 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
                       divergent_depth: int | None = None) -> FormalSeries:
     """Windowed trace series computed from kernel-rank spectra alone.
 
-    Each candidate form's multiplicity is read at the first weight sample and
-    must recur at the others (``lift_space``); any disagreement or ambiguity
-    is a hard error.
+    Each candidate form's multiplicity is measured at the first weight
+    sample, confirmed at the others; weight-free spaces carry over
+    (``lift_space``).  Any disagreement or ambiguity is a hard error.
     """
     samples = lift_samples(spec, samples)
     region = bruteforce_region(spec, root, window, regularized, divergent_depth)
@@ -436,19 +487,30 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
 def trace_branching(spec: ModuleSpec, root: Root, window: Window,
                     regularized: bool = False, samples=None,
                     divergent_depth: int | None = None) -> FormalSeries:
-    """Windowed trace series assembled from branching tables, one built per
-    weight sample over the brute force's region; tables that differ across
-    samples are a VerificationError.  A divergent trace is only meaningful
-    as a fixed-depth window sum, so its region is the triangle
+    """Windowed trace series assembled from a branching table over the brute
+    force's region, measured at the first weight sample, confirmed at the
+    others; weight-free spaces carry over.  A later sample recomputes each
+    other space's constituents, and any that differ from the table's are a
+    VerificationError.  A divergent trace is only meaningful as a
+    fixed-depth window sum, so its region is the triangle
     n+m <= ``divergent_depth``, as in ``trace_brute_force``."""
     region = bruteforce_region(spec, root, window, regularized, divergent_depth)
-    tables = [
-        branching_table(VermaModule(spec.with_weight(l1, l2), shared=True), root, region=region)
-        for l1, l2 in lift_samples(spec, samples)
+    first, *rest = [VermaModule(spec.with_weight(l1, l2), shared=True)
+                    for l1, l2 in lift_samples(spec, samples)]
+    table = branching_table(first, root, region=region)
+    measured: dict = {}
+    for term in table.terms:
+        measured.setdefault(term.origin, []).append(term)
+    spaces = [
+        (n, m) for n, m in region_spaces(region)
+        if first.dim(n, m) and not (first.weight_free(root.raising, n, m)
+                                    and _constant(h_form(first.cap, root, n, m)))
     ]
-    if any(table != tables[0] for table in tables[1:]):
-        raise VerificationError("branching tables differ across weight samples")
-    return trace_from_branching(tables[0], window, regularized, spec=spec)
+    for mod in rest:
+        for n, m in spaces:
+            if _space_terms(mod, root, n, m) != measured.get((n, m), []):
+                raise VerificationError("branching tables differ across weight samples")
+    return trace_from_branching(table, window, regularized, spec=spec)
 
 
 def trace_pipelines(spec: ModuleSpec, root: Root, window: Window, regularized: bool,

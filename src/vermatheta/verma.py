@@ -472,6 +472,15 @@ class VermaModule:
             num = c0s
         return QMatrix.from_integers(*shape, num, den)
 
+    def weight_free(self, op, n: int, m: int) -> bool:
+        """True when the packed straightener holds ``op``'s matrix on (n, m)
+        and no entry depends on the weight, every c1 and c2 zero, so every
+        weight sample poses the same problem, scaled by its ``denom``.  False
+        for a weight-bound module, which keeps no coefficients."""
+        matrices = self.straightener.matrices
+        coeffs = None if matrices is None else matrices.get((op, n, m))
+        return coeffs is not None and not any(coeffs[1]) and not any(coeffs[2])
+
     def _assemble(self, op, source: tuple[int, int], target: tuple[int, int]) -> list:
         """The straightener's coefficients of ``op`` from the source space to
         the target space, as a row-major list."""

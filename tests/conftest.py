@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from vermatheta import BOREL, PARABOLIC, ModuleSpec, QMatrix, VermaModule, mat_scalar_shift, rank
-from vermatheta.verma import Gen, commutator
+from vermatheta.verma import Gen, Root, commutator
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -18,6 +18,8 @@ WEIGHTS = (
 )
 
 LAMBDA1S = tuple(l1 for l1, _ in WEIGHTS)
+
+RAISING = tuple(root.raising for root in Root)
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +78,24 @@ def straighten(module: VermaModule, word) -> dict:
     for g in reversed(word):
         element = module.apply_gen(g, element)
     return element
+
+
+def zero_raising_matrix(monkeypatch, weight, space) -> list:
+    """Serve the zero matrix for every raising generator on ``space`` of a
+    module at ``weight``; the returned list gets ``space`` per matrix served."""
+    real = VermaModule.operator_matrix
+    served = []
+
+    def perturbed(module, op, source):
+        mat = real(module, op, source)
+        spec = module.spec
+        if op in RAISING and source == space and (spec.lambda1, spec.lambda2) == weight:
+            served.append(source)
+            return QMatrix.from_integers(mat.rows, mat.cols, [0] * len(mat.num), mat.den)
+        return mat
+
+    monkeypatch.setattr(VermaModule, "operator_matrix", perturbed)
+    return served
 
 
 def singular_dimension(module: VermaModule, root, n: int, m: int) -> int:

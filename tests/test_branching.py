@@ -15,6 +15,7 @@ from vermatheta import (
     Window,
     branching_table,
     kappa_spectrum,
+    kernel_basis,
     trace_brute_force,
     trace_from_branching,
 )
@@ -32,12 +33,13 @@ from vermatheta.branching import (
     predicted_spectrum,
     region_spaces,
     required_depth,
+    trace_branching,
     trace_pipelines,
 )
 from vermatheta.errors import UsageError, VerificationError
 from vermatheta.qseries import ExponentForm, Monomial
 from vermatheta.theta import CATALOG, closed_form_with_notes
-from vermatheta.verma import h_form
+from vermatheta.verma import Gen, h_form
 
 from conftest import LAMBDA1S, WEIGHTS, WordStraightener, eigenvalues, singular_dimension
 
@@ -567,18 +569,127 @@ def test_lift_space_refuses_a_duplicated_form(borel_modules):
 @pytest.mark.parametrize("off", range(3))
 def test_lift_space_refuses_counts_that_differ_across_samples(borel_modules, monkeypatch, off):
     # each sample's counts must be the first sample's: one module whose
-    # spectrum loses an eigenvalue, whichever it is, fails the lift
+    # Casimir loses an eigenvalue, whichever it is, fails the lift.  The
+    # Borel root-13 Casimir is triangular, so its leading block keeps the
+    # other eigenvalues: at the first sample its spectrum is complete, and
+    # only the counts' sum, one short of the space, shows the loss
     modules = [borel_modules[w] for w in WEIGHTS]
     forms = candidate_forms(modules[0], Root.A13, 2, 2)
-    real = branching.kappa_spectrum
+    assert lift_space(modules, Root.A13, 2, 2, forms) == [1, 1, 1]
+    real = modules[off].operator_matrix
 
-    def short_at_one_module(module, root, n, m, forms=None):
-        pairs = real(module, root, n, m, forms)
-        return pairs[1:] if module is modules[off] else pairs
+    def leading_block(op, source):
+        mat = real(op, source)
+        d = mat.cols - 1
+        kept = [x for i, x in enumerate(mat.num) if i // mat.cols < d and i % mat.cols < d]
+        return QMatrix.from_integers(d, d, kept, mat.den) if op is Root.A13 else mat
 
-    monkeypatch.setattr(branching, "kappa_spectrum", short_at_one_module)
-    with pytest.raises(VerificationError, match="lifted multiplicities disagree"):
+    monkeypatch.setattr(modules[off], "operator_matrix", leading_block)
+    message = "sum to 2, not the dimension 3" if off == 0 else "lifted multiplicities disagree"
+    with pytest.raises(VerificationError, match=message):
         lift_space(modules, Root.A13, 2, 2, forms)
+
+
+# -- confirmation at later weight samples against a full re-measurement -----------
+
+#: guard-passing Borel weight samples that share no weight with the defaults
+HELD_OUT_SAMPLES = ((F(5, 2), F(3, 4)), (F(17, 6), F(-2, 9)), (F(9, 7), F(4, 5)))
+
+TRACES = list(dict.fromkeys(e for e in CATALOG.values() if e.root))
+
+
+def remeasured_table(module, root, region) -> BranchingTable:
+    """A branching table measured in full: every singular vector of every
+    nonempty space of the region read by ``kernel_basis`` and classified."""
+    terms = []
+    for n, m in region_spaces(region):
+        if module.dim(n, m):
+            counts: dict = {}
+            for vec in kernel_basis(module.operator_matrix(root.raising, (n, m))):
+                key = branching._classify(module, root, n, m, vec)
+                counts[key] = counts.get(key, 0) + 1
+            terms += [BranchingTerm(kind, hw, c, (n, m)) for (kind, hw), c in sorted(counts.items())]
+    return BranchingTable(module.spec.kind, root, tuple(terms), region)
+
+
+@pytest.mark.parametrize("key, l2, samples", [
+    *(pytest.param(key, F(5, 7), samples, id=f"borel-reg-{key.root.value}-{name}" if key.regularized
+                   else f"borel-{key.root.value}-{name}")
+      for key in TRACES if key.kind == BOREL
+      for name, samples in (("default", ()), ("held-out", HELD_OUT_SAMPLES))),
+    *(pytest.param(key, l2, (), id=f"parabolic-{key.root.value}-lambda2={l2}")
+      for key in TRACES if key.kind == PARABOLIC for l2 in (0, 1, 2)),
+])
+def test_confirmed_traces_equal_a_full_remeasurement(monkeypatch, key, l2, samples):
+    # each sample's counts and table, re-measured on a weight-bound module,
+    # are what the pipelines measured at the first sample and confirmed
+    window = Window(3, 4, 3)
+    spec = ModuleSpec(key.kind, *(samples[0] if samples else (F(7, 3), l2)), 0)
+    spec = spec.with_depth(required_depth(spec, key.root, window, key.regularized))
+    samples = lift_samples(spec, samples)
+    region = bruteforce_region(spec, key.root, window, key.regularized)
+    remeasured = [VermaModule(spec.with_weight(*w)) for w in samples]
+    shared = [VermaModule(spec.with_weight(*w), shared=True) for w in samples]
+    spaces = 0
+    for n, m in region_spaces(region):
+        if remeasured[0].dim(n, m):
+            forms = candidate_forms(remeasured[0], key.root, n, m)
+            counts = lift_space(shared, key.root, n, m, forms)
+            for module in remeasured:
+                spectrum = dict(kappa_spectrum(module, key.root, n, m, forms))
+                assert [spectrum.get(module.numerator(f), 0) for f in forms] == counts, (n, m)
+            spaces += 1
+    assert spaces
+    real, tables = branching.branching_table, []
+
+    def recorded(*args, **kwargs):
+        tables.append(real(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(branching, "branching_table", recorded)
+    trace_branching(spec, key.root, window, key.regularized, samples)
+    assert tables == [remeasured_table(module, key.root, region) for module in remeasured[:1]]
+    for module in remeasured[1:]:
+        assert remeasured_table(module, key.root, region) == tables[0]
+
+
+@pytest.mark.parametrize("kind, l2", [(BOREL, F(5, 7)), (PARABOLIC, 0), (PARABOLIC, 1),
+                                      (PARABOLIC, 2)])
+def test_branch_tables_equal_a_full_remeasurement(kind, l2):
+    module = VermaModule(ModuleSpec(kind, F(7, 3), l2, 8))
+    for root in Root:
+        assert branching_table(module, root) == remeasured_table(module, root, (8, 8, -1))
+
+
+def test_weight_free_is_decided_per_matrix():
+    # over suite's window: every parabolic root-23 Casimir and E23 matrix
+    # the traces hold is weight-free and no Borel Casimir is, while raising
+    # matrices of one root split both ways, so the decision is each matrix's
+    window = Window(5, 8, 8)
+    held: dict = {}
+    for key in TRACES:
+        for l2 in ((F(5, 7),) if key.kind == BOREL else (0, 1, 2)):
+            spec = ModuleSpec(key.kind, F(7, 3), l2, 10)
+            spec = spec.with_depth(required_depth(spec, key.root, window, key.regularized))
+            trace_pipelines(spec, key.root, window, key.regularized)
+            module = VermaModule(spec, shared=True)
+            for op, n, m in module.straightener.matrices:
+                if op in (key.root, key.root.raising):  # built by this trace
+                    free, total = held.get((key.kind, op), (0, 0))
+                    held[key.kind, op] = (free + module.weight_free(op, n, m), total + 1)
+    assert held[PARABOLIC, Root.A23] == (182, 182)
+    assert held[PARABOLIC, Gen.E23] == (194, 194)
+    assert [held[BOREL, root][0] for root in Root] == [0, 0, 0]
+    assert all(0 < held[kind, root.raising][0] < held[kind, root.raising][1]
+               for kind, root in ((BOREL, Root.A13), (PARABOLIC, Root.A12), (PARABOLIC, Root.A13)))
+    # a weight-bound module keeps no coefficients, and a packed straightener
+    # decides only the matrices it holds
+    spec = ModuleSpec(PARABOLIC, F(7, 3), 1, 6)
+    bound, shared = VermaModule(spec), VermaModule(spec, shared=True)
+    assert not shared.weight_free(Root.A23, 2, 3)
+    for module in (bound, shared):
+        module.operator_matrix(Root.A23, (2, 3))
+    assert shared.weight_free(Root.A23, 2, 3) and not bound.weight_free(Root.A23, 2, 3)
 
 
 @pytest.mark.parametrize("kind, l2", [(BOREL, F(5, 7)), (PARABOLIC, 0), (PARABOLIC, 1),

@@ -24,6 +24,8 @@ from vermatheta.cli import (
 )
 from vermatheta.theta import ClosedFormId, annotate_variants, check_id, check_record, verify_identity
 
+from conftest import WEIGHTS, zero_raising_matrix
+
 F = Fraction
 
 
@@ -212,24 +214,14 @@ def test_spectrum_incoherence_is_a_mismatch(tmp_path, monkeypatch):
 
 
 def test_trace_refuses_tables_that_differ_across_samples(monkeypatch, capsys):
-    from vermatheta import branching
-
-    real, calls = branching.branching_table, []
-
-    def perturbed(module, root, region=None):
-        table = real(module, root, region)
-        calls.append(table)
-        if len(calls) == 2:  # the second of the three weight samples
-            first = table.terms[0]._replace(multiplicity=table.terms[0].multiplicity + 1)
-            table = table._replace(terms=(first,) + table.terms[1:])
-        return table
-
-    monkeypatch.setattr(branching, "branching_table", perturbed)
+    # E13 on (1, 1) has one singular vector; served as zero at the second of
+    # the three weight samples, it has two there
+    served = zero_raising_matrix(monkeypatch, WEIGHTS[1], (1, 1))
     argv = ["trace", "--root", "13", "--B", "3", "--D", "4", "--T", "0", "--pipeline", "branching"]
     assert main(argv) == 1
     assert capsys.readouterr() == (
         "", "verification failure: branching tables differ across weight samples\n")
-    assert len(calls) == 3
+    assert served == [(1, 1)]
 
 
 def test_trace_divergent_is_labeled_and_deterministic(tmp_path):
@@ -576,6 +568,19 @@ GOLDEN_CASES = [
          "--T", "0", "--pipeline", "closed"),
         0,
     ),
+    (
+        # the benchmark's suite and suite-par runs
+        "verify_all.json",
+        ("verify", "--all", "--lambda1=7/3", "--lambda2=5/7"),
+        1,
+    ),
+    (
+        # the benchmark's deep-parabolic-12 run
+        "verify_deep_parabolic_12.json",
+        ("verify", "--identity", "parabolic-trace-12-alt-sign", "--module", "parabolic",
+         "--B", "9", "--D", "20", "--T", "8", "--lambda1=7/3", "--lambda2=2"),
+        0,
+    ),
 ]
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -670,22 +675,24 @@ def test_verify_all_runs_the_pipelines_once_per_trace(tmp_path, monkeypatch):
 def record_table_visits(monkeypatch) -> list:
     """Patch ``branching_table`` where the pipelines and the CLI call it;
     each call appends (module spec, root, region, the nonempty spaces of that
-    region, the spaces it built a raising-operator matrix on)."""
+    region, the spaces its module built a raising-operator matrix on, the
+    spaces other modules built one on before the next call)."""
     from vermatheta import branching, cli
     from vermatheta.verma import Gen, VermaModule
 
     real_table, real_matrix = branching.branching_table, VermaModule.operator_matrix
-    visits = []
+    visits, table_module = [], []
 
     def table(module, root, region=None):
         depth = module.spec.depth
         spaces = branching.region_spaces(region or (depth, depth, -1))
-        visits.append((module.spec, root, region, {s for s in spaces if module.dim(*s)}, set()))
+        visits.append((module.spec, root, region, {s for s in spaces if module.dim(*s)}, set(), set()))
+        table_module[:] = [module]
         return real_table(module, root, region)
 
     def matrix(self, op, source):
         if isinstance(op, Gen):
-            visits[-1][4].add(source)
+            visits[-1][4 if self is table_module[0] else 5].add(source)
         return real_matrix(self, op, source)
 
     monkeypatch.setattr(branching, "branching_table", table)
@@ -709,14 +716,16 @@ def test_trace_tables_visit_only_the_bruteforce_region(tmp_path, monkeypatch):
         for l2 in ((F(5, 7),) if entry.kind == BOREL else (0, 1, 2)):
             spec = ModuleSpec(entry.kind, F(7, 3), l2, 10)
             region = bruteforce_region(spec, entry.root, window, entry.regularized)
-            # a Borel weight sample moves lambda2; a parabolic one keeps it
-            want += [(entry.kind, l2 if entry.kind == PARABOLIC else None, entry.root, region)] * 3
+            want.append((entry.kind, l2 if entry.kind == PARABOLIC else None, entry.root, region))
     got = [(spec.kind, spec.lambda2 if spec.kind == PARABOLIC else None, root, region)
-           for spec, root, region, _, _ in visits]
-    assert len(want) == 36  # 12 pipeline runs, one table per weight sample
+           for spec, root, region, *_ in visits]
+    assert len(want) == 12  # 12 pipeline runs, each with a table at its first weight sample
     assert sorted(got, key=repr) == sorted(want, key=repr)
-    for _, _, _, spaces, built in visits:
+    for spec, _, _, spaces, built, confirmed in visits:
+        # the first sample builds the region; the others confirm inside it
         assert built == spaces
+        assert confirmed <= spaces
+    assert all(confirmed for spec, *_, confirmed in visits if spec.kind == BOREL)
 
 
 @pytest.mark.parametrize("command", ["branch", "spectrum"])
@@ -726,8 +735,8 @@ def test_branch_and_spectrum_tables_cover_the_full_triangle(tmp_path, monkeypatc
     for root in ("12", "23", "13"):
         run(tmp_path, command, "--module", kind, "--root", root, "--depth", "6")
     assert len(visits) == 3
-    for spec, _, region, spaces, built in visits:
-        assert region is None
+    for spec, _, region, spaces, built, others in visits:
+        assert region is None and not others
         assert built == spaces == {(n, m) for n in range(7) for m in range(7 - n)
                                    if kind == BOREL or m <= n + spec.lambda2}
 

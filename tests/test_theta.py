@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from vermatheta import BOREL, PARABOLIC, ModuleSpec, Window, branching
+from vermatheta import BOREL, PARABOLIC, ModuleSpec, Window
 from vermatheta.cli import main
 from vermatheta.errors import UsageError, VerificationError
 from vermatheta.qseries import MONO_ONE, ExponentForm, FormalSeries, Monomial, tmono
@@ -14,7 +14,7 @@ from vermatheta.theta import (
     verify_identity,
 )
 
-from conftest import WEIGHTS
+from conftest import WEIGHTS, zero_raising_matrix
 
 F = Fraction
 
@@ -259,21 +259,13 @@ def test_borel_13_passes_up_to_b7_d10():
 
 
 def test_tables_differing_across_samples_is_a_verification_error(monkeypatch, capsys):
-    real = branching.branching_table
-    calls = []
-
-    def perturbed(module, root, region=None):
-        table = real(module, root, region)
-        calls.append(table)
-        if len(calls) % 3 == 2:  # the second of the three weight samples
-            first = table.terms[0]._replace(multiplicity=table.terms[0].multiplicity + 1)
-            table = table._replace(terms=(first,) + table.terms[1:])
-        return table
-
-    monkeypatch.setattr(branching, "branching_table", perturbed)
-    with pytest.raises(VerificationError):
+    # the second weight sample finds two singular vectors for E13 on (1, 1), not one
+    served = zero_raising_matrix(monkeypatch, WEIGHTS[1], (1, 1))
+    with pytest.raises(VerificationError, match="branching tables differ across weight samples"):
         verify_identity(ClosedFormId.BOREL_TRACE_13, BSPEC.with_depth(6), Window(1, 2, 0))
     argv = ["verify", "--identity", "borel-trace-13", "--B", "1", "--D", "2", "--T", "0",
             "--depth", "6"]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("verification failure:")
+    assert capsys.readouterr().err == (
+        "verification failure: branching tables differ across weight samples\n")
+    assert served == [(1, 1), (1, 1)]
