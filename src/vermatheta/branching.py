@@ -6,14 +6,18 @@ Two independent pipelines produce each trace series:
   finite-dimensional sl(2) module per singular vector), and
   ``trace_from_branching`` sums the known sl(2) spectrum over the table's
   constituents.
-* ``trace_brute_force`` diagonalizes the root Casimir on every weight
-  space by kernel ranks against a finite list of affine candidate forms
-  and reads off each form's multiplicity.
+* ``trace_brute_force`` finds the root Casimir's eigenvalues on every
+  weight space and reads off the multiplicity of each of a finite list of
+  affine candidate forms.  A Casimir whose affine matrix is triangular with
+  distinct diagonal forms, as every root-12 and root-13 one measured is, is
+  read off that diagonal, which must lie among the candidates; any other is
+  diagonalized by kernel ranks against them.
 
 Each pipeline runs at several guard-passing highest weights, the weight
-samples.  Every weight space is measured at the first sample, confirmed at
-the others; weight-free spaces carry over.  A space is weight-free when its
-matrix's entries and the forms it is tested against have no L-part
+samples.  A Casimir read off its affine diagonal holds at every sample at
+once.  Every other weight space is measured at the first sample, confirmed
+at the others; weight-free spaces carry over.  A space is weight-free when
+its matrix's entries and the forms it is tested against have no L-part
 (``VermaModule.weight_free``): every sample then poses the first sample's
 problem times its own denominator, so the first answer stands for all.
 
@@ -235,7 +239,10 @@ def candidate_forms(module: VermaModule, root: Root, n: int, m: int) -> list:
     w, so the candidates are (2k+1)*(w + 2k) - 2k^2 = (2k+1)*w + 2k(k+1)
     over the nonempty spaces up the string.  A finite constituent L_i has the
     same form at its depth k, with i = w + 2k, so the list misses no
-    constituent, and ``kappa_spectrum`` checks that it misses no eigenvalue.
+    constituent.  ``lift_space`` checks that it misses no eigenvalue: a
+    triangular Casimir's affine diagonal must lie among the candidates, and
+    on any other space ``kappa_spectrum``'s ranks must fill the space.  The
+    brute force also uses the list as its window pre-filter.
     """
     c0, c1, c2 = h_form(module.cap, root, n, m)
     dn, dm = root.down_step
@@ -258,6 +265,17 @@ def _casimir(module: VermaModule, root: Root, n: int, m: int):
             f"not the weight denominator {module.denom}"
         )
     return mat
+
+
+def _require_complete(found: int, d: int, root: Root, n: int, m: int) -> None:
+    """Refuse eigenvalue multiplicities that do not fill the d-dimensional
+    (n, m) space: some eigenvalue is no candidate, or the Casimir is not
+    diagonalizable."""
+    if found != d:
+        raise VerificationError(
+            f"eigenvalue candidates incomplete on weight space {(n, m)} "
+            f"for root {root.value}: found {found} of {d}"
+        )
 
 
 def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None) -> tuple:
@@ -286,11 +304,7 @@ def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None) 
             total += mult
             if total == d:
                 break
-    if total != d:
-        raise VerificationError(
-            f"eigenvalue candidates incomplete on weight space {(n, m)} "
-            f"for root {root.value}: found {total} of {d}"
-        )
+    _require_complete(total, d, root, n, m)
     return tuple(found)
 
 
@@ -416,18 +430,45 @@ def _values(module: VermaModule, forms: list, n: int, m: int) -> list:
     return values
 
 
+def _diagonal_forms(coeffs: tuple, d: int) -> list | None:
+    """The diagonal of a d x d affine matrix held as coefficient tuples
+    (c0s, c1s, c2s), when the matrix is upper or lower triangular and its
+    diagonal forms are pairwise distinct: then they are its eigenvalues, each
+    of multiplicity 1, at every weight where their values stay distinct.
+    None otherwise.  The orientation is decided on the matrix itself; a
+    diagonal matrix is both."""
+    entries = list(zip(*coeffs))
+    nonzero = [divmod(k, d) for k, entry in enumerate(entries) if any(entry)]
+    if any(i < j for i, j in nonzero) and any(i > j for i, j in nonzero):
+        return None
+    diagonal = [ExponentForm(*entries[k]) for k in range(0, d * d, d + 1)]
+    return diagonal if len(set(diagonal)) == d else None
+
+
 def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     """Multiplicity of each candidate form on the (n, m) space, one module
-    per weight sample: measured at the first sample, confirmed at the
+    per weight sample: read off the affine diagonal when the Casimir is
+    triangular, otherwise measured at the first sample and confirmed at the
     others; weight-free spaces carry over.
 
-    The first module's kernel-rank spectrum gives the counts, which must sum
-    to the space's dimension.  Another module confirms them with one rank
-    per form of nonzero count, d - rank(kappa - e*I) == count: eigenspaces
-    of distinct eigenvalues are independent, so those nullities filling the
-    space leave every other form nullity 0, its count.  When the Casimir is
-    weight-free and the forms are constants, every sample's problem is the
-    first one's times its denominator, and the counts stand unconfirmed.
+    When the first module straightens on the packed straightener that a
+    trace's samples share, the Casimir is one affine matrix for every sample.
+    If that matrix is triangular with pairwise distinct diagonal forms
+    (``_diagonal_forms``), as every root-12 and root-13 Casimir measured so
+    far is, those forms are its eigenvalues, each of multiplicity 1: a
+    diagonal form among the candidates counts 1, every other candidate 0,
+    and a diagonal form that no candidate names is a VerificationError.
+    That comparison tests ``candidate_forms``' sl(2) rule against the module
+    itself; no rank is taken and no later sample's Casimir is built.
+
+    Otherwise, as on root 23, the first module's kernel-rank spectrum gives
+    the counts, which must sum to the space's dimension.  Another module
+    confirms them with one rank per form of nonzero count,
+    d - rank(kappa - e*I) == count: eigenspaces of distinct eigenvalues are
+    independent, so those nullities filling the space leave every other form
+    nullity 0, its count.  When the Casimir is weight-free and the forms are
+    constants, every sample's problem is the first one's times its
+    denominator, and the counts stand unconfirmed.
 
     A form's count is the multiplicity of its value, so the forms' values at
     each sample must be pairwise distinct, and they are at every weight the
@@ -440,6 +481,15 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     23's w is constant, and ``candidate_forms`` merges its equal forms.
     """
     first, *rest = modules
+    if first.straightener.matrices is not None:
+        d = _casimir(first, root, n, m).cols
+        diagonal = _diagonal_forms(first.straightener.matrices[root, n, m], d)
+        if diagonal is not None:
+            for mod in modules:
+                _values(mod, forms, n, m)
+            counts = [int(form in diagonal) for form in forms]
+            _require_complete(sum(counts), d, root, n, m)
+            return counts
     values = _values(first, forms, n, m)
     measured = dict(kappa_spectrum(first, root, n, m, forms))
     counts = [measured.get(value, 0) for value in values]
@@ -462,11 +512,16 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
 def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
                       regularized: bool = False, samples=None,
                       divergent_depth: int | None = None) -> FormalSeries:
-    """Windowed trace series computed from kernel-rank spectra alone.
+    """Windowed trace series computed from the Casimir alone, without a
+    branching table.
 
-    Each candidate form's multiplicity is measured at the first weight
-    sample, confirmed at the others; weight-free spaces carry over
-    (``lift_space``).  Any disagreement or ambiguity is a hard error.
+    On a space whose affine Casimir is triangular with distinct diagonal
+    forms, every root-12 and root-13 space measured so far, those forms are
+    the eigenvalues at every weight sample, each of multiplicity 1, and must
+    be among the candidate forms.  On any other space each candidate's
+    multiplicity is measured by kernel ranks at the first weight sample,
+    confirmed at the others; weight-free spaces carry over (``lift_space``).
+    Any disagreement or ambiguity is a hard error.
     """
     samples = lift_samples(spec, samples)
     region = bruteforce_region(spec, root, window, regularized, divergent_depth)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -690,6 +691,130 @@ def test_weight_free_is_decided_per_matrix():
     for module in (bound, shared):
         module.operator_matrix(Root.A23, (2, 3))
     assert shared.weight_free(Root.A23, 2, 3) and not bound.weight_free(Root.A23, 2, 3)
+
+
+# -- spectra read off the affine diagonal ----------------------------------------------
+
+
+def affine(rows) -> tuple:
+    """The coefficient tuples (c0s, c1s, c2s) of a square matrix whose rows
+    hold (c0, c1, c2) entries, as a packed straightener keeps them."""
+    entries = [entry for row in rows for entry in row]
+    return tuple(tuple(entry[i] for entry in entries) for i in range(3))
+
+
+def with_entry(coeffs: tuple, d: int, i: int, j: int, delta: tuple) -> tuple:
+    """``coeffs`` of a d x d matrix with ``delta`` added to its (i, j) entry."""
+    slots = [list(c) for c in coeffs]
+    for slot, x in zip(slots, delta):
+        slot[i * d + j] += x
+    return tuple(map(tuple, slots))
+
+
+A, B, C, Z = (1, 1, 0), (2, 3, 0), (0, 5, -1), (0, 0, 0)
+
+
+@pytest.mark.parametrize("rows, diagonal", [
+    pytest.param([[A, (0, 0, 7)], [Z, B]], [A, B], id="upper"),
+    pytest.param([[A, Z], [(0, 0, 7), B]], [A, B], id="lower"),
+    pytest.param([[A, Z, Z], [Z, B, Z], [Z, Z, C]], [A, B, C], id="diagonal"),
+    pytest.param([[C]], [C], id="1x1"),
+    pytest.param([[A, (0, 1, 0), Z], [Z, B, Z], [(0, 0, 7), Z, C]], None, id="entries-both-sides"),
+    pytest.param([[A, (3, 0, 0)], [Z, A]], None, id="repeated-diagonal-form"),
+])
+def test_diagonal_forms_need_a_triangle_and_distinct_forms(rows, diagonal):
+    # an entry counts as nonzero when any of its c0, c1, c2 is, and the
+    # orientation is read from the matrix: either triangle, or both
+    got = branching._diagonal_forms(affine(rows), len(rows))
+    assert got == (diagonal if diagonal is None else [ExponentForm(*f) for f in diagonal])
+
+
+def shared_casimir(spec: ModuleSpec, root: Root, n: int, m: int) -> tuple:
+    """The shared sample modules of ``spec`` and their straightener's cached
+    affine Casimir tuples on (n, m)."""
+    modules = [VermaModule(spec.with_weight(*w), shared=True) for w in lift_samples(spec)]
+    modules[0].operator_matrix(root, (n, m))
+    return modules, modules[0].straightener.matrices[root, n, m]
+
+
+@pytest.mark.parametrize("root, entry, message", [
+    # a diagonal form off the candidates
+    (Root.A12, (0, 0), "found 2 of 3"),
+    (Root.A13, (0, 0), "found 2 of 3"),
+    # an entry across the triangle, mirroring a nonzero one, moves two
+    # eigenvalues off the candidates, and the rank path finds that
+    (Root.A12, (1, 0), "found 1 of 3"),
+    (Root.A13, (0, 1), "found 1 of 3"),
+])
+def test_lift_space_on_shared_modules_refuses_a_perturbed_casimir(monkeypatch, root, entry, message):
+    # a trace's samples share one affine Casimir, so a perturbed entry reaches
+    # every sample; Borel root 12 is upper triangular on (2, 2), root 13 lower
+    modules, coeffs = shared_casimir(ModuleSpec(BOREL, F(7, 3), F(5, 7), 6), root, 2, 2)
+    forms = candidate_forms(modules[0], root, 2, 2)
+    assert lift_space(modules, root, 2, 2, forms) == [1, 1, 1]
+    i, j = entry
+    if i != j:  # the mirror entry is nonzero, so the matrix is no longer triangular
+        assert any(c[j * 3 + i] for c in coeffs)
+    monkeypatch.setitem(modules[0].straightener.matrices, (root, 2, 2),
+                        with_entry(coeffs, 3, i, j, (1, 0, 0)))
+    with pytest.raises(VerificationError, match=re.escape(
+            f"eigenvalue candidates incomplete on weight space (2, 2) for root {root.value}: {message}")):
+        lift_space(modules, root, 2, 2, forms)
+
+
+def test_a_repeated_diagonal_form_takes_the_rank_path(monkeypatch):
+    # e*I and a Jordan block at e both have the one diagonal form e twice, so
+    # neither is read off the diagonal: ranks give e multiplicity 2 on the
+    # first, and only 1 of 2 on the second, which is not diagonalizable
+    modules, coeffs = shared_casimir(ModuleSpec(BOREL, F(7, 3), F(5, 7), 6), Root.A12, 1, 2)
+    forms = candidate_forms(modules[0], Root.A12, 1, 2)
+    assert lift_space(modules, Root.A12, 1, 2, forms) == [1, 1]
+    e = tuple(forms[1])
+    matrices = modules[0].straightener.matrices
+    monkeypatch.setitem(matrices, (Root.A12, 1, 2), affine([[e, Z], [Z, e]]))
+    assert lift_space(modules, Root.A12, 1, 2, forms) == [0, 2]
+    monkeypatch.setitem(matrices, (Root.A12, 1, 2), affine([[e, (1, 0, 0)], [Z, e]]))
+    with pytest.raises(VerificationError, match=re.escape("(1, 2) for root 12: found 1 of 2")):
+        lift_space(modules, Root.A12, 1, 2, forms)
+
+
+def test_root_12_and_13_casimirs_are_read_off_the_diagonal(monkeypatch):
+    # over suite's regions every root-12 and root-13 Casimir is triangular
+    # with distinct diagonal forms, so lift_space takes no rank there, and
+    # no root-23 Casimir of more than one row is, so each reaches the ranks;
+    # upper and lower triangles both occur, so neither can be assumed
+    lifted, ranked = [], []
+    real_lift, real_kappa = branching.lift_space, branching.kappa_spectrum
+
+    def recorded_lift(modules, root, n, m, forms):
+        before = len(ranked)
+        counts = real_lift(modules, root, n, m, forms)
+        coeffs = modules[0].straightener.matrices[root, n, m]
+        lifted.append((root, modules[0].dim(n, m), coeffs, len(ranked) > before))
+        return counts
+
+    def recorded_kappa(module, root, n, m, forms=None):
+        ranked.append((root, n, m))
+        return real_kappa(module, root, n, m, forms)
+
+    monkeypatch.setattr(branching, "lift_space", recorded_lift)
+    monkeypatch.setattr(branching, "kappa_spectrum", recorded_kappa)
+    window = Window(5, 8, 8)
+    for key in TRACES:
+        for l2 in ((F(5, 7),) if key.kind == BOREL else (0, 1, 2)):
+            spec = ModuleSpec(key.kind, F(7, 3), l2, 10)
+            spec = spec.with_depth(required_depth(spec, key.root, window, key.regularized))
+            trace_brute_force(spec, key.root, window, key.regularized)
+    orientations = set()
+    for root, d, coeffs, took_ranks in lifted:
+        if root is Root.A23:
+            assert took_ranks or d == 1
+            continue
+        assert not took_ranks and branching._diagonal_forms(coeffs, d)
+        nonzero = [divmod(k, d) for k, entry in enumerate(zip(*coeffs)) if any(entry)]
+        orientations.add((any(i < j for i, j in nonzero), any(i > j for i, j in nonzero)))
+    assert orientations == {(False, False), (True, False), (False, True)}
+    assert any(root is Root.A23 and d > 1 for root, d, _, _ in lifted)
 
 
 @pytest.mark.parametrize("kind, l2", [(BOREL, F(5, 7)), (PARABOLIC, 0), (PARABOLIC, 1),
