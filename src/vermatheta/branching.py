@@ -278,19 +278,22 @@ def _require_complete(found: int, d: int, root: Root, n: int, m: int) -> None:
         )
 
 
-def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None) -> tuple:
+def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None,
+                   mat=None) -> tuple:
     """Eigenvalue multiset of the root Casimir on (n, m) by kernel ranks, as
     sorted (numerator, multiplicity) pairs over ``module.denom``.
 
     The candidates are ``forms``, by default ``candidate_forms`` of the
-    space.  The multiplicity of e is dim ker(kappa - e*I); completeness (the
+    space, and ``mat`` is the Casimir's matrix when the caller has built it.
+    The multiplicity of e is dim ker(kappa - e*I); completeness (the
     multiplicities summing to the space dimension) is enforced, so an
     eigenvalue no candidate names, or a non-diagonalizable operator, is a
     hard error.  The Casimir's denominator is scale[raising] *
     scale[lowering], the weight denominator, so each candidate shifts the
     matrix's numerators directly.
     """
-    mat = _casimir(module, root, n, m)
+    if mat is None:
+        mat = _casimir(module, root, n, m)
     d = mat.cols
     if forms is None:
         forms = candidate_forms(module, root, n, m)
@@ -481,17 +484,18 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     23's w is constant, and ``candidate_forms`` merges its equal forms.
     """
     first, *rest = modules
+    mat = None
     if first.straightener.matrices is not None:
-        d = _casimir(first, root, n, m).cols
-        diagonal = _diagonal_forms(first.straightener.matrices[root, n, m], d)
+        mat = _casimir(first, root, n, m)
+        diagonal = _diagonal_forms(first.straightener.matrices[root, n, m], mat.cols)
         if diagonal is not None:
             for mod in modules:
                 _values(mod, forms, n, m)
             counts = [int(form in diagonal) for form in forms]
-            _require_complete(sum(counts), d, root, n, m)
+            _require_complete(sum(counts), mat.cols, root, n, m)
             return counts
     values = _values(first, forms, n, m)
-    measured = dict(kappa_spectrum(first, root, n, m, forms))
+    measured = dict(kappa_spectrum(first, root, n, m, forms, mat))
     counts = [measured.get(value, 0) for value in values]
     d = first.dim(n, m)
     if sum(counts) != d:

@@ -232,10 +232,102 @@ def _verify_task(job: tuple) -> list[dict]:
     return [record for _, record in checks]
 
 
+def _run_share(tasks: list, share: range) -> list:
+    """``(index, ok, records or exception)`` for the jobs of ``share`` in
+    order, up to and including the first job that raises."""
+    outcomes = []
+    for index in share:
+        try:
+            outcomes.append((index, True, _verify_task(tasks[index])))
+        except Exception as exc:
+            outcomes.append((index, False, exc))
+            break
+    return outcomes
+
+
+def _fork_share(tasks: list, share: range) -> tuple:
+    """Fork a child that runs ``share`` and pickles its outcomes to a pipe;
+    the child's pid and the read end of its pipe."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            outcomes = _run_share(tasks, share)
+            try:
+                blob = pickle.dumps(outcomes)
+            except Exception as exc:
+                index = outcomes[-1][0]
+                outcomes[-1] = (index, False, VerificationError(
+                    f"a verify worker cannot send the outcome of job {index}: {cut(str(exc))}"))
+                blob = pickle.dumps(outcomes)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(blob)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _received(blob: bytes, status: int, share: range) -> list:
+    """A child's outcomes from the bytes it sent; a child that sent none
+    fails at the first job of its share."""
+    import pickle
+
+    try:
+        return pickle.loads(blob)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        return [(share[0], False, VerificationError(
+            f"the verify worker for jobs {', '.join(map(str, share))} {how} "
+            "without sending readable results"))]
+
+
+def _fork_map(tasks: list, workers: int) -> list:
+    """``_verify_task`` of each task, in order, job i run by worker i mod
+    ``workers``: the parent forks a child for each worker past the first and
+    runs the first share itself.  A worker stops at its first failing job.
+    Once every child is reaped, the failure of the earliest job is raised,
+    the one a serial run meets first."""
+    shares = [range(w, len(tasks), workers) for w in range(workers)]
+    children = []  # (pid, read end of its pipe, share)
+    blobs, statuses = [], []
+    try:
+        for share in shares[1:]:
+            children.append((*_fork_share(tasks, share), share))
+        outcomes = _run_share(tasks, shares[0])
+        blobs = [pipe.read() for _, pipe, _ in children]
+    except BaseException:
+        import signal
+
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (_, _, share), blob, status in zip(children, blobs, statuses):
+        outcomes += _received(blob, status, share)
+    results = []
+    for _, ok, value in sorted(outcomes, key=lambda outcome: outcome[0]):
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def cmd_verify(cfg: RunConfig, args) -> tuple[list, dict]:
     jobs = parse_int(os.environ.get(JOBS_ENV, "1"), JOBS_ENV)
     if jobs < 1:
         raise UsageError(f"{JOBS_ENV} must be a positive integer, got {shown(jobs)}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise UsageError(f"{JOBS_ENV} above 1 needs os.fork, which this platform lacks")
     # Borel identities run at a Borel config's weight; a config aimed at the
     # parabolic module carries an integral lambda2, so they use the default
     borel_weight = (cfg.lambda1, cfg.lambda2) if cfg.module == BOREL else DEFAULT_WEIGHTS[0]
@@ -269,14 +361,7 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[list, dict]:
         work = required_depth(spec, entry.root, cfg.window, entry.regularized)
         spec = guarded_spec(spec if entry.root is None else spec.with_depth(work), work)
         tasks.append((tuple(identities), spec, cfg.window, lift_samples(spec, cfg.lambda_samples)))
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        import concurrent.futures  # only a pool needs it, and it costs every start-up
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_task, tasks))
-    else:
-        results = [_verify_task(t) for t in tasks]
+    results = _fork_map(tasks, min(jobs, len(tasks)))
 
     pending = {key: iter(records) for key, records in zip(by_trace, results)}
     return [next(pending[CATALOG[identity], spec]) for identity, spec in requested], {}

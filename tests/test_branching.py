@@ -793,9 +793,9 @@ def test_root_12_and_13_casimirs_are_read_off_the_diagonal(monkeypatch):
         lifted.append((root, modules[0].dim(n, m), coeffs, len(ranked) > before))
         return counts
 
-    def recorded_kappa(module, root, n, m, forms=None):
+    def recorded_kappa(module, root, n, m, forms=None, mat=None):
         ranked.append((root, n, m))
-        return real_kappa(module, root, n, m, forms)
+        return real_kappa(module, root, n, m, forms, mat)
 
     monkeypatch.setattr(branching, "lift_space", recorded_lift)
     monkeypatch.setattr(branching, "kappa_spectrum", recorded_kappa)

@@ -14,6 +14,7 @@ import vermatheta
 from vermatheta import BOREL, PARABOLIC, ModuleSpec, Root, Window
 from vermatheta import cli
 from vermatheta.branching import BranchingTable, required_depth
+from vermatheta.errors import UsageError, VerificationError
 from vermatheta.cli import (
     MAX_DEPTH,
     MAX_WEIGHT_PART,
@@ -911,6 +912,16 @@ def test_importing_the_cli_leaves_out_the_process_pool():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.stdout == "False\n"
+    # a parallel verify forks its workers, and a serial one pickles nothing
+    code = ("import sys; from vermatheta.cli import main; main(sys.argv[1:]); "
+            "print([m for m in ('concurrent.futures', 'multiprocessing', 'pickle') "
+            "if m in sys.modules], file=sys.stderr)")
+    args = ["verify", "--identity", "borel-trace-13", "--identity", "borel-reg-trace-12",
+            "--B", "1", "--D", "2", "--T", "1"]
+    for jobs, imported in (("1", "[]"), ("2", "['pickle']")):
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                              env={**env, "VERMATHETA_JOBS": jobs}, timeout=60)
+        assert proc.stderr == imported + "\n"
 
 
 
@@ -949,33 +960,112 @@ def test_parabolic_12_working_depth_does_not_grow_with_B(tmp_path):
     assert "classification: formula-discrepancy (computational pipelines agree)" in check["notes"]
 
 
-def test_jobs_past_the_job_count_start_one_worker_per_job(tmp_path, monkeypatch):
-    started = []
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that ``os.fork`` starts from the test's process."""
+    real_fork, pids = os.fork, []
 
-    class SerialPool:
-        """Stands in for the process pool: records its size and maps in-process."""
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+#: Three trace jobs: under two workers, jobs 0 and 2 run in the parent and
+#: job 1 in the child.
+THREE_JOBS = ["verify", "--identity", "borel-trace-13", "--identity", "borel-reg-trace-12",
+              "--identity", "borel-reg-trace-23", "--B", "1", "--D", "2", "--T", "1"]
+
+
+def fail_jobs(monkeypatch, failures: dict) -> None:
+    """Make the job of each identity in ``failures`` call its action instead."""
+    real = cli._verify_task
+
+    def task(job):
+        action = failures.get(job[0][0].value)
+        return real(job) if action is None else action()
+
+    monkeypatch.setattr(cli, "_verify_task", task)
+
+
+def raising(exc):
+    def action():
+        raise exc
+    return action
+
+
+def test_jobs_past_the_job_count_start_one_worker_per_job(tmp_path, monkeypatch, forks):
     args = ["verify", "--identity", "borel-trace-13", "--identity", "borel-reg-trace-12",
             "--B", "1", "--D", "2", "--T", "1"]
     monkeypatch.setenv("VERMATHETA_JOBS", "1")
     serial = run(tmp_path, *args)
-    assert started == []
+    assert forks == []
     monkeypatch.setenv("VERMATHETA_JOBS", "1000")
     assert run(tmp_path, *args) == serial
-    assert started == [2]
+    assert len(forks) == 1 and reaped(forks[0])
+
+
+@pytest.mark.parametrize("failing", [
+    pytest.param(("borel-reg-trace-12", "borel-reg-trace-23"), id="child-job-first"),
+    pytest.param(("borel-trace-13", "borel-reg-trace-12"), id="parent-job-first"),
+])
+def test_the_earliest_job_error_wins_in_either_process(monkeypatch, capsys, forks, failing):
+    fail_jobs(monkeypatch, {i: raising(VerificationError(f"broken {i}")) for i in failing})
+    monkeypatch.setenv("VERMATHETA_JOBS", "1")
+    assert main(THREE_JOBS) == 1
+    serial = capsys.readouterr()
+    assert serial == ("", f"verification failure: broken {failing[0]}\n")
+    monkeypatch.setenv("VERMATHETA_JOBS", "2")
+    assert main(THREE_JOBS) == 1
+    assert capsys.readouterr() == serial
+    assert len(forks) == 1 and reaped(forks[0])
+
+
+def test_a_usage_error_in_a_child_exits_2(monkeypatch, capsys, forks):
+    fail_jobs(monkeypatch, {"borel-reg-trace-12": raising(UsageError("refused in the child"))})
+    monkeypatch.setenv("VERMATHETA_JOBS", "2")
+    assert main(THREE_JOBS) == 2
+    assert capsys.readouterr() == ("", "error: refused in the child\n")
+    assert len(forks) == 1 and reaped(forks[0])
+
+
+@pytest.mark.parametrize("action, message", [
+    pytest.param(lambda: os._exit(3),
+                 "the verify worker for jobs 1 exited with code 3 without sending readable results",
+                 id="child-exits"),
+    pytest.param(raising(VerificationError(lambda: None)),
+                 "a verify worker cannot send the outcome of job 1: ", id="unpicklable-error"),
+])
+def test_a_child_that_sends_no_outcome_is_a_verification_failure(monkeypatch, capsys, forks,
+                                                                 action, message):
+    fail_jobs(monkeypatch, {"borel-reg-trace-12": action})
+    monkeypatch.setenv("VERMATHETA_JOBS", "2")
+    assert main(THREE_JOBS) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"verification failure: {message}")
+    assert len(forks) == 1 and reaped(forks[0])
+
+
+def test_parallel_jobs_without_fork_exit_2(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setenv("VERMATHETA_JOBS", "2")
+    assert main(THREE_JOBS) == 2
+    assert capsys.readouterr() == (
+        "", "error: VERMATHETA_JOBS above 1 needs os.fork, which this platform lacks\n")
 
 
 def test_interleaved_identities_keep_request_order_in_parallel(tmp_path, monkeypatch):
