@@ -104,29 +104,31 @@ class _TableFields(NamedTuple):
 
 class BranchingTable(_TableFields):
     """A root's constituents over a region; unlike its fields' tuple it has
-    an instance dict, which holds the cached string index."""
+    an instance dict, which holds the cached origin index ``by_origin``."""
 
     @cached_property
-    def _strings(self) -> dict:
-        """Terms grouped by root string, in table order, keyed by n*dm - m*dn
-        for the root's down step (dn, dm), which is constant along a string."""
-        dn, dm = self.root.down_step
-        strings: dict = {}
+    def by_origin(self) -> dict:
+        """The terms at each origin (n, m) that has any, in table order."""
+        out: dict = {}
         for term in self.terms:
-            n0, m0 = term.origin
-            strings.setdefault(n0 * dm - m0 * dn, []).append(term)
-        return strings
+            out.setdefault(term.origin, []).append(term)
+        return out
 
     def on_string(self, n: int, m: int):
         """Yield (term, k) for each constituent whose root string passes
         through the (n, m) space, k steps below the term's origin; a finite
         constituent L_i reaches depths 0..i only."""
         dn, dm = self.root.down_step
-        for term in self._strings.get(n * dm - m * dn, ()):
-            n0, m0 = term.origin
-            k = n - n0 if dn else m - m0
-            if k >= 0 and (term.kind != FINITE or k <= term.hw.c0):
-                yield term, k
+        _, m0, slope = self.region
+        # walk up the string while the origin is in the quadrant and the region,
+        # m - k*dm <= m0 + slope*(n - k*dn), whose slack falls by slope*dn - dm a step
+        top = min(n if dn else m, m if dm else n)
+        if slope * dn > dm:
+            top = min(top, (m0 + slope * n - m) // (slope * dn - dm))
+        for k in range(top + 1):
+            for term in self.by_origin.get((n - k * dn, m - k * dm), ()):
+                if term.kind != FINITE or k <= term.hw.c0:
+                    yield term, k
 
     def local_dimension(self, n: int, m: int) -> int:
         return sum(term.multiplicity for term, _ in self.on_string(n, m))
@@ -433,21 +435,6 @@ def _values(module: VermaModule, forms: list, n: int, m: int) -> list:
     return values
 
 
-def _diagonal_forms(coeffs: tuple, d: int) -> list | None:
-    """The diagonal of a d x d affine matrix held as coefficient tuples
-    (c0s, c1s, c2s), when the matrix is upper or lower triangular and its
-    diagonal forms are pairwise distinct: then they are its eigenvalues, each
-    of multiplicity 1, at every weight where their values stay distinct.
-    None otherwise.  The orientation is decided on the matrix itself; a
-    diagonal matrix is both."""
-    entries = list(zip(*coeffs))
-    nonzero = [divmod(k, d) for k, entry in enumerate(entries) if any(entry)]
-    if any(i < j for i, j in nonzero) and any(i > j for i, j in nonzero):
-        return None
-    diagonal = [ExponentForm(*entries[k]) for k in range(0, d * d, d + 1)]
-    return diagonal if len(set(diagonal)) == d else None
-
-
 def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     """Multiplicity of each candidate form on the (n, m) space, one module
     per weight sample: read off the affine diagonal when the Casimir is
@@ -457,10 +444,10 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     When the first module straightens on the packed straightener that a
     trace's samples share, the Casimir is one affine matrix for every sample.
     If that matrix is triangular with pairwise distinct diagonal forms
-    (``_diagonal_forms``), as every root-12 and root-13 Casimir measured so
-    far is, those forms are its eigenvalues, each of multiplicity 1: a
-    diagonal form among the candidates counts 1, every other candidate 0,
-    and a diagonal form that no candidate names is a VerificationError.
+    (``VermaModule.diagonal_forms``), as every root-12 and root-13 Casimir
+    measured so far is, those forms are its eigenvalues, each of multiplicity
+    1: a diagonal form among the candidates counts 1, every other candidate
+    0, and a diagonal form that no candidate names is a VerificationError.
     That comparison tests ``candidate_forms``' sl(2) rule against the module
     itself; no rank is taken and no later sample's Casimir is built.
 
@@ -484,16 +471,14 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     23's w is constant, and ``candidate_forms`` merges its equal forms.
     """
     first, *rest = modules
-    mat = None
-    if first.straightener.matrices is not None:
-        mat = _casimir(first, root, n, m)
-        diagonal = _diagonal_forms(first.straightener.matrices[root, n, m], mat.cols)
-        if diagonal is not None:
-            for mod in modules:
-                _values(mod, forms, n, m)
-            counts = [int(form in diagonal) for form in forms]
-            _require_complete(sum(counts), mat.cols, root, n, m)
-            return counts
+    mat = _casimir(first, root, n, m)
+    diagonal = first.diagonal_forms(root, n, m)
+    if diagonal is not None:
+        for mod in modules:
+            _values(mod, forms, n, m)
+        counts = [int(form in diagonal) for form in forms]
+        _require_complete(sum(counts), mat.cols, root, n, m)
+        return counts
     values = _values(first, forms, n, m)
     measured = dict(kappa_spectrum(first, root, n, m, forms, mat))
     counts = [measured.get(value, 0) for value in values]
@@ -557,9 +542,6 @@ def trace_branching(spec: ModuleSpec, root: Root, window: Window,
     first, *rest = [VermaModule(spec.with_weight(l1, l2), shared=True)
                     for l1, l2 in lift_samples(spec, samples)]
     table = branching_table(first, root, region=region)
-    measured: dict = {}
-    for term in table.terms:
-        measured.setdefault(term.origin, []).append(term)
     spaces = [
         (n, m) for n, m in region_spaces(region)
         if first.dim(n, m) and not (first.weight_free(root.raising, n, m)
@@ -567,7 +549,7 @@ def trace_branching(spec: ModuleSpec, root: Root, window: Window,
     ]
     for mod in rest:
         for n, m in spaces:
-            if _space_terms(mod, root, n, m) != measured.get((n, m), []):
+            if _space_terms(mod, root, n, m) != table.by_origin.get((n, m), []):
                 raise VerificationError("branching tables differ across weight samples")
     return trace_from_branching(table, window, regularized, spec=spec)
 

@@ -39,7 +39,7 @@ from .theta import (
     closed_form_with_notes,
     verify_identity,
 )
-from .verma import BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, check_genericity
+from .verma import BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, check_genericity, guard_band
 
 JOBS_ENV = "VERMATHETA_JOBS"
 
@@ -57,7 +57,7 @@ MAX_DEPTH = 150
 #: The largest integral L-part a weight may have: the genericity guard's band
 #: at the depth cap.  The guard passes an integral part beyond its band, and a
 #: constituent's finiteness test walks the root string as far as that part.
-MAX_WEIGHT_PART = 3 * MAX_DEPTH + 3
+MAX_WEIGHT_PART = guard_band(MAX_DEPTH)
 
 #: The most digits a report prints in one integer: a spectrum's eigenvalue
 #: sums two weight parts of ``MAX_DIGITS`` digits each, over the product of
@@ -349,6 +349,13 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[list, dict]:
             for i in map(ClosedFormId, args.identity)
         ]
     requested = [(i, ModuleSpec(CATALOG[i].kind, l1, l2, cfg.depth)) for i, l1, l2 in weighted]
+    # no sample list both spans the Borel weight plane and keeps one lambda2
+    structures = list(dict.fromkeys((spec.kind, spec.cap) for _, spec in requested))
+    if cfg.lambda_samples and len(structures) > 1:
+        names = ", ".join(kind if cap is None else f"{kind} lambda2 = {cap}" for kind, cap in structures)
+        raise UsageError(f"--lambda-samples / lambda_samples serve one module structure, but the "
+                         f"identities span {len(structures)}: {names}; verify one structure's "
+                         "identities at a time")
 
     # one job per (catalog trace, spec): an *-alt-* variant shares its
     # literal's pipeline run.  Each job is admitted at its working depth before

@@ -197,6 +197,9 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
     # the sign of L1 in the parabolic-trace-12 pair: -1 as the catalog
     # writes the literal, +1 in its alt-sign correction
     s = -1 if identity is ClosedFormId.PARABOLIC_TRACE_12 else 1
+    # borel-reg-trace-23 is -12 under the Dynkin flip: L1 swaps with L2, t1 with t2
+    flip = ((lambda m: Monomial(ExponentForm(m.qexp.c0, m.qexp.c2, m.qexp.c1), m.t2, m.t1))
+            if identity is ClosedFormId.BOREL_REG_TRACE_23 else lambda m: m)
     for k in _k_terms(window):
         o = 2 * k + 1
         if identity is ClosedFormId.BOREL_TRACE_13:
@@ -204,29 +207,17 @@ def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
                 [(1, qpow(ExponentForm(-2 * k * k, o, o)))],
                 [qpow(ExponentForm(-o, 0, 0))] * 2,
             )
-        elif identity is ClosedFormId.BOREL_REG_TRACE_12:
-            f_u = Monomial(ExponentForm(-2 * o, 0, 0), -2, 1)
-            f_w = Monomial(ExponentForm(o, 0, 0), 1, -2)
-            f_v = Monomial(ExponentForm(-o, 0, 0), -1, -1)
+        elif identity in (ClosedFormId.BOREL_REG_TRACE_12, ClosedFormId.BOREL_REG_TRACE_23):
+            f_u = flip(Monomial(ExponentForm(-2 * o, 0, 0), -2, 1))
+            f_w = flip(Monomial(ExponentForm(o, 0, 0), 1, -2))
+            f_v = flip(Monomial(ExponentForm(-o, 0, 0), -1, -1))
             accumulate(
-                [(1, Monomial(ExponentForm(-2 * k * k, o, 0), -2 * k, k))],
+                [(1, flip(Monomial(ExponentForm(-2 * k * k, o, 0), -2 * k, k)))],
                 [f_u, f_w],
             )
             accumulate(
-                [(-1, Monomial(ExponentForm(-2 * k * k - 2 * o, o, 0), -2 * (k + 1), k + 1))],
+                [(-1, flip(Monomial(ExponentForm(-2 * k * k - 2 * o, o, 0), -2 * (k + 1), k + 1)))],
                 [f_u, f_v],
-            )
-        elif identity is ClosedFormId.BOREL_REG_TRACE_23:
-            g_w = Monomial(ExponentForm(-2 * o, 0, 0), 1, -2)
-            g_u = Monomial(ExponentForm(o, 0, 0), -2, 1)
-            g_v = Monomial(ExponentForm(-o, 0, 0), -1, -1)
-            accumulate(
-                [(1, Monomial(ExponentForm(-2 * k * k, 0, o), k, -2 * k))],
-                [g_w, g_u],
-            )
-            accumulate(
-                [(-1, Monomial(ExponentForm(-2 * k * k - 2 * o, 0, o), k + 1, -2 * (k + 1)))],
-                [g_w, g_v],
             )
         elif identity is ClosedFormId.PARABOLIC_TRACE_13:
             accumulate(

@@ -40,12 +40,13 @@ position in ``Gen``), keyed by the exponent triple.  There are two kinds:
   in slot 2, L1*L2 in slot 4, L2^2 in slot 6), and ``unpack`` refuses a
   nonzero empty slot, so affinity is checked, not assumed.  The parabolic
   ``cap`` stays the integer it is and is folded into c0, as ``h_form`` does.
-  The sample modules of a trace, one per weight sample in each pipeline,
-  share the one packed straightener of their structure, which also keeps
-  each operator matrix once, as unpacked coefficient tuples that every
-  sample evaluates at its own weight.  ``shared_straightener`` keeps the
-  last one alive, so the two pipelines of a trace and consecutive traces of
-  one structure reuse it; a trace of another structure drops it.
+  The sample modules of a trace, one per weight sample in each pipeline, share
+  the one packed straightener of their structure.  It keeps each operator
+  matrix once, as the row-major list of its entries' affine forms that every
+  sample evaluates at its own weight; only ``VermaModule`` reads them.
+  ``shared_straightener`` keeps the last one alive, so the two pipelines of a
+  trace and consecutive traces of one structure reuse it; a trace of another
+  structure drops it.
 
 A module holds its highest weight as integers over ``denom``, and
 ``numerator`` evaluates an affine form there to an integer over it;
@@ -202,16 +203,21 @@ class ModuleSpec(_SpecFields):
         return ModuleSpec(self.kind, l1, l2, self.depth)
 
 
+def guard_band(depth: int) -> int:
+    """The genericity guard's band at ``depth``: it avoids integers in [-band, band]."""
+    return 3 * depth + 3
+
+
 def genericity_guard(l1, l2, depth: int, kind: str = BOREL) -> bool:
     """True when no ladder coefficient of the form (weight + integer) can
     vanish at the given depth.
 
-    The avoidance set is Z intersected with [-3*depth-3, 3*depth+3], applied
-    to L1, L2 and L1+L2 for the Borel module and to L1 alone for the
-    parabolic module (whose L2 is integral by construction).
+    The avoidance set is the integers in ``guard_band``, applied to L1, L2
+    and L1+L2 for the Borel module and to L1 alone for the parabolic module
+    (whose L2 is integral by construction).
     """
     l1, l2 = Fraction(l1), Fraction(l2)
-    bound = 3 * depth + 3
+    bound = guard_band(depth)
 
     def hits(x: Fraction) -> bool:
         return x.denominator == 1 and -bound <= x <= bound
@@ -301,8 +307,8 @@ class Straightener:
         self._hw = tuple(cartan.get(g, 0) for g in Gen)
         self._cap = cap
         self._cache = tuple({} for _ in Gen)
-        #: operator matrices by (op, n, m), as the unpacked coefficient tuples
-        #: (c0s, c1s, c2s) of their entries; None unless packed
+        #: operator matrices by (op, n, m), each the row-major list of its
+        #: entries' affine forms as ``unpack`` gives them; None unless packed
         self.matrices = {} if packed else None
 
     def image(self, g: int, exps: tuple) -> dict:
@@ -460,16 +466,14 @@ class VermaModule:
         matrices = self.straightener.matrices
         if matrices is None:
             return QMatrix.from_integers(*shape, self._assemble(op, source, target), den)
-        coeffs = matrices.get((op, n, m))
-        if coeffs is None:
-            forms = [unpack(c) for c in self._assemble(op, source, target)]
-            coeffs = matrices[op, n, m] = tuple(tuple(f[i] for f in forms) for i in range(3))
-        c0s, c1s, c2s = coeffs
+        forms = matrices.get((op, n, m))
+        if forms is None:
+            forms = matrices[op, n, m] = [unpack(c) for c in self._assemble(op, source, target)]
         if den == self.denom:
             p1, p2 = self._p1, self._p2
-            num = [c0 * den + c1 * p1 + c2 * p2 for c0, c1, c2 in zip(c0s, c1s, c2s)]
+            num = [c0 * den + c1 * p1 + c2 * p2 for c0, c1, c2 in forms]
         else:  # a lowering letter, whose coefficients are integers
-            num = c0s
+            num = [c0 for c0, _, _ in forms]
         return QMatrix.from_integers(*shape, num, den)
 
     def weight_free(self, op, n: int, m: int) -> bool:
@@ -477,9 +481,24 @@ class VermaModule:
         and no entry depends on the weight, every c1 and c2 zero, so every
         weight sample poses the same problem, scaled by its ``denom``.  False
         for a weight-bound module, which keeps no coefficients."""
-        matrices = self.straightener.matrices
-        coeffs = None if matrices is None else matrices.get((op, n, m))
-        return coeffs is not None and not any(coeffs[1]) and not any(coeffs[2])
+        forms = (self.straightener.matrices or {}).get((op, n, m))
+        return forms is not None and not any(c1 or c2 for _, c1, c2 in forms)
+
+    def diagonal_forms(self, op, n: int, m: int) -> list | None:
+        """The diagonal of ``op``'s affine matrix on (n, m), when the packed
+        straightener holds it square, upper or lower triangular, with
+        pairwise distinct diagonal forms: then they are its eigenvalues, each
+        of multiplicity 1, at every weight where their values stay distinct.
+        None otherwise.  The orientation is decided on the matrix itself; a
+        diagonal matrix is both."""
+        forms, d = (self.straightener.matrices or {}).get((op, n, m)), self.dim(n, m)
+        if forms is None or len(forms) != d * d:
+            return None
+        nonzero = [divmod(k, d) for k, form in enumerate(forms) if any(form)]
+        if any(i < j for i, j in nonzero) and any(i > j for i, j in nonzero):
+            return None
+        diagonal = forms[::d + 1]
+        return diagonal if len(set(diagonal)) == d else None
 
     def _assemble(self, op, source: tuple[int, int], target: tuple[int, int]) -> list:
         """The straightener's coefficients of ``op`` from the source space to

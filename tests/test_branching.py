@@ -696,19 +696,17 @@ def test_weight_free_is_decided_per_matrix():
 # -- spectra read off the affine diagonal ----------------------------------------------
 
 
-def affine(rows) -> tuple:
-    """The coefficient tuples (c0s, c1s, c2s) of a square matrix whose rows
-    hold (c0, c1, c2) entries, as a packed straightener keeps them."""
-    entries = [entry for row in rows for entry in row]
-    return tuple(tuple(entry[i] for entry in entries) for i in range(3))
+def affine(rows) -> list:
+    """The row-major entry forms of a matrix whose rows hold (c0, c1, c2)
+    entries, as a packed straightener keeps them."""
+    return [ExponentForm(*entry) for row in rows for entry in row]
 
 
-def with_entry(coeffs: tuple, d: int, i: int, j: int, delta: tuple) -> tuple:
-    """``coeffs`` of a d x d matrix with ``delta`` added to its (i, j) entry."""
-    slots = [list(c) for c in coeffs]
-    for slot, x in zip(slots, delta):
-        slot[i * d + j] += x
-    return tuple(map(tuple, slots))
+def with_entry(forms: list, d: int, i: int, j: int, delta: tuple) -> list:
+    """``forms`` of a d x d matrix with ``delta`` added to its (i, j) entry."""
+    forms = list(forms)
+    forms[i * d + j] += ExponentForm(*delta)
+    return forms
 
 
 A, B, C, Z = (1, 1, 0), (2, 3, 0), (0, 5, -1), (0, 0, 0)
@@ -722,16 +720,35 @@ A, B, C, Z = (1, 1, 0), (2, 3, 0), (0, 5, -1), (0, 0, 0)
     pytest.param([[A, (0, 1, 0), Z], [Z, B, Z], [(0, 0, 7), Z, C]], None, id="entries-both-sides"),
     pytest.param([[A, (3, 0, 0)], [Z, A]], None, id="repeated-diagonal-form"),
 ])
-def test_diagonal_forms_need_a_triangle_and_distinct_forms(rows, diagonal):
+def test_diagonal_forms_need_a_triangle_and_distinct_forms(monkeypatch, rows, diagonal):
     # an entry counts as nonzero when any of its c0, c1, c2 is, and the
-    # orientation is read from the matrix: either triangle, or both
-    got = branching._diagonal_forms(affine(rows), len(rows))
-    assert got == (diagonal if diagonal is None else [ExponentForm(*f) for f in diagonal])
+    # orientation is read from the matrix: either triangle, or both; the
+    # Borel (d-1, d-1) space has dimension d
+    d = len(rows)
+    module = VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 2 * d), shared=True)
+    monkeypatch.setitem(module.straightener.matrices, (Root.A12, d - 1, d - 1), affine(rows))
+    got = module.diagonal_forms(Root.A12, d - 1, d - 1)
+    assert got == (diagonal if diagonal is None else affine([diagonal]))
+
+
+def test_diagonal_forms_need_a_cached_square_matrix(monkeypatch):
+    # a weight-bound module caches nothing, and a packed straightener answers
+    # only for a square matrix it holds: E32 maps the 2-dimensional (2, 1)
+    # space to the 3-dimensional (2, 2), here with a triangle's distinct diagonal
+    spec = ModuleSpec(BOREL, F(7, 3), F(5, 7), 6)
+    verma.shared_straightener.cache_clear()
+    bound, shared = VermaModule(spec), VermaModule(spec, shared=True)
+    assert shared.diagonal_forms(Root.A12, 2, 3) is None
+    for module in (bound, shared):
+        module.operator_matrix(Root.A12, (2, 3))
+    assert shared.diagonal_forms(Root.A12, 2, 3) and bound.diagonal_forms(Root.A12, 2, 3) is None
+    monkeypatch.setitem(shared.straightener.matrices, (Gen.E32, 2, 1), affine([[A, Z], [Z, B], [C, Z]]))
+    assert shared.diagonal_forms(Gen.E32, 2, 1) is None
 
 
 def shared_casimir(spec: ModuleSpec, root: Root, n: int, m: int) -> tuple:
     """The shared sample modules of ``spec`` and their straightener's cached
-    affine Casimir tuples on (n, m)."""
+    affine Casimir forms on (n, m)."""
     modules = [VermaModule(spec.with_weight(*w), shared=True) for w in lift_samples(spec)]
     modules[0].operator_matrix(root, (n, m))
     return modules, modules[0].straightener.matrices[root, n, m]
@@ -754,12 +771,16 @@ def test_lift_space_on_shared_modules_refuses_a_perturbed_casimir(monkeypatch, r
     assert lift_space(modules, root, 2, 2, forms) == [1, 1, 1]
     i, j = entry
     if i != j:  # the mirror entry is nonzero, so the matrix is no longer triangular
-        assert any(c[j * 3 + i] for c in coeffs)
+        assert any(coeffs[j * 3 + i])
     monkeypatch.setitem(modules[0].straightener.matrices, (root, 2, 2),
                         with_entry(coeffs, 3, i, j, (1, 0, 0)))
+    # both paths give "found 2 of 3" on a perturbed diagonal, so the path is checked too
+    ranked, real_kappa = [], branching.kappa_spectrum
+    monkeypatch.setattr(branching, "kappa_spectrum", lambda *a: ranked.append(a) or real_kappa(*a))
     with pytest.raises(VerificationError, match=re.escape(
             f"eigenvalue candidates incomplete on weight space (2, 2) for root {root.value}: {message}")):
         lift_space(modules, root, 2, 2, forms)
+    assert bool(ranked) == (i != j)
 
 
 def test_a_repeated_diagonal_form_takes_the_rank_path(monkeypatch):
@@ -790,7 +811,8 @@ def test_root_12_and_13_casimirs_are_read_off_the_diagonal(monkeypatch):
         before = len(ranked)
         counts = real_lift(modules, root, n, m, forms)
         coeffs = modules[0].straightener.matrices[root, n, m]
-        lifted.append((root, modules[0].dim(n, m), coeffs, len(ranked) > before))
+        diagonal = modules[0].diagonal_forms(root, n, m)
+        lifted.append((root, modules[0].dim(n, m), coeffs, diagonal, len(ranked) > before))
         return counts
 
     def recorded_kappa(module, root, n, m, forms=None, mat=None):
@@ -806,15 +828,15 @@ def test_root_12_and_13_casimirs_are_read_off_the_diagonal(monkeypatch):
             spec = spec.with_depth(required_depth(spec, key.root, window, key.regularized))
             trace_brute_force(spec, key.root, window, key.regularized)
     orientations = set()
-    for root, d, coeffs, took_ranks in lifted:
+    for root, d, coeffs, diagonal, took_ranks in lifted:
         if root is Root.A23:
             assert took_ranks or d == 1
             continue
-        assert not took_ranks and branching._diagonal_forms(coeffs, d)
-        nonzero = [divmod(k, d) for k, entry in enumerate(zip(*coeffs)) if any(entry)]
+        assert not took_ranks and diagonal
+        nonzero = [divmod(k, d) for k, entry in enumerate(coeffs) if any(entry)]
         orientations.add((any(i < j for i, j in nonzero), any(i > j for i, j in nonzero)))
     assert orientations == {(False, False), (True, False), (False, True)}
-    assert any(root is Root.A23 and d > 1 for root, d, _, _ in lifted)
+    assert any(root is Root.A23 and d > 1 for root, d, _, _, _ in lifted)
 
 
 @pytest.mark.parametrize("kind, l2", [(BOREL, F(5, 7)), (PARABOLIC, 0), (PARABOLIC, 1),

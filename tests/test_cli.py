@@ -653,6 +653,32 @@ def test_parabolic_samples_must_carry_the_run_lambda2(capsys, command, samples):
     assert err == "error: parabolic weight samples must all have lambda2 = 1\n"
 
 
+@pytest.mark.parametrize("argv, samples, structures", [
+    # at the Borel default config the first parabolic job used to trip first
+    pytest.param(["--all"], "7/3,5/7;11/5,-3/7;13/4,9/11",
+                 "4: borel, parabolic lambda2 = 0, parabolic lambda2 = 1, parabolic lambda2 = 2",
+                 id="borel-all"),
+    # under a parabolic config the Borel job used to trip first
+    pytest.param(["--all", "--module", "parabolic", "--lambda2", "1"], "7/3,1;11/5,1",
+                 "2: borel, parabolic lambda2 = 1", id="parabolic-all"),
+    pytest.param(["--identity", "parabolic-trace-13", "--identity", "borel-trace-13"],
+                 "7/3,1;11/5,1", "2: parabolic lambda2 = 1, borel", id="mixed-identities"),
+])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_verify_refuses_samples_for_more_than_one_structure(tmp_path, capsys, argv, samples,
+                                                            structures, via):
+    if via == "flag":
+        argv = [*argv, "--lambda-samples", samples]
+    else:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"lambda_samples = {samples}\n")
+        argv = [*argv, "--config", str(cfg_file)]
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: --lambda-samples / lambda_samples serve one module structure, but the identities "
+        f"span {structures}; verify one structure's identities at a time\n"))
+
+
 def test_verify_all_runs_the_pipelines_once_per_trace(tmp_path, monkeypatch):
     from vermatheta import branching
 

@@ -93,6 +93,17 @@ def test_dead_definition_check_sees_leftovers():
     assert dead_definitions(tree, [tree, reader]) == ["spare", "stored"]
 
 
+def test_only_verma_reads_the_matrix_cache():
+    # the packed straightener's matrix cache is verma's format; other modules
+    # ask ``VermaModule.weight_free`` and ``VermaModule.diagonal_forms``
+    readers = [
+        path.name for path in SOURCES if path.name != "verma.py"
+        and any(isinstance(node, ast.Attribute) and node.attr == "matrices"
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+    assert readers == []
+
+
 def test_tracer_targets_name_existing_attributes():
     # the benchmark's tracer wraps these names by getattr; a rename or a
     # deletion fails here, naming it, not inside the traced run's subprocess

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -99,6 +100,21 @@ def test_trace23_variants_differ_by_junk_terms():
     diff = {m: lit.coeff(m) - alt.coeff(m) for m in {*lit.terms, *alt.terms}}
     got = {m.qexp.c0: c for m, c in diff.items() if c}
     assert got == {-(i + 2): F(min(i, 1) + 1) for i in range(7)}
+
+
+def test_borel_reg_trace_23_is_the_dynkin_flip_of_12():
+    # the flip swaps L1 with L2 and t1 with t2; checked away from the one
+    # golden window, so a wrong flip of any factor or k-term shows
+    def flipped(series):
+        return {Monomial(ExponentForm(m.qexp.c0, m.qexp.c2, m.qexp.c1), m.t2, m.t1): c
+                for m, c in series.terms.items()}
+
+    for B, D, T in product(range(8), (0, 3, 8, 15), (0, 2, 5, 9)):
+        window = Window(B, D, T)
+        reg12, _ = closed_form_with_notes(ClosedFormId.BOREL_REG_TRACE_12, BSPEC, window)
+        reg23, _ = closed_form_with_notes(ClosedFormId.BOREL_REG_TRACE_23, BSPEC, window)
+        assert reg23.terms == flipped(reg12), window
+        assert reg23.terms or not B
 
 
 def test_catalog_covers_every_identity_in_declaration_order():
