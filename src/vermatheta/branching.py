@@ -99,7 +99,9 @@ class _TableFields(NamedTuple):
     kind: str
     root: Root
     terms: tuple
-    region: tuple[int, int, int]  # the covered spaces, as in ``region_spaces``
+    # the covered spaces, as in ``region_spaces``: a shape (n_top, m0, slope),
+    # optionally floored by a fourth field (a, b, c)
+    region: tuple
 
 
 class BranchingTable(_TableFields):
@@ -119,8 +121,9 @@ class BranchingTable(_TableFields):
         through the (n, m) space, k steps below the term's origin; a finite
         constituent L_i reaches depths 0..i only."""
         dn, dm = self.root.down_step
-        _, m0, slope = self.region
-        # walk up the string while the origin is in the quadrant and the region,
+        _, m0, slope, *_ = self.region
+        # walk up the string while the origin is in the quadrant and the shape
+        # (a floor is closed upward, so it never ends the walk),
         # m - k*dm <= m0 + slope*(n - k*dn), whose slack falls by slope*dn - dm a step
         top = min(n if dn else m, m if dm else n)
         if slope * dn > dm:
@@ -184,15 +187,28 @@ def _space_terms(module: VermaModule, root: Root, n: int, m: int) -> list:
     return [BranchingTerm(kind, hw, mult, (n, m)) for (kind, hw), mult in sorted(counts.items())]
 
 
-def region_spaces(region: tuple[int, int, int]):
-    """The (n, m) spaces of a region (n_top, m0, slope), those with
-    n <= n_top and m <= m0 + slope*n, in n-major order."""
-    n_top, m0, slope = region
-    return ((n, m) for n in range(n_top + 1) for m in range(m0 + slope * n + 1))
+def region_spaces(region: tuple):
+    """The (n, m) spaces of a region, in n-major order.
+
+    A region is a shape (n_top, m0, slope), the spaces with n <= n_top and
+    m <= m0 + slope*n, optionally followed by a floor (a, b, c), a half-plane
+    a*n + b*m <= c with b nonzero (``bruteforce_region``).  The floor moves
+    each row's last m down (b > 0) or its first m up (b < 0), so no space is
+    tested against it.
+    """
+    n_top, m0, slope, *floor = region
+    for n in range(n_top + 1):
+        lo, hi = 0, m0 + slope * n
+        for a, b, c in floor:
+            if b > 0:
+                hi = min(hi, (c - a * n) // b)
+            else:
+                lo = max(lo, -((c - a * n) // -b))
+        for m in range(lo, hi + 1):
+            yield n, m
 
 
-def branching_table(module: VermaModule, root: Root,
-                    region: tuple[int, int, int] | None = None) -> BranchingTable:
+def branching_table(module: VermaModule, root: Root, region: tuple | None = None) -> BranchingTable:
     """Enumerate singular vectors per weight space and aggregate constituents
     over a region, by default the triangle n+m <= the module's depth; a
     trace builds it at its first weight sample only (``trace_branching``).
@@ -204,7 +220,7 @@ def branching_table(module: VermaModule, root: Root,
     """
     if region is None:
         region = (module.spec.depth, module.spec.depth, -1)
-    n_top, m0, slope = region
+    n_top, m0, slope, *_ = region
     if max(m0, n_top + m0 + slope * n_top) > module.spec.depth:
         raise UsageError("requested coverage exceeds the module's depth")
     spaces = [s for s in region_spaces(region) if module.dim(*s)]
@@ -334,12 +350,36 @@ def is_divergent(kind: str, root: Root, regularized: bool) -> bool:
     return kind == BOREL and not regularized and root in (Root.A12, Root.A23)
 
 
+def _floor(cap: int | None, root: Root, bound: int) -> tuple[int, int, int]:
+    """The half-plane a*n + b*m <= c of the spaces whose h-value's constant
+    part, w0 = h_form(cap, root, n, m).c0, is at least -bound."""
+    w = h_form(cap, root, 0, 0).c0
+    return w - h_form(cap, root, 1, 0).c0, w - h_form(cap, root, 0, 1).c0, bound + w
+
+
 def bruteforce_region(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
-                      divergent_depth: int | None = None) -> tuple[int, int, int]:
+                      divergent_depth: int | None = None) -> tuple:
     """Weight spaces that can contribute in-window trace terms (a proven
-    superset; final membership is enforced monomial by monomial), as
-    (n_top, m0, slope): the spaces with n <= n_top and m <= m0 + slope*n.
-    The slope is at least -1, so n + m is largest on the row n = n_top."""
+    superset; final membership is enforced monomial by monomial), as a
+    region of ``region_spaces``: the spaces with n <= n_top and
+    m <= m0 + slope*n, and on a floored region a*n + b*m <= c.  The slope is
+    at least -1, so n + m is largest on the row n = n_top, and a floor keeps
+    that row's last space.
+
+    Every convergent region is floored at its root's h-value.  A space's
+    k-th candidate (``candidate_forms``) has the constant part
+    (2k+1)*w0 + 2k(k+1), w0 = h_form(cap, root, n, m).c0, and if that lies in
+    [-D, D] then w0 >= -D.  Write it as (2k+1)*u + k with u = w0 + k: if
+    u >= 0, then k <= D and w0 >= -k >= -D.  Otherwise u <= -1, so
+    -D <= (2k+1)*u + k <= -k - 1 gives k + 1 <= D, and then
+    w0 = u - k >= -k - (D+k)/(2k+1) >= -D, as 2k(k+1) <= 2kD.  The bound is
+    reached at k = 0.  On a regularized trace the window bounds the
+    t-exponent along the root, h - L, by -T instead.  Both rise by 2 a
+    step up the root string, so the floored region is closed upward and
+    holds the origin of every constituent through every space in reach.
+    A root-13 triangle n + m <= D + L2 is its floor; regularized root-13 and
+    divergent regions have none.
+    """
     if is_divergent(spec.kind, root, regularized):
         if divergent_depth is None:
             raise UsageError(
@@ -348,24 +388,22 @@ def bruteforce_region(spec: ModuleSpec, root: Root, window: Window, regularized:
             )
         return divergent_depth, divergent_depth, -1
     if regularized:
-        return window.T, window.T, 0
+        if root is Root.A13:
+            return window.T, window.T, 0
+        return window.T, window.T, 0, _floor(None, root, window.T)
     # every convergent region is capped at n <= D + L2 (L2 read as 0 on the
     # Borel module); the root fixes its shape.
-    # Root 13: the k=0 slot at (n, m) carries c0 = L2 - n - m after folding
-    # an integral L2, so the shells reach D + L2 on the parabolic module.
-    # Parabolic root 12: a constituent k steps up the string through (n, m)
-    # has its origin at (n-k, m), a nonempty space only if k <= n - m + L2.
-    # The k-th slot's constant part (2k+1)(m-2n) + 2k(k+1) is then at most
-    # (2k+1)(L2-n) + k, so keeping it >= -D forces the integer n - L2 to be
-    # at most (D+k)/(2k+1), hence at most D, whatever B is.  The bound is
-    # tight: at B 9, D 20, L2 2 the region one row shorter loses a term.
+    # Parabolic root 12: a nonempty space has m <= n + L2, and the floor
+    # 2n - m <= D then gives n <= D + L2, the row where the two meet.  The
+    # bound is tight: at B 9, D 20, L2 2 the live space (10, 0) is on the
+    # floor, and the region one row shorter loses a term.
     n_top = window.D + (spec.cap or 0)
     if root is Root.A13:
         return n_top, n_top, -1
     if spec.cap is not None and root is Root.A12:
-        return n_top, spec.cap, 1
+        return n_top, spec.cap, 1, _floor(spec.cap, root, window.D)
     if spec.cap is not None and root is Root.A23:
-        return n_top, n_top, 0
+        return n_top, n_top, 0, _floor(spec.cap, root, window.D)
     raise UsageError(f"no trace region for {spec.kind}/{root.value}")
 
 
@@ -377,7 +415,7 @@ def required_depth(spec: ModuleSpec, root: Root | None, window: Window, regulari
     if root is None:
         deepest = 2 * window.T
     else:
-        n_top, m0, slope = bruteforce_region(spec, root, window, regularized, divergent_depth)
+        n_top, m0, slope, *_ = bruteforce_region(spec, root, window, regularized, divergent_depth)
         deepest = n_top + m0 + slope * n_top + sum(root.down_step)
     return max(spec.depth, deepest)
 
@@ -400,14 +438,13 @@ def trace_from_branching(table: BranchingTable, window: Window, regularized: boo
     The table's region is the truncation: the sum runs over its spaces, so a
     divergent trace built over the triangle n+m <= depth is that fixed-depth
     window sum.  Given ``spec``, a convergent trace is refused unless the
-    region holds every space the window needs.
+    region holds every space of the window's ``bruteforce_region``, its
+    floor included: a full triangle from ``branch`` serves any window inside
+    it, and a table whose floor is higher than the window's does not.
     """
     if spec is not None and not is_divergent(spec.kind, table.root, regularized):
-        # regions are linear in n and start at n = 0, so containment is
-        # decided at the first and the last row of the window's region
-        n_top, m0, slope = table.region
-        n_need, m_need, s_need = need = bruteforce_region(spec, table.root, window, regularized)
-        if n_need > n_top or m_need > m0 or m_need + s_need * n_need > m0 + slope * n_need:
+        need = bruteforce_region(spec, table.root, window, regularized)
+        if not set(region_spaces(need)) <= set(region_spaces(table.region)):
             raise UsageError(
                 f"window needs constituents over the region {need} but the table "
                 f"covers only {table.region}"

@@ -5,6 +5,8 @@ from math import lcm
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vermatheta import (
     BOREL,
@@ -321,13 +323,98 @@ def test_parabolic_12_region_one_row_shorter_loses_a_term(window):
     lost = []
     for l2 in (0, 2, 5):
         spec = ModuleSpec(PARABOLIC, F(7, 3), l2, 10)
-        n_top, m0, slope = bruteforce_region(spec, Root.A12, window, False)
+        n_top, m0, slope, floor = bruteforce_region(spec, Root.A12, window, False)
         spec = spec.with_depth(required_depth(spec, Root.A12, window))
         module = VermaModule(spec)
         series = [trace_from_branching(branching_table(module, Root.A12, region=r), window)
-                  for r in ((n_top, m0, slope), (n_top - 1, m0, slope))]
+                  for r in ((n_top, m0, slope, floor), (n_top - 1, m0, slope, floor))]
         lost.append(series[0].terms != series[1].terms)
     assert any(lost)
+
+
+@given(st.integers(0, 100), st.integers(-1000, 1000), st.integers(0, 50))
+def test_an_in_window_candidate_floors_its_space(k, w0, slack):
+    # bruteforce_region's lemma: if the k-th candidate's constant part
+    # (2k+1)*w0 + 2k(k+1) lies in [-D, D], then w0 >= -D.  Every D >= |c|
+    # admits the candidate, and slack 0 gives the least one
+    c = (2 * k + 1) * w0 + 2 * k * (k + 1)
+    D = abs(c) + slack
+    assert w0 >= -D
+    # the bound is reached at k = 0, where the candidate is w0 itself: w0 = -D
+    # is in the window and w0 = -D - 1 is not
+    assert [-D <= w <= D for w in (-D, -D - 1)] == [True, False]
+
+
+def unfloored_shape(kind: str, root: Root, regularized: bool, l2, window: Window) -> tuple:
+    """A non-divergent trace's region without its floor: the square n, m <= T
+    when regularized, otherwise n <= D + L2 (L2 read as 0 on the Borel
+    module) under the root's line."""
+    if regularized:
+        return window.T, window.T, 0
+    n_top = window.D + (l2 if kind == PARABOLIC else 0)
+    return {Root.A13: (n_top, n_top, -1), Root.A12: (n_top, l2, 1), Root.A23: (n_top, n_top, 0)}[root]
+
+
+def test_floor_drops_no_space_in_reach():
+    # every space of the unfloored shape with an in-window candidate lies in
+    # the floored region with each nonempty space up its root string, and
+    # the floor never cuts the shape's deepest n + m
+    cases = 0
+    for kind, l2 in [(BOREL, F(5, 7)), *((PARABOLIC, l2) for l2 in range(6))]:
+        spec = ModuleSpec(kind, F(7, 3), l2, 10)
+        module = VermaModule(spec)
+        monomials: dict = {}
+        for root, regularized in product(Root, (False, True)):
+            if is_divergent(kind, root, regularized):
+                continue
+            dn, dm = root.down_step
+            for B, D, T in product((0, 1, 3, 5, 9, 301), (0, 1, 2, 3, 5, 8, 13, 20),
+                                   (0, 1, 2, 5, 8, 11) if regularized else (0,)):
+                window = Window(B, D, T)
+                shape = unfloored_shape(kind, root, regularized, l2, window)
+                region = bruteforce_region(spec, root, window, regularized)
+                inside = set(region_spaces(region))
+                for n, m in region_spaces(shape):
+                    key = (root, regularized, n, m)
+                    if key not in monomials:
+                        t_part = (m - 2 * n, n - 2 * m) if regularized else (0, 0)
+                        monomials[key] = [Monomial(f, *t_part)
+                                          for f in candidate_forms(module, root, n, m)]
+                    if any(map(window.contains, monomials[key])):
+                        k = 0
+                        while module.dim(n - k * dn, m - k * dm):
+                            assert (n - k * dn, m - k * dm) in inside, (kind, l2, root, window, n, m, k)
+                            k += 1
+                deepest = [max(n + m for n, m in region_spaces(r)) for r in (shape, region)]
+                assert deepest[0] == deepest[1], (kind, l2, root, regularized, window)
+                cases += 1
+    # 48 (B, D) pairs, times 6 T values when regularized: 4 Borel traces
+    # and 6 parabolic ones at each of 6 lambda2 values
+    assert cases == 48 * (1 + 3 * 6) + 6 * 48 * (3 + 3 * 6)
+
+
+#: floored traces: parabolic root 12 at B 9, D 20, lambda2 2, and the
+#: regularized Borel 12 and 23 traces at the default window
+FLOORED = [
+    pytest.param(PARABOLIC, 2, Root.A12, Window(9, 20, 8), False, id="parabolic-12"),
+    pytest.param(BOREL, F(5, 7), Root.A12, Window(5, 8, 8), True, id="borel-reg-12"),
+    pytest.param(BOREL, F(5, 7), Root.A23, Window(5, 8, 8), True, id="borel-reg-23"),
+]
+
+
+@pytest.mark.parametrize("kind, l2, root, window, regularized", FLOORED)
+def test_floor_one_unit_higher_loses_a_term(kind, l2, root, window, regularized):
+    spec = ModuleSpec(kind, F(7, 3), l2, 0)
+    *shape, (a, b, c) = bruteforce_region(spec, root, window, regularized)
+    if not regularized:
+        # the live space (10, 0) sits on the parabolic root-12 floor 2n - m <= D
+        assert (a, b, c) == (2, -1, 20)
+    spec = spec.with_depth(required_depth(spec, root, window, regularized))
+    module = VermaModule(spec)
+    series = [trace_from_branching(branching_table(module, root, region=(*shape, floor)),
+                                   window, regularized)
+              for floor in ((a, b, c), (a, b, c - 1))]
+    assert series[0].terms != series[1].terms
 
 
 def test_convergent_regions_do_not_depend_on_B():
@@ -379,6 +466,27 @@ def test_table_refused_for_a_window_outside_its_region(borel_module):
         else:
             with pytest.raises(UsageError, match="covers only"):
                 trace_from_branching(table, Window(3, 4, 3), True, spec=spec)
+
+
+@pytest.mark.parametrize("kind, l2, root, window, regularized", FLOORED)
+def test_table_refused_for_a_floor_above_the_window(kind, l2, root, window, regularized):
+    # containment sees the floor: a table floored one unit too high is
+    # refused, and a full triangle, as ``branch`` builds, serves the window
+    window = Window(window.B, 4, 3)
+    spec = ModuleSpec(kind, F(7, 3), l2, 0)
+    spec = spec.with_depth(required_depth(spec, root, window, regularized))
+    module = VermaModule(spec)
+    need = bruteforce_region(spec, root, window, regularized)
+    *shape, (a, b, c) = need
+    raised = branching_table(module, root, region=(*shape, (a, b, c - 1)))
+    with pytest.raises(UsageError, match=re.escape(
+            f"window needs constituents over the region {need} but the table covers only")):
+        trace_from_branching(raised, window, regularized, spec=spec)
+    series = [trace_from_branching(branching_table(module, root, region=r), window, regularized,
+                                   spec=spec)
+              for r in (need, None)]
+    assert series[0].terms == series[1].terms
+    assert series[0].terms
 
 
 def test_trace_of_single_verma_constituent():
@@ -679,7 +787,7 @@ def test_weight_free_is_decided_per_matrix():
                     free, total = held.get((key.kind, op), (0, 0))
                     held[key.kind, op] = (free + module.weight_free(op, n, m), total + 1)
     assert held[PARABOLIC, Root.A23] == (182, 182)
-    assert held[PARABOLIC, Gen.E23] == (194, 194)
+    assert held[PARABOLIC, Gen.E23] == (190, 190)
     assert [held[BOREL, root][0] for root in Root] == [0, 0, 0]
     assert all(0 < held[kind, root.raising][0] < held[kind, root.raising][1]
                for kind, root in ((BOREL, Root.A13), (PARABOLIC, Root.A12), (PARABOLIC, Root.A13)))
