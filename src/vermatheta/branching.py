@@ -23,13 +23,17 @@ problem times its own denominator, so the first answer stands for all.
 
 On an sl(2) module of highest weight u, the Casimir E F + F E acts on the
 depth-k vector by (2k+1)u - 2k^2; a finite module L_i has depths 0..i only.
+
+A region is the n-major tuple of the (n, m) weight spaces a table or a trace
+covers: ``bruteforce_region`` builds a trace's, ``triangle`` the full one of
+``branch`` and ``spectrum``.  Every reader iterates it or tests membership.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .errors import UsageError, VerificationError
@@ -99,14 +103,12 @@ class _TableFields(NamedTuple):
     kind: str
     root: Root
     terms: tuple
-    # the covered spaces, as in ``region_spaces``: a shape (n_top, m0, slope),
-    # optionally floored by a fourth field (a, b, c)
-    region: tuple
+    region: tuple  # the covered (n, m) spaces, n-major
 
 
 class BranchingTable(_TableFields):
     """A root's constituents over a region; unlike its fields' tuple it has
-    an instance dict, which holds the cached origin index ``by_origin``."""
+    an instance dict, which holds the cached ``by_origin`` and ``covered``."""
 
     @cached_property
     def by_origin(self) -> dict:
@@ -116,22 +118,25 @@ class BranchingTable(_TableFields):
             out.setdefault(term.origin, []).append(term)
         return out
 
+    @cached_property
+    def covered(self) -> frozenset:
+        """The region's spaces, for membership tests."""
+        return frozenset(self.region)
+
     def on_string(self, n: int, m: int):
         """Yield (term, k) for each constituent whose root string passes
-        through the (n, m) space, k steps below the term's origin; a finite
-        constituent L_i reaches depths 0..i only."""
+        through the (n, m) space, k steps below the term's origin, walking up
+        the string while the origin is in the region; a finite constituent
+        L_i reaches depths 0..i only."""
         dn, dm = self.root.down_step
-        _, m0, slope, *_ = self.region
-        # walk up the string while the origin is in the quadrant and the shape
-        # (a floor is closed upward, so it never ends the walk),
-        # m - k*dm <= m0 + slope*(n - k*dn), whose slack falls by slope*dn - dm a step
-        top = min(n if dn else m, m if dm else n)
-        if slope * dn > dm:
-            top = min(top, (m0 + slope * n - m) // (slope * dn - dm))
-        for k in range(top + 1):
-            for term in self.by_origin.get((n - k * dn, m - k * dm), ()):
+        covered, by_origin = self.covered, self.by_origin
+        k, origin = 0, (n, m)
+        while origin in covered:
+            for term in by_origin.get(origin, ()):
                 if term.kind != FINITE or k <= term.hw.c0:
                     yield term, k
+            k += 1
+            origin = (n - k * dn, m - k * dm)
 
     def local_dimension(self, n: int, m: int) -> int:
         return sum(term.multiplicity for term, _ in self.on_string(n, m))
@@ -149,22 +154,18 @@ def _constant(form: ExponentForm) -> bool:
     return not (form.c1 or form.c2)
 
 
-def _classify(module: VermaModule, root: Root, n: int, m: int, vector) -> tuple:
+def _classify(module: VermaModule, root: Root, n: int, m: int, vector,
+              form: ExponentForm, i: int) -> tuple:
     """Return (kind, hw form) for the constituent generated by an integral
-    singular vector, testing finiteness inside the module rather than
-    assuming it: a lowering letter's coefficients are integers on either
-    kind of straightener, so its powers act on the vector in integers."""
-    form = h_form(module.cap, root, n, m)
-    i, rem = divmod(module.numerator(form), module.denom)
-    if not rem and i >= 0:
-        basis = module.weight_space(n, m)
-        element = {exps: c for exps, c in zip(basis, vector) if c}
-        lowering = _GEN_INDEX[root.lowering]
-        for _ in range(i + 1):
-            element = module.straightener.act(lowering, element)
-        if not element:
-            return (FINITE, ExponentForm(i, 0, 0))
-    return (VERMA, form)
+    singular vector on a space whose h-value ``form`` is the nonnegative
+    integer i, testing finiteness inside the module rather than assuming it:
+    a lowering letter's coefficients are integers on either kind of
+    straightener, so its i+1st power acts on the vector in integers."""
+    element = {exps: c for exps, c in zip(module.weight_space(n, m), vector) if c}
+    lowering = _GEN_INDEX[root.lowering]
+    for _ in range(i + 1):
+        element = module.straightener.act(lowering, element)
+    return (VERMA, form) if element else (FINITE, ExponentForm(i, 0, 0))
 
 
 def _space_terms(module: VermaModule, root: Root, n: int, m: int) -> list:
@@ -182,30 +183,14 @@ def _space_terms(module: VermaModule, root: Root, n: int, m: int) -> list:
         return [BranchingTerm(VERMA, form, free, (n, m))] if free else []
     counts: dict = {}
     for vec in kernel_basis(mat):
-        key = _classify(module, root, n, m, vec)
+        key = _classify(module, root, n, m, vec, form, i)
         counts[key] = counts.get(key, 0) + 1
     return [BranchingTerm(kind, hw, mult, (n, m)) for (kind, hw), mult in sorted(counts.items())]
 
 
-def region_spaces(region: tuple):
-    """The (n, m) spaces of a region, in n-major order.
-
-    A region is a shape (n_top, m0, slope), the spaces with n <= n_top and
-    m <= m0 + slope*n, optionally followed by a floor (a, b, c), a half-plane
-    a*n + b*m <= c with b nonzero (``bruteforce_region``).  The floor moves
-    each row's last m down (b > 0) or its first m up (b < 0), so no space is
-    tested against it.
-    """
-    n_top, m0, slope, *floor = region
-    for n in range(n_top + 1):
-        lo, hi = 0, m0 + slope * n
-        for a, b, c in floor:
-            if b > 0:
-                hi = min(hi, (c - a * n) // b)
-            else:
-                lo = max(lo, -((c - a * n) // -b))
-        for m in range(lo, hi + 1):
-            yield n, m
+def triangle(depth: int) -> tuple:
+    """The region n+m <= depth."""
+    return tuple((n, m) for n in range(depth + 1) for m in range(depth + 1 - n))
 
 
 def branching_table(module: VermaModule, root: Root, region: tuple | None = None) -> BranchingTable:
@@ -219,18 +204,17 @@ def branching_table(module: VermaModule, root: Root, region: tuple | None = None
     account exactly for every covered weight-space dimension.
     """
     if region is None:
-        region = (module.spec.depth, module.spec.depth, -1)
-    n_top, m0, slope, *_ = region
-    if max(m0, n_top + m0 + slope * n_top) > module.spec.depth:
+        region = triangle(module.spec.depth)
+    if max((n + m for n, m in region), default=0) > module.spec.depth:
         raise UsageError("requested coverage exceeds the module's depth")
-    spaces = [s for s in region_spaces(region) if module.dim(*s)]
+    spaces = [s for s in region if module.dim(*s)]
     covered = set(spaces)
     dn, dm = root.down_step
     for n, m in spaces:
         up = (n - dn, m - dm)
         if up not in covered and module.dim(*up):
             raise VerificationError(
-                f"region {region} is not closed upward along root {root.value}: "
+                f"the region is not closed upward along root {root.value}: "
                 f"it holds {(n, m)} but not {up}"
             )
     terms = tuple(term for n, m in spaces for term in _space_terms(module, root, n, m))
@@ -350,21 +334,11 @@ def is_divergent(kind: str, root: Root, regularized: bool) -> bool:
     return kind == BOREL and not regularized and root in (Root.A12, Root.A23)
 
 
-def _floor(cap: int | None, root: Root, bound: int) -> tuple[int, int, int]:
-    """The half-plane a*n + b*m <= c of the spaces whose h-value's constant
-    part, w0 = h_form(cap, root, n, m).c0, is at least -bound."""
-    w = h_form(cap, root, 0, 0).c0
-    return w - h_form(cap, root, 1, 0).c0, w - h_form(cap, root, 0, 1).c0, bound + w
-
-
 def bruteforce_region(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
                       divergent_depth: int | None = None) -> tuple:
     """Weight spaces that can contribute in-window trace terms (a proven
     superset; final membership is enforced monomial by monomial), as a
-    region of ``region_spaces``: the spaces with n <= n_top and
-    m <= m0 + slope*n, and on a floored region a*n + b*m <= c.  The slope is
-    at least -1, so n + m is largest on the row n = n_top, and a floor keeps
-    that row's last space.
+    region.
 
     Every convergent region is floored at its root's h-value.  A space's
     k-th candidate (``candidate_forms``) has the constant part
@@ -386,25 +360,32 @@ def bruteforce_region(spec: ModuleSpec, root: Root, window: Window, regularized:
                 f"unregularized {root.value} trace on the Borel module is divergent; "
                 "pass an explicit truncation depth or regularize"
             )
-        return divergent_depth, divergent_depth, -1
+        return triangle(divergent_depth)
     if regularized:
         if root is Root.A13:
-            return window.T, window.T, 0
-        return window.T, window.T, 0, _floor(None, root, window.T)
-    # every convergent region is capped at n <= D + L2 (L2 read as 0 on the
-    # Borel module); the root fixes its shape.
-    # Parabolic root 12: a nonempty space has m <= n + L2, and the floor
-    # 2n - m <= D then gives n <= D + L2, the row where the two meet.  The
-    # bound is tight: at B 9, D 20, L2 2 the live space (10, 0) is on the
-    # floor, and the region one row shorter loses a term.
-    n_top = window.D + (spec.cap or 0)
-    if root is Root.A13:
-        return n_top, n_top, -1
-    if spec.cap is not None and root is Root.A12:
-        return n_top, spec.cap, 1, _floor(spec.cap, root, window.D)
-    if spec.cap is not None and root is Root.A23:
-        return n_top, n_top, 0, _floor(spec.cap, root, window.D)
-    raise UsageError(f"no trace region for {spec.kind}/{root.value}")
+            return tuple(product(range(window.T + 1), repeat=2))
+        # the square n, m <= T; the t-exponent along the root, h - L, is w0
+        # with L2 read as 0
+        n_top, lambda2, bound = window.T, 0, window.T
+    else:
+        # every convergent region is capped at n <= D + L2 (L2 read as 0 on
+        # the Borel module).  Parabolic root 12: a nonempty space has
+        # m <= n + L2, and the floor 2n - m <= D then gives n <= D + L2, the
+        # row where the two meet.  The bound is tight: at B 9, D 20, L2 2 the
+        # live space (10, 0) is on the floor, and the region one row shorter
+        # loses a term.  Parabolic root 23 takes the square n, m <= D + L2.
+        n_top = window.D + (spec.cap or 0)
+        if root is Root.A13:
+            return triangle(n_top)
+        lambda2, bound = spec.cap, window.D
+    # w0 is m - 2n on root 12 and n - 2m + L2 on root 23, so w0 >= -bound
+    # raises a root-12 row's first m to 2n - bound and lowers a root-23
+    # row's last m to (n + L2 + bound) // 2
+    if root is Root.A23:
+        return tuple((n, m) for n in range(n_top + 1)
+                     for m in range(min(n_top, (n + lambda2 + bound) // 2) + 1))
+    return tuple((n, m) for n in range(n_top + 1)
+                 for m in range(max(0, 2 * n - bound), (n_top if regularized else n + lambda2) + 1))
 
 
 def required_depth(spec: ModuleSpec, root: Root | None, window: Window, regularized: bool = False,
@@ -415,16 +396,16 @@ def required_depth(spec: ModuleSpec, root: Root | None, window: Window, regulari
     if root is None:
         deepest = 2 * window.T
     else:
-        n_top, m0, slope, *_ = bruteforce_region(spec, root, window, regularized, divergent_depth)
-        deepest = n_top + m0 + slope * n_top + sum(root.down_step)
+        region = bruteforce_region(spec, root, window, regularized, divergent_depth)
+        deepest = max(n + m for n, m in region) + sum(root.down_step)
     return max(spec.depth, deepest)
 
 
-def _window_spaces(region: tuple[int, int, int], window: Window, regularized: bool):
+def _window_spaces(region: tuple, window: Window, regularized: bool):
     """Yield (n, m, t_part) for the spaces of a region whose t-part, the
     t-exponents (h1 - L1, h2 - L2) when regularized and (0, 0) otherwise,
     lies in the window."""
-    for n, m in region_spaces(region):
+    for n, m in region:
         t_part = (m - 2 * n, n - 2 * m) if regularized else (0, 0)
         if abs(t_part[0]) <= window.T and abs(t_part[1]) <= window.T:
             yield n, m, t_part
@@ -437,17 +418,17 @@ def trace_from_branching(table: BranchingTable, window: Window, regularized: boo
 
     The table's region is the truncation: the sum runs over its spaces, so a
     divergent trace built over the triangle n+m <= depth is that fixed-depth
-    window sum.  Given ``spec``, a convergent trace is refused unless the
-    region holds every space of the window's ``bruteforce_region``, its
-    floor included: a full triangle from ``branch`` serves any window inside
-    it, and a table whose floor is higher than the window's does not.
+    window sum.  Given ``spec``, a convergent trace is refused, naming the
+    first space missing, unless the region holds every space of the window's
+    ``bruteforce_region``: a full triangle from ``branch`` serves any window
+    inside it, and a table floored higher than the window's does not.
     """
     if spec is not None and not is_divergent(spec.kind, table.root, regularized):
         need = bruteforce_region(spec, table.root, window, regularized)
-        if not set(region_spaces(need)) <= set(region_spaces(table.region)):
+        missing = [space for space in need if space not in table.covered]
+        if missing:
             raise UsageError(
-                f"window needs constituents over the region {need} but the table "
-                f"covers only {table.region}"
+                f"window needs constituents at {missing[0]}, outside the table's region"
             )
     for term in table.terms:
         # Borel h-forms carry L1 or L2, and on the parabolic module every
@@ -504,7 +485,7 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     L1+L2 on the Borel module, L1 on parabolic roots 12 and 13.  The guard
     keeps those values off every integer in [-3d-3, 3d+3].  On parabolic
     root 13 w also carries lambda2, and the bound needs d >= lambda2, which
-    the root-13 region (n_top = D + lambda2) guarantees.  Parabolic root
+    the root-13 triangle n + m <= D + lambda2 guarantees.  Parabolic root
     23's w is constant, and ``candidate_forms`` merges its equal forms.
     """
     first, *rest = modules
@@ -580,7 +561,7 @@ def trace_branching(spec: ModuleSpec, root: Root, window: Window,
                     for l1, l2 in lift_samples(spec, samples)]
     table = branching_table(first, root, region=region)
     spaces = [
-        (n, m) for n, m in region_spaces(region)
+        (n, m) for n, m in region
         if first.dim(n, m) and not (first.weight_free(root.raising, n, m)
                                     and _constant(h_form(first.cap, root, n, m)))
     ]
@@ -615,7 +596,7 @@ def spectrum_table(module: VermaModule, table: BranchingTable) -> list:
     """
     depth = module.spec.depth - sum(table.root.down_step)
     rows = []
-    for n, m in region_spaces((depth, depth, -1)):
+    for n, m in triangle(depth):
         if not module.dim(n, m):
             continue
         pairs = kappa_spectrum(module, table.root, n, m)

@@ -1,8 +1,10 @@
 """Closed-form partial theta series and the three-way identity verifier.
 
-Each catalog entry is built exactly as its reference formula is written,
-one k-term at a time: a short numerator (a signed list of monomials) times
-geometric expansions of the denominator factors.  The expansion direction of
+Each catalog series is a sum of terms base / prod (1 - f), built exactly as
+its reference formula is written (``catalog_terms``): a short numerator (a
+signed list of monomials) times geometric expansions of the denominator
+factors, one term per k for a partial theta sum.  The finite
+parabolic-trace-23 sums are terms with no factors.  The expansion direction of
 every factor 1/(1-f) is chosen mechanically so that iterated powers escape
 the window: a factor is kept as sum_j f^j when a certified functional
 increases along f, and rewritten as -f^(-1)/(1-f^(-1)) otherwise.  Any
@@ -156,86 +158,72 @@ def _expand_term(base, factors, window: Window) -> tuple[FormalSeries, list[str]
     return FormalSeries(acc, window), notes
 
 
-def _k_terms(window: Window):
-    """Theta indices admitted by the window: 2k+1 <= B."""
-    return range(max(0, (window.B - 1) // 2) + 1)
+def catalog_terms(identity: ClosedFormId, spec: ModuleSpec, window: Window):
+    """Yield each term of an identity's catalog series as (base, factors), the
+    series being the sum of base / prod (1 - f) (``_expand_term``).
 
-
-def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
-                           window: Window) -> tuple[FormalSeries, list[str]]:
-    kind = CATALOG[identity].kind
-    if spec.kind != kind:
-        raise UsageError(f"{identity.value} needs a {kind} module spec")
+    A k-sum identity yields its k-terms for k = 0 ... max(0, (B-1)//2), so
+    2k+1 <= B except for k = 0 at B = 0; borel-reg-trace-12 and -23 yield two
+    terms per k.  The parabolic character is one term, and the
+    parabolic-trace-23 pair yields one finite sum per top weight i <= D,
+    with no factors.
+    """
     v = spec.cap
-
     if identity in (ClosedFormId.PARABOLIC_TRACE_23, ClosedFormId.PARABOLIC_TRACE_23_ALT_LIMIT):
         extra = 1 if identity is ClosedFormId.PARABOLIC_TRACE_23 else 0
-        return FormalSeries(
-            [(qpow(ExponentForm((2 * k + 1) * i - 2 * k * k, 0, 0)), i + 1 if i <= v else v + 1)
-             for i in range(window.D + 1) for k in range(i + extra + 1)],
-            window,
-        ), []
+        for i in range(window.D + 1):
+            yield [(min(i, v) + 1, qpow(ExponentForm((2 * k + 1) * i - 2 * k * k, 0, 0)))
+                   for k in range(i + extra + 1)], []
+        return
     if identity is ClosedFormId.PARABOLIC_CHARACTER:
-        return _expand_term(
-            # t1^i t2^(-2i) has t-degree i and both factors raise it, so a
-            # base term past the cap 2T never reaches the window
-            [(1, tmono(i, -2 * i)) for i in range(min(v, 2 * window.T) + 1)],
-            [tmono(-2, 1), tmono(-1, -1)],
-            window,
-        )
-
-    pairs: list = []
-    notes: list[str] = []
-
-    def accumulate(base, factors):
-        part, part_notes = _expand_term(base, factors, window)
-        pairs.extend(part.terms.items())
-        for note in part_notes:
-            if note not in notes:
-                notes.append(note)
-
+        # t1^i t2^(-2i) has t-degree i and both factors raise it, so a base
+        # term past the cap 2T never reaches the window
+        yield ([(1, tmono(i, -2 * i)) for i in range(min(v, 2 * window.T) + 1)],
+               [tmono(-2, 1), tmono(-1, -1)])
+        return
     # the sign of L1 in the parabolic-trace-12 pair: -1 as the catalog
     # writes the literal, +1 in its alt-sign correction
     s = -1 if identity is ClosedFormId.PARABOLIC_TRACE_12 else 1
     # borel-reg-trace-23 is -12 under the Dynkin flip: L1 swaps with L2, t1 with t2
     flip = ((lambda m: Monomial(ExponentForm(m.qexp.c0, m.qexp.c2, m.qexp.c1), m.t2, m.t1))
             if identity is ClosedFormId.BOREL_REG_TRACE_23 else lambda m: m)
-    for k in _k_terms(window):
+    for k in range(max(0, (window.B - 1) // 2) + 1):
         o = 2 * k + 1
         if identity is ClosedFormId.BOREL_TRACE_13:
-            accumulate(
-                [(1, qpow(ExponentForm(-2 * k * k, o, o)))],
-                [qpow(ExponentForm(-o, 0, 0))] * 2,
-            )
+            yield [(1, qpow(ExponentForm(-2 * k * k, o, o)))], [qpow(ExponentForm(-o, 0, 0))] * 2
         elif identity in (ClosedFormId.BOREL_REG_TRACE_12, ClosedFormId.BOREL_REG_TRACE_23):
             f_u = flip(Monomial(ExponentForm(-2 * o, 0, 0), -2, 1))
             f_w = flip(Monomial(ExponentForm(o, 0, 0), 1, -2))
             f_v = flip(Monomial(ExponentForm(-o, 0, 0), -1, -1))
-            accumulate(
-                [(1, flip(Monomial(ExponentForm(-2 * k * k, o, 0), -2 * k, k)))],
-                [f_u, f_w],
-            )
-            accumulate(
-                [(-1, flip(Monomial(ExponentForm(-2 * k * k - 2 * o, o, 0), -2 * (k + 1), k + 1)))],
-                [f_u, f_v],
-            )
+            yield [(1, flip(Monomial(ExponentForm(-2 * k * k, o, 0), -2 * k, k)))], [f_u, f_w]
+            yield ([(-1, flip(Monomial(ExponentForm(-2 * k * k - 2 * o, o, 0), -2 * (k + 1), k + 1)))],
+                   [f_u, f_v])
         elif identity is ClosedFormId.PARABOLIC_TRACE_13:
-            accumulate(
-                [
-                    (1, qpow(ExponentForm(-2 * k * k + o * v, o, 0))),
-                    (-1, qpow(ExponentForm(-2 * k * k + o * v - o * (v + 1), o, 0))),
-                ],
-                [qpow(ExponentForm(-o, 0, 0))] * 2,
-            )
+            yield [
+                (1, qpow(ExponentForm(-2 * k * k + o * v, o, 0))),
+                (-1, qpow(ExponentForm(-2 * k * k + o * v - o * (v + 1), o, 0))),
+            ], [qpow(ExponentForm(-o, 0, 0))] * 2
         else:  # the parabolic-trace-12 pair
-            accumulate(
-                [
-                    (1, qpow(ExponentForm(-2 * k * k, s * o, 0))),
-                    (-1, qpow(ExponentForm(-2 * k * k + s * o * (v + 1), s * o, 0))),
-                ],
-                [qpow(ExponentForm(-o, 0, 0)), qpow(ExponentForm(o, 0, 0))],
-            )
-    return FormalSeries(pairs, window), notes
+            yield [
+                (1, qpow(ExponentForm(-2 * k * k, s * o, 0))),
+                (-1, qpow(ExponentForm(-2 * k * k + s * o * (v + 1), s * o, 0))),
+            ], [qpow(ExponentForm(-o, 0, 0)), qpow(ExponentForm(o, 0, 0))]
+
+
+def closed_form_with_notes(identity: ClosedFormId, spec: ModuleSpec,
+                           window: Window) -> tuple[FormalSeries, list[str]]:
+    """An identity's catalog series on the window, the sum of its expanded
+    ``catalog_terms``, with each expansion note once."""
+    kind = CATALOG[identity].kind
+    if spec.kind != kind:
+        raise UsageError(f"{identity.value} needs a {kind} module spec")
+    pairs: list = []
+    notes: list[str] = []
+    for base, factors in catalog_terms(identity, spec, window):
+        part, part_notes = _expand_term(base, factors, window)
+        pairs.extend(part.terms.items())
+        notes += part_notes
+    return FormalSeries(pairs, window), list(dict.fromkeys(notes))
 
 
 def borel_character_closed_form(window: Window) -> FormalSeries:

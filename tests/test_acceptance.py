@@ -19,7 +19,7 @@ from vermatheta import (
     kappa_spectrum,
     trace_brute_force,
 )
-from vermatheta.branching import predicted_spectrum
+from vermatheta.branching import predicted_spectrum, triangle
 from vermatheta.cli import main
 from vermatheta.theta import ClosedFormId, verify_identity
 from vermatheta.verma import Gen
@@ -116,7 +116,7 @@ def test_criterion_04_character_identity(parabolic_modules):
 def _spectrum_coherence(module, weight, v=None):
     checked = 0
     for root in Root:
-        table = branching_table(module, root, region=(10, 10, -1))
+        table = branching_table(module, root, region=triangle(10))
         for n in range(9):
             for m in range(9 - n):
                 if not module.dim(n, m):
@@ -195,7 +195,7 @@ def test_criterion_08_parabolic_traces():
 def test_criterion_09_replication_across_weights(borel_modules):
     # branching tables are structurally identical across the three weights
     for root in Root:
-        tables = [branching_table(borel_modules[w], root, region=(10, 10, -1)) for w in WEIGHTS]
+        tables = [branching_table(borel_modules[w], root, region=triangle(10)) for w in WEIGHTS]
         assert tables[0] == tables[1] == tables[2]
     # spectra multiplicity patterns coincide across weights
     for n in range(7):

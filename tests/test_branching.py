@@ -34,10 +34,10 @@ from vermatheta.branching import (
     lift_samples,
     lift_space,
     predicted_spectrum,
-    region_spaces,
     required_depth,
     trace_branching,
     trace_pipelines,
+    triangle,
 )
 from vermatheta.errors import UsageError, VerificationError
 from vermatheta.qseries import ExponentForm, Monomial
@@ -81,7 +81,7 @@ def test_parabolic_singular_pattern(parabolic_modules):
 
 
 def test_borel_13_table_is_one_constituent_per_space(borel_module):
-    table = branching_table(borel_module, Root.A13, region=(6, 6, -1))
+    table = branching_table(borel_module, Root.A13, region=triangle(6))
     seen = {}
     for term in table.terms:
         assert term.kind == VERMA
@@ -93,7 +93,7 @@ def test_borel_13_table_is_one_constituent_per_space(borel_module):
 
 
 def test_borel_12_table_upper_triangle(borel_module):
-    table = branching_table(borel_module, Root.A12, region=(6, 6, -1))
+    table = branching_table(borel_module, Root.A12, region=triangle(6))
     origins = {term.origin for term in table.terms}
     assert origins == {(n, m) for n in range(7) for m in range(7 - n) if n <= m}
     for term in table.terms:
@@ -105,7 +105,7 @@ def test_parabolic_12_table_matches_double_sum(parabolic_modules):
     # constituents M_{L1 + r - s} for r = 0..L2, s >= 0, sitting at (s, r+s)
     v = 2
     module = parabolic_modules[(F(7, 3), v)]
-    table = branching_table(module, Root.A12, region=(8, 8, -1))
+    table = branching_table(module, Root.A12, region=triangle(8))
     want = {}
     for s in range(9):
         for r in range(v + 1):
@@ -119,7 +119,7 @@ def test_parabolic_12_table_matches_double_sum(parabolic_modules):
 def test_parabolic_13_table_matches_double_sum(parabolic_modules):
     v = 2
     module = parabolic_modules[(F(7, 3), v)]
-    table = branching_table(module, Root.A13, region=(8, 8, -1))
+    table = branching_table(module, Root.A13, region=triangle(8))
     want = {}
     for s in range(9):
         for r in range(v + 1):
@@ -133,7 +133,7 @@ def test_parabolic_23_finite_multiplicities(parabolic_modules):
     # L_i with multiplicity min(i, L2) + 1, all finite, detected in-module
     v = 1
     module = parabolic_modules[(F(7, 3), v)]
-    table = branching_table(module, Root.A23, region=(9, 9, -1))
+    table = branching_table(module, Root.A23, region=triangle(9))
     mults: dict[int, int] = {}
     for term in table.terms:
         assert term.kind == FINITE
@@ -145,12 +145,12 @@ def test_parabolic_23_finite_multiplicities(parabolic_modules):
 
 def test_tables_replicate_across_weights(borel_modules):
     for root in Root:
-        tables = [branching_table(borel_modules[w], root, region=(6, 6, -1)) for w in WEIGHTS]
+        tables = [branching_table(borel_modules[w], root, region=triangle(6)) for w in WEIGHTS]
         assert tables[0] == tables[1] == tables[2]
 
 
 def test_accounting_failure_is_detected(borel_module):
-    table = branching_table(borel_module, Root.A13, region=(4, 4, -1))
+    table = branching_table(borel_module, Root.A13, region=triangle(4))
     broken = BranchingTable(
         table.kind, table.root, table.terms[:-1], table.region
     )
@@ -190,7 +190,7 @@ def test_finite_module_interior_eigenvalue(parabolic_modules):
 def test_spectrum_matches_branching_prediction(borel_modules, root):
     for weight in WEIGHTS:
         module = borel_modules[weight]
-        table = branching_table(module, root, region=(6, 6, -1))
+        table = branching_table(module, root, region=triangle(6))
         for n in range(5):
             for m in range(5 - n):
                 got = kappa_spectrum(module, root, n, m)
@@ -202,7 +202,7 @@ def test_spectrum_matches_branching_prediction(borel_modules, root):
 def test_parabolic_spectrum_matches_branching_prediction(parabolic_modules, root):
     for v in (0, 1, 2):
         module = parabolic_modules[(F(7, 3), v)]
-        table = branching_table(module, root, region=(6, 6, -1))
+        table = branching_table(module, root, region=triangle(6))
         for n in range(5):
             for m in range(5 - n):
                 if not module.dim(n, m):
@@ -251,7 +251,7 @@ def test_a_missing_candidate_is_a_verification_error(borel_module, parabolic_mod
     # that misses an eigenvalue into an error
     cases = 0
     for module in (borel_module, parabolic_modules[(F(7, 3), 2)]):
-        for n, m in region_spaces((6, 6, -1)):
+        for n, m in triangle(6):
             if not module.dim(n, m):
                 continue
             forms = candidate_forms(module, root, n, m)
@@ -279,7 +279,7 @@ def test_region_table_is_the_full_table_over_the_region(key):
         region = bruteforce_region(spec, key.root, window, key.regularized)
         full = branching_table(module, key.root)
         part = branching_table(module, key.root, region=region)
-        inside = set(region_spaces(region))
+        inside = set(region)
         assert part.terms == tuple(t for t in full.terms if t.origin in inside)
         series = [trace_from_branching(t, window, key.regularized, spec=spec) for t in (part, full)]
         assert series[0].terms == series[1].terms
@@ -323,11 +323,12 @@ def test_parabolic_12_region_one_row_shorter_loses_a_term(window):
     lost = []
     for l2 in (0, 2, 5):
         spec = ModuleSpec(PARABOLIC, F(7, 3), l2, 10)
-        n_top, m0, slope, floor = bruteforce_region(spec, Root.A12, window, False)
+        region = bruteforce_region(spec, Root.A12, window, False)
+        n_top = region[-1][0]
         spec = spec.with_depth(required_depth(spec, Root.A12, window))
         module = VermaModule(spec)
         series = [trace_from_branching(branching_table(module, Root.A12, region=r), window)
-                  for r in ((n_top, m0, slope, floor), (n_top - 1, m0, slope, floor))]
+                  for r in (region, tuple((n, m) for n, m in region if n < n_top))]
         lost.append(series[0].terms != series[1].terms)
     assert any(lost)
 
@@ -346,19 +347,29 @@ def test_an_in_window_candidate_floors_its_space(k, w0, slack):
 
 
 def unfloored_shape(kind: str, root: Root, regularized: bool, l2, window: Window) -> tuple:
-    """A non-divergent trace's region without its floor: the square n, m <= T
-    when regularized, otherwise n <= D + L2 (L2 read as 0 on the Borel
-    module) under the root's line."""
+    """A non-divergent trace's region without its floor, n-major: the square
+    n, m <= T when regularized, otherwise n <= D + L2 (L2 read as 0 on the
+    Borel module) under the root's line."""
     if regularized:
-        return window.T, window.T, 0
+        return tuple((n, m) for n in range(window.T + 1) for m in range(window.T + 1))
     n_top = window.D + (l2 if kind == PARABOLIC else 0)
-    return {Root.A13: (n_top, n_top, -1), Root.A12: (n_top, l2, 1), Root.A23: (n_top, n_top, 0)}[root]
+    last = {Root.A13: lambda n: n_top - n, Root.A12: lambda n: n + l2, Root.A23: lambda n: n_top}[root]
+    return tuple((n, m) for n in range(n_top + 1) for m in range(last(n) + 1))
+
+
+def floor_value(spec: ModuleSpec, root: Root, regularized: bool, n: int, m: int) -> int:
+    """What a trace region floors at (n, m): the constant part of its h-value,
+    or when regularized its t-exponent along the root, h - L."""
+    return h_form(None if regularized else spec.cap, root, n, m).c0
 
 
 def test_floor_drops_no_space_in_reach():
-    # every space of the unfloored shape with an in-window candidate lies in
-    # the floored region with each nonempty space up its root string, and
-    # the floor never cuts the shape's deepest n + m
+    # the region is exactly the unfloored shape's spaces on or above the
+    # floor, once each and n-major: w0 >= -D on a convergent trace, the
+    # t-exponent >= -T on a regularized root-12 or root-23 square.  Every
+    # space of the shape with an in-window candidate lies in it with each
+    # nonempty space up its root string, and the floor never cuts the
+    # shape's deepest n + m
     cases = 0
     for kind, l2 in [(BOREL, F(5, 7)), *((PARABOLIC, l2) for l2 in range(6))]:
         spec = ModuleSpec(kind, F(7, 3), l2, 10)
@@ -373,8 +384,15 @@ def test_floor_drops_no_space_in_reach():
                 window = Window(B, D, T)
                 shape = unfloored_shape(kind, root, regularized, l2, window)
                 region = bruteforce_region(spec, root, window, regularized)
-                inside = set(region_spaces(region))
-                for n, m in region_spaces(shape):
+                bound = window.T if regularized else window.D
+                unfloored = regularized and root is Root.A13
+                assert region == tuple(
+                    (n, m) for n, m in shape
+                    if unfloored or floor_value(spec, root, regularized, n, m) >= -bound
+                ), (kind, l2, root, regularized, window)
+                assert list(region) == sorted(set(region))
+                inside = set(region)
+                for n, m in shape:
                     key = (root, regularized, n, m)
                     if key not in monomials:
                         t_part = (m - 2 * n, n - 2 * m) if regularized else (0, 0)
@@ -385,7 +403,7 @@ def test_floor_drops_no_space_in_reach():
                         while module.dim(n - k * dn, m - k * dm):
                             assert (n - k * dn, m - k * dm) in inside, (kind, l2, root, window, n, m, k)
                             k += 1
-                deepest = [max(n + m for n, m in region_spaces(r)) for r in (shape, region)]
+                deepest = [max(n + m for n, m in r) for r in (shape, region)]
                 assert deepest[0] == deepest[1], (kind, l2, root, regularized, window)
                 cases += 1
     # 48 (B, D) pairs, times 6 T values when regularized: 4 Borel traces
@@ -405,15 +423,16 @@ FLOORED = [
 @pytest.mark.parametrize("kind, l2, root, window, regularized", FLOORED)
 def test_floor_one_unit_higher_loses_a_term(kind, l2, root, window, regularized):
     spec = ModuleSpec(kind, F(7, 3), l2, 0)
-    *shape, (a, b, c) = bruteforce_region(spec, root, window, regularized)
+    region = bruteforce_region(spec, root, window, regularized)
+    bound = window.T if regularized else window.D
     if not regularized:
         # the live space (10, 0) sits on the parabolic root-12 floor 2n - m <= D
-        assert (a, b, c) == (2, -1, 20)
+        assert (10, 0) in region and floor_value(spec, root, False, 10, 0) == -20
+    raised = tuple(s for s in region if floor_value(spec, root, regularized, *s) > -bound)
     spec = spec.with_depth(required_depth(spec, root, window, regularized))
     module = VermaModule(spec)
-    series = [trace_from_branching(branching_table(module, root, region=(*shape, floor)),
-                                   window, regularized)
-              for floor in ((a, b, c), (a, b, c - 1))]
+    series = [trace_from_branching(branching_table(module, root, region=r), window, regularized)
+              for r in (region, raised)]
     assert series[0].terms != series[1].terms
 
 
@@ -438,7 +457,7 @@ def test_required_depth_is_the_region_depth_plus_one_root_step(key):
     for l2, window, depth in product(l2s, windows, (0, 10, 200)):
         spec = ModuleSpec(key.kind, F(7, 3), l2, depth)
         region = bruteforce_region(spec, key.root, window, key.regularized)
-        deepest = max(n + m for n, m in region_spaces(region)) + sum(key.root.down_step)
+        deepest = max(n + m for n, m in region) + sum(key.root.down_step)
         got = required_depth(spec, key.root, window, key.regularized)
         assert got >= depth
         assert got == max(depth, deepest), (l2, window, depth)
@@ -446,25 +465,29 @@ def test_required_depth_is_the_region_depth_plus_one_root_step(key):
 
 
 def test_region_must_be_closed_upward(borel_module):
-    # (1, 1) lies in the region; its root-12 up-neighbour (0, 1) does not
-    with pytest.raises(VerificationError, match="not closed upward"):
-        branching_table(borel_module, Root.A12, region=(3, 0, 1))
+    # (1, 1) lies in the region m <= n <= 3; its root-12 up-neighbour (0, 1) does not
+    with pytest.raises(VerificationError, match=re.escape(
+            "the region is not closed upward along root 12: it holds (1, 1) but not (0, 1)")):
+        branching_table(borel_module, Root.A12, region=tuple((n, m) for n in range(4)
+                                                             for m in range(n + 1)))
 
 
 def test_table_refused_for_a_window_outside_its_region(borel_module):
     spec = borel_module.spec
-    table = branching_table(borel_module, Root.A13, region=(4, 4, -1))
+    table = branching_table(borel_module, Root.A13, region=triangle(4))
     assert trace_from_branching(table, Window(3, 4, 0), spec=spec).terms
-    with pytest.raises(UsageError, match="covers only"):
-        trace_from_branching(table, Window(3, 8, 0), spec=spec)  # needs (8, 8, -1)
-    # the regularized window needs the square (3, 3, 0): a triangle holds
-    # its corner (3, 3) from n+m <= 6 on, not at n+m <= 5
+    # the window needs triangle(8), whose first space past triangle(4) is (0, 5)
+    with pytest.raises(UsageError, match=re.escape(
+            "window needs constituents at (0, 5), outside the table's region")):
+        trace_from_branching(table, Window(3, 8, 0), spec=spec)
+    # the regularized window needs the floored square n, m <= 3: a triangle
+    # holds its corner (3, 3) from n+m <= 6 on, not at n+m <= 5
     for top, fits in ((6, True), (5, False)):
-        table = branching_table(borel_module, Root.A12, region=(top, top, -1))
+        table = branching_table(borel_module, Root.A12, region=triangle(top))
         if fits:
             assert trace_from_branching(table, Window(3, 4, 3), True, spec=spec).terms
         else:
-            with pytest.raises(UsageError, match="covers only"):
+            with pytest.raises(UsageError, match=re.escape("constituents at (3, 3), outside")):
                 trace_from_branching(table, Window(3, 4, 3), True, spec=spec)
 
 
@@ -477,10 +500,11 @@ def test_table_refused_for_a_floor_above_the_window(kind, l2, root, window, regu
     spec = spec.with_depth(required_depth(spec, root, window, regularized))
     module = VermaModule(spec)
     need = bruteforce_region(spec, root, window, regularized)
-    *shape, (a, b, c) = need
-    raised = branching_table(module, root, region=(*shape, (a, b, c - 1)))
+    bound = window.T if regularized else window.D
+    on_floor = [s for s in need if floor_value(spec, root, regularized, *s) == -bound]
+    raised = branching_table(module, root, region=tuple(s for s in need if s not in on_floor))
     with pytest.raises(UsageError, match=re.escape(
-            f"window needs constituents over the region {need} but the table covers only")):
+            f"window needs constituents at {on_floor[0]}, outside the table's region")):
         trace_from_branching(raised, window, regularized, spec=spec)
     series = [trace_from_branching(branching_table(module, root, region=r), window, regularized,
                                    spec=spec)
@@ -493,7 +517,7 @@ def test_trace_of_single_verma_constituent():
     # the region holds the string's slots (k, k) for k <= 4
     window = Window(5, 8, 0)
     hw = ExponentForm(0, 1, 1)
-    table = BranchingTable(BOREL, Root.A13, (BranchingTerm(VERMA, hw, 1, (0, 0)),), (8, 8, -1))
+    table = BranchingTable(BOREL, Root.A13, (BranchingTerm(VERMA, hw, 1, (0, 0)),), triangle(8))
     series = trace_from_branching(table, window)
     want = {}
     for k in range(3):  # 2k+1 <= 5
@@ -505,18 +529,18 @@ def test_trace_of_single_finite_constituent_is_2q():
     # L_1 has slots (0, 0) and (0, 1), both in the region; (0, 2) is not a slot
     window = Window(5, 8, 0)
     table = BranchingTable(
-        PARABOLIC, Root.A23, (BranchingTerm(FINITE, ExponentForm(1, 0, 0), 1, (0, 0)),), (2, 2, -1)
+        PARABOLIC, Root.A23, (BranchingTerm(FINITE, ExponentForm(1, 0, 0), 1, (0, 0)),), triangle(2)
     )
     series = trace_from_branching(table, window)
     assert {tuple(m.qexp): c for m, c in series.terms.items()} == {(1, 0, 0): 2}
 
 
 def test_trace_counts_only_slots_inside_the_table_region():
-    # the root-13 string of (0, 0) leaves the region (1, 0, 0) after k = 0,
-    # so its in-window slots k = 1, 2 at (1, 1), (2, 2) are not counted
+    # the root-13 string of (0, 0) leaves the region {(0, 0), (1, 0)} after
+    # k = 0, so its in-window slots k = 1, 2 at (1, 1), (2, 2) are not counted
     window = Window(5, 8, 0)
     hw = ExponentForm(0, 1, 1)
-    table = BranchingTable(BOREL, Root.A13, (BranchingTerm(VERMA, hw, 1, (0, 0)),), (1, 0, 0))
+    table = BranchingTable(BOREL, Root.A13, (BranchingTerm(VERMA, hw, 1, (0, 0)),), ((0, 0), (1, 0)))
     series = trace_from_branching(table, window)
     assert {tuple(m.qexp): c for m, c in series.terms.items()} == {(0, 1, 1): 1}
 
@@ -525,7 +549,7 @@ def test_constant_weight_verma_constituent_is_a_verification_error():
     # no module yields one: Borel h-forms carry L1 or L2, and on the
     # parabolic module every root-23 constituent is finite
     table = BranchingTable(
-        PARABOLIC, Root.A23, (BranchingTerm(VERMA, ExponentForm(1, 0, 0), 1, (0, 0)),), (0, 0, -1)
+        PARABOLIC, Root.A23, (BranchingTerm(VERMA, ExponentForm(1, 0, 0), 1, (0, 0)),), triangle(0)
     )
     with pytest.raises(VerificationError, match="constant highest weight"):
         trace_from_branching(table, Window(5, 8, 0))
@@ -575,7 +599,7 @@ def test_divergent_window_sums_agree_at_fixed_depth():
     window = Window(3, 4, 0)
     spec = ModuleSpec(BOREL, F(7, 3), F(5, 7), 8)
     module = VermaModule(spec)
-    table = branching_table(module, Root.A12, region=(7, 7, -1))
+    table = branching_table(module, Root.A12, region=triangle(7))
     branch = trace_from_branching(table, window)
     brute = trace_brute_force(spec, Root.A12, window, divergent_depth=7)
     assert brute.equal_on(branch, window).passed
@@ -630,7 +654,7 @@ def test_lifted_forms_predict_the_spectrum_at_a_held_out_weight(key):
         modules = [VermaModule(spec.with_weight(*w)) for w in samples]
         probe = VermaModule(spec.with_weight(*held_out))
         spaces = 0
-        for n, m in region_spaces(bruteforce_region(spec, key.root, window, key.regularized)):
+        for n, m in bruteforce_region(spec, key.root, window, key.regularized):
             if not probe.dim(n, m):
                 continue
             forms = candidate_forms(modules[0], key.root, n, m)
@@ -656,7 +680,7 @@ def test_candidate_values_are_distinct_at_every_lift_sample(key):
         spec = spec.with_depth(required_depth(spec, key.root, window, key.regularized))
         modules = [VermaModule(spec.with_weight(*w)) for w in lift_samples(spec)]
         spaces = 0
-        for n, m in region_spaces(bruteforce_region(spec, key.root, window, key.regularized)):
+        for n, m in bruteforce_region(spec, key.root, window, key.regularized):
             if not modules[0].dim(n, m):
                 continue
             forms = candidate_forms(modules[0], key.root, n, m)
@@ -711,11 +735,15 @@ def remeasured_table(module, root, region) -> BranchingTable:
     """A branching table measured in full: every singular vector of every
     nonempty space of the region read by ``kernel_basis`` and classified."""
     terms = []
-    for n, m in region_spaces(region):
+    for n, m in region:
         if module.dim(n, m):
             counts: dict = {}
+            form = h_form(module.cap, root, n, m)
+            i, rem = divmod(module.numerator(form), module.denom)
             for vec in kernel_basis(module.operator_matrix(root.raising, (n, m))):
-                key = branching._classify(module, root, n, m, vec)
+                # only a nonnegative integral h-value can top a finite constituent
+                key = ((VERMA, form) if rem or i < 0
+                       else branching._classify(module, root, n, m, vec, form, i))
                 counts[key] = counts.get(key, 0) + 1
             terms += [BranchingTerm(kind, hw, c, (n, m)) for (kind, hw), c in sorted(counts.items())]
     return BranchingTable(module.spec.kind, root, tuple(terms), region)
@@ -740,7 +768,7 @@ def test_confirmed_traces_equal_a_full_remeasurement(monkeypatch, key, l2, sampl
     remeasured = [VermaModule(spec.with_weight(*w)) for w in samples]
     shared = [VermaModule(spec.with_weight(*w), shared=True) for w in samples]
     spaces = 0
-    for n, m in region_spaces(region):
+    for n, m in region:
         if remeasured[0].dim(n, m):
             forms = candidate_forms(remeasured[0], key.root, n, m)
             counts = lift_space(shared, key.root, n, m, forms)
@@ -767,7 +795,7 @@ def test_confirmed_traces_equal_a_full_remeasurement(monkeypatch, key, l2, sampl
 def test_branch_tables_equal_a_full_remeasurement(kind, l2):
     module = VermaModule(ModuleSpec(kind, F(7, 3), l2, 8))
     for root in Root:
-        assert branching_table(module, root) == remeasured_table(module, root, (8, 8, -1))
+        assert branching_table(module, root) == remeasured_table(module, root, triangle(8))
 
 
 def test_weight_free_is_decided_per_matrix():
@@ -960,7 +988,7 @@ def test_lifted_forms_are_the_roots_of_the_symbolic_characteristic_polynomial(ki
     modules = [VermaModule(spec.with_weight(*w)) for w in lift_samples(spec)]
     cases = 0
     for root in Root:
-        for n, m in region_spaces((4, 4, -1)):
+        for n, m in triangle(4):
             basis = modules[0].weight_space(n, m)
             if not basis:
                 continue
@@ -985,7 +1013,7 @@ def test_lifted_forms_are_the_roots_of_the_symbolic_characteristic_polynomial(ki
                     lifted[value] = lifted.get(value, 0) + count
             assert roots == lifted, (root, n, m)
             cases += 1
-    assert cases == 3 * len([s for s in region_spaces((4, 4, -1)) if modules[0].dim(*s)])
+    assert cases == 3 * len([s for s in triangle(4) if modules[0].dim(*s)])
 
 
 # -- integer invariants of the spectrum path ------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 import vermatheta
 from vermatheta import BOREL, PARABOLIC, ModuleSpec, Root, Window
 from vermatheta import cli
-from vermatheta.branching import BranchingTable, required_depth
+from vermatheta.branching import BranchingTable, required_depth, triangle
 from vermatheta.errors import UsageError, VerificationError
 from vermatheta.cli import (
     MAX_DEPTH,
@@ -711,8 +711,7 @@ def record_table_visits(monkeypatch) -> list:
     visits, table_module = [], []
 
     def table(module, root, region=None):
-        depth = module.spec.depth
-        spaces = branching.region_spaces(region or (depth, depth, -1))
+        spaces = region or branching.triangle(module.spec.depth)
         visits.append((module.spec, root, region, {s for s in spaces if module.dim(*s)}, set(), set()))
         table_module[:] = [module]
         return real_table(module, root, region)
@@ -860,7 +859,7 @@ def test_work_at_the_depth_cap_runs(tmp_path, monkeypatch, argv):
 
     def empty_table(module, root):
         depths.append(module.spec.depth)
-        return BranchingTable(module.spec.kind, root, (), (0, 0, -1))
+        return BranchingTable(module.spec.kind, root, (), triangle(0))
 
     monkeypatch.setattr(cli, "branching_table", empty_table)
     monkeypatch.setattr(cli, "spectrum_table", lambda module, table: [])

@@ -104,6 +104,17 @@ def test_only_verma_reads_the_matrix_cache():
     assert readers == []
 
 
+def test_closed_form_with_notes_names_no_identity():
+    # identity-specific logic stays in ``catalog_terms``; the closed form
+    # only expands and sums the terms it yields
+    theta = ast.parse((Path(vermatheta.__file__).parent / "theta.py").read_text(encoding="utf-8"))
+    body = next(node for node in theta.body
+                if isinstance(node, ast.FunctionDef) and node.name == "closed_form_with_notes")
+    members = [node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "ClosedFormId"]
+    assert members == []
+
+
 def test_tracer_targets_name_existing_attributes():
     # the benchmark's tracer wraps these names by getattr; a rename or a
     # deletion fails here, naming it, not inside the traced run's subprocess
