@@ -26,14 +26,16 @@ depth-k vector by (2k+1)u - 2k^2; a finite module L_i has depths 0..i only.
 
 A region is the n-major tuple of the (n, m) weight spaces a table or a trace
 covers: ``bruteforce_region`` builds a trace's, ``triangle`` the full one of
-``branch`` and ``spectrum``.  Every reader iterates it or tests membership.
+``branch`` and ``spectrum``.  Every reader iterates it or tests membership,
+except ``required_depth``, which reads a trace region's deepest space off
+its top row (``_region_rows``) so that admission never builds the region.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import UsageError, VerificationError
@@ -334,11 +336,48 @@ def is_divergent(kind: str, root: Root, regularized: bool) -> bool:
     return kind == BOREL and not regularized and root in (Root.A12, Root.A23)
 
 
+def _region_rows(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
+                 divergent_depth: int | None = None) -> tuple:
+    """A trace region as (n_top, row): its spaces are the (n, m) with
+    n <= n_top and m in the range row(n).  A row's last n + m never falls
+    as n grows, so the top row's last space is the region's deepest."""
+    if is_divergent(spec.kind, root, regularized):
+        if divergent_depth is None:
+            raise UsageError(
+                f"unregularized {root.value} trace on the Borel module is divergent; "
+                "pass an explicit truncation depth or regularize"
+            )
+        return divergent_depth, lambda n: range(divergent_depth + 1 - n)
+    if regularized:
+        if root is Root.A13:
+            return window.T, lambda n: range(window.T + 1)
+        # the square n, m <= T; the t-exponent along the root, h - L, is w0
+        # with L2 read as 0
+        n_top, lambda2, bound = window.T, 0, window.T
+    else:
+        # every convergent region is capped at n <= D + L2 (L2 read as 0 on
+        # the Borel module).  Parabolic root 12: a nonempty space has
+        # m <= n + L2, and the floor 2n - m <= D then gives n <= D + L2, the
+        # row where the two meet.  The bound is tight: at B 9, D 20, L2 2 the
+        # live space (10, 0) is on the floor, and the region one row shorter
+        # loses a term.  Parabolic root 23 takes the square n, m <= D + L2.
+        n_top = window.D + (spec.cap or 0)
+        if root is Root.A13:
+            return n_top, lambda n: range(n_top + 1 - n)
+        lambda2, bound = spec.cap, window.D
+    # w0 is m - 2n on root 12 and n - 2m + L2 on root 23, so w0 >= -bound
+    # raises a root-12 row's first m to 2n - bound and lowers a root-23
+    # row's last m to (n + L2 + bound) // 2
+    if root is Root.A23:
+        return n_top, lambda n: range(min(n_top, (n + lambda2 + bound) // 2) + 1)
+    return n_top, lambda n: range(max(0, 2 * n - bound), (n_top if regularized else n + lambda2) + 1)
+
+
 def bruteforce_region(spec: ModuleSpec, root: Root, window: Window, regularized: bool,
                       divergent_depth: int | None = None) -> tuple:
     """Weight spaces that can contribute in-window trace terms (a proven
     superset; final membership is enforced monomial by monomial), as a
-    region.
+    region: an n-major tuple of (n, m).
 
     Every convergent region is floored at its root's h-value.  A space's
     k-th candidate (``candidate_forms``) has the constant part
@@ -354,50 +393,22 @@ def bruteforce_region(spec: ModuleSpec, root: Root, window: Window, regularized:
     A root-13 triangle n + m <= D + L2 is its floor; regularized root-13 and
     divergent regions have none.
     """
-    if is_divergent(spec.kind, root, regularized):
-        if divergent_depth is None:
-            raise UsageError(
-                f"unregularized {root.value} trace on the Borel module is divergent; "
-                "pass an explicit truncation depth or regularize"
-            )
-        return triangle(divergent_depth)
-    if regularized:
-        if root is Root.A13:
-            return tuple(product(range(window.T + 1), repeat=2))
-        # the square n, m <= T; the t-exponent along the root, h - L, is w0
-        # with L2 read as 0
-        n_top, lambda2, bound = window.T, 0, window.T
-    else:
-        # every convergent region is capped at n <= D + L2 (L2 read as 0 on
-        # the Borel module).  Parabolic root 12: a nonempty space has
-        # m <= n + L2, and the floor 2n - m <= D then gives n <= D + L2, the
-        # row where the two meet.  The bound is tight: at B 9, D 20, L2 2 the
-        # live space (10, 0) is on the floor, and the region one row shorter
-        # loses a term.  Parabolic root 23 takes the square n, m <= D + L2.
-        n_top = window.D + (spec.cap or 0)
-        if root is Root.A13:
-            return triangle(n_top)
-        lambda2, bound = spec.cap, window.D
-    # w0 is m - 2n on root 12 and n - 2m + L2 on root 23, so w0 >= -bound
-    # raises a root-12 row's first m to 2n - bound and lowers a root-23
-    # row's last m to (n + L2 + bound) // 2
-    if root is Root.A23:
-        return tuple((n, m) for n in range(n_top + 1)
-                     for m in range(min(n_top, (n + lambda2 + bound) // 2) + 1))
-    return tuple((n, m) for n in range(n_top + 1)
-                 for m in range(max(0, 2 * n - bound), (n_top if regularized else n + lambda2) + 1))
+    n_top, row = _region_rows(spec, root, window, regularized, divergent_depth)
+    return tuple((n, m) for n in range(n_top + 1) for m in row(n))
 
 
 def required_depth(spec: ModuleSpec, root: Root | None, window: Window, regularized: bool = False,
                    divergent_depth: int | None = None) -> int:
     """A request's working depth, never below ``spec.depth``: for a trace, its
     brute-force region's deepest n+m plus one root step; for the character
-    (``root`` None), 2T, as its enumeration visits n, m <= T."""
+    (``root`` None), 2T, as its enumeration visits n, m <= T.  The region's
+    top row gives its deepest space without the region being built, so a
+    request past the depth cap is refused at once, however large."""
     if root is None:
         deepest = 2 * window.T
     else:
-        region = bruteforce_region(spec, root, window, regularized, divergent_depth)
-        deepest = max(n + m for n, m in region) + sum(root.down_step)
+        n_top, row = _region_rows(spec, root, window, regularized, divergent_depth)
+        deepest = n_top + row(n_top)[-1] + sum(root.down_step)
     return max(spec.depth, deepest)
 
 
@@ -569,7 +580,7 @@ def trace_branching(spec: ModuleSpec, root: Root, window: Window,
         for n, m in spaces:
             if _space_terms(mod, root, n, m) != table.by_origin.get((n, m), []):
                 raise VerificationError("branching tables differ across weight samples")
-    return trace_from_branching(table, window, regularized, spec=spec)
+    return trace_from_branching(table, window, regularized)
 
 
 def trace_pipelines(spec: ModuleSpec, root: Root, window: Window, regularized: bool,

@@ -818,6 +818,15 @@ PAST_THE_CAP = [
     pytest.param(["trace", "--root", "13", "--D", "200"], 202, id="trace-window"),
     # a divergent trace works one root step below its truncation depth
     pytest.param(["trace", "--root", "12", "--depth", "150"], 151, id="trace-divergent-depth"),
+    # admission reads the region's deepest space without building the region,
+    # so a huge window or depth is refused at once
+    pytest.param(["trace", "--root", "13", "--D", str(10**9)], 10**9 + 2, id="trace-huge-D"),
+    pytest.param(["trace", "--root", "12", "--regularized", "--T", str(10**9)], 2 * 10**9 + 1,
+                 id="trace-huge-T"),
+    pytest.param(["trace", "--root", "12", "--depth", str(10**9)], 10**9 + 1,
+                 id="trace-divergent-huge-depth"),
+    pytest.param(["trace", "--module", "parabolic", "--lambda2", "2", "--root", "12",
+                  "--D", str(10**9)], 2 * 10**9 + 7, id="trace-parabolic-huge-D"),
     pytest.param(["branch", "--root", "12", "--depth", "151"], 151, id="branch-depth"),
     pytest.param(["spectrum", "--root", "12", "--depth", "400"], 400, id="spectrum-depth"),
     pytest.param(["verify", "--identity", "parabolic-trace-12", "--module", "parabolic", "--D", "74"],

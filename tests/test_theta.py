@@ -10,7 +10,6 @@ from vermatheta.qseries import MONO_ONE, ExponentForm, FormalSeries, Monomial, t
 from vermatheta.theta import (
     CATALOG,
     ClosedFormId,
-    _expand_term,
     borel_character_closed_form,
     catalog_terms,
     closed_form_with_notes,
@@ -266,27 +265,14 @@ FINITE_SUMS = (ClosedFormId.PARABOLIC_TRACE_23, ClosedFormId.PARABOLIC_TRACE_23_
 
 
 @pytest.mark.parametrize("identity", list(ClosedFormId), ids=lambda i: i.value)
-def test_catalog_terms_expand_to_the_closed_form(identity):
-    # the closed form is the sum of its catalog terms' expansions, each note
-    # once in first-seen order; a k-sum yields one term per k = 0 ...
-    # max(0, (B-1)//2), two on the regularized Borel pair, and the
+def test_catalog_term_counts(identity):
+    # a k-sum yields one term per k = 0 ... max(0, (B-1)//2), two on the
+    # regularized Borel pair; the parabolic character is one term, and the
     # parabolic-trace-23 pair's finite sums, one per top weight, have no factors
     specs = [BSPEC] if CATALOG[identity].kind == BOREL else [pspec(v) for v in range(4)]
     for spec, B, T in product(specs, (0, 1, 5, 9), (0, 8)):
         window = Window(B, 6, T)
         terms = list(catalog_terms(identity, spec, window))
-        total: dict = {}
-        notes: list = []
-        for base, factors in terms:
-            part, part_notes = _expand_term(base, factors, window)
-            for mono, c in part.terms.items():
-                total[mono] = total.get(mono, 0) + c
-            for note in part_notes:
-                if note not in notes:
-                    notes.append(note)
-        series, want_notes = closed_form_with_notes(identity, spec, window)
-        assert series.terms == {m: c for m, c in total.items() if c}, (spec.lambda2, window)
-        assert notes == want_notes
         if identity in FINITE_SUMS:
             assert len(terms) == window.D + 1
             assert all(factors == [] for _, factors in terms)
