@@ -41,7 +41,7 @@ from typing import NamedTuple
 from .errors import UsageError, VerificationError
 from .exactalg import kernel_basis, mat_scalar_shift, rank
 from .qseries import ExponentForm, FormalSeries, Monomial, Window
-from .verma import _GEN_INDEX, BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, h_form
+from .verma import BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, action, h_form
 
 VERMA = "verma"
 FINITE = "finite"
@@ -161,12 +161,15 @@ def _classify(module: VermaModule, root: Root, n: int, m: int, vector,
     """Return (kind, hw form) for the constituent generated by an integral
     singular vector on a space whose h-value ``form`` is the nonnegative
     integer i, testing finiteness inside the module rather than assuming it:
-    a lowering letter's coefficients are integers on either kind of
-    straightener, so its i+1st power acts on the vector in integers."""
+    the lowering letter's coefficients in the action table are integers, so
+    its i+1st power acts on the vector in integers."""
     element = {exps: c for exps, c in zip(module.weight_space(n, m), vector) if c}
-    lowering = _GEN_INDEX[root.lowering]
     for _ in range(i + 1):
-        element = module.straightener.act(lowering, element)
+        image: dict = {}
+        for exps, c in element.items():
+            for e, (k, _, _) in action(module.cap, root.lowering, exps):
+                image[e] = image.get(e, 0) + c * k
+        element = {e: c for e, c in image.items() if c}
     return (VERMA, form) if element else (FINITE, ExponentForm(i, 0, 0))
 
 
@@ -470,8 +473,8 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     triangular, otherwise measured at the first sample and confirmed at the
     others; weight-free spaces carry over.
 
-    When the first module straightens on the packed straightener that a
-    trace's samples share, the Casimir is one affine matrix for every sample.
+    When the first module is shared, its structure's forms cache holds the
+    Casimir as one affine matrix for every sample.
     If that matrix is triangular with pairwise distinct diagonal forms
     (``VermaModule.diagonal_forms``), as every root-12 and root-13 Casimir
     measured so far is, those forms are its eigenvalues, each of multiplicity

@@ -3,8 +3,7 @@
 Conventions
 -----------
 Generators are the matrix units E_ij (i != j) together with the Cartan
-elements h1 = E11 - E22 and h2 = E22 - E33.  All commutators are derived
-from the matrix-unit product rule, never hardcoded per case.
+elements h1 = E11 - E22 and h2 = E22 - E33.
 
 Weights are written as hw - n*a12 - m*a23 with n, m >= 0, where a12, a23
 are the simple positive roots and hw is the highest weight (L1, L2) read
@@ -20,33 +19,46 @@ PBW monomials:
   E21^a E31^c E32^i v with 0 <= i <= L2, weight coordinates (a+c, c+i).
   Bases are ordered by increasing E32 exponent.
 
-Straightening lives in ``Straightener``, one per module structure (the kind
-and ``ModuleSpec.cap``: the parabolic module's integral L2, which caps E32,
-or None for the Borel module) and one set of Cartan values.  It caches each
-generator's image of each PBW monomial in one dict per generator index (its
-position in ``Gen``), keyed by the exponent triple.  There are two kinds:
+The action
+----------
+Every generator maps a PBW monomial to at most two monomials, with
+coefficients affine in (L1, L2).  ``action`` reads them off two tables,
+derived once from the commutation rule [E_ij, E_kl] = d_jk E_il - d_li E_kj
+by moving the generator rightwards to v, which a raising generator kills
+and a Cartan scales by its weight.  On the Borel module, (a, b, c) goes to:
 
-* A weight-bound straightener works at one highest weight, held as integers
-  (p1, p2) over the weight denominator ``denom``; a cached coefficient of a
-  generator is an integer over that generator's scale (see
-  ``Straightener.__init__``).  A module at a single weight (``branch``,
-  ``spectrum``, ``character``) owns one: one weight has nothing to share,
-  and packed ints cost it more time and memory than its small ones.
-* A packed straightener works at a symbolic weight.  The raising and Cartan
-  generators' coefficients are affine in (L1, L2), and the lowering ones'
-  are integers, so a coefficient c0 + c1*L1 + c2*L2 is held as the one int
-  c0 + c1*2^64 + c2*2^192: each ci is a balanced 64-bit digit, in slots 0,
-  1 and 3.  A product of two nonconstant forms lands in an empty slot (L1^2
-  in slot 2, L1*L2 in slot 4, L2^2 in slot 6), and ``unpack`` refuses a
-  nonzero empty slot, so affinity is checked, not assumed.  The parabolic
-  ``cap`` stays the integer it is and is folded into c0, as ``h_form`` does.
-  The sample modules of a trace, one per weight sample in each pipeline, share
-  the one packed straightener of their structure.  It keeps each operator
-  matrix once, as the row-major list of its entries' affine forms that every
-  sample evaluates at its own weight; only ``VermaModule`` reads them.
-  ``shared_straightener`` keeps the last one alive, so the two pipelines of a
-  trace and consecutive traces of one structure reuse it; a trace of another
-  structure drops it.
+    E21  (a+1, b, c)
+    E31  (a, b, c+1)
+    E32  (a, b+1, c) + a (a-1, b, c+1)
+    E12  a(L1 - a + b - c + 1) (a-1, b, c) - c (a, b+1, c-1)
+    E23  b(L2 - b + 1) (a, b-1, c) + c (a+1, b, c-1)
+    E13  c(L1 + L2 - a - b - c + 1) (a, b, c-1) - ab(L2 - b + 1) (a-1, b-1, c)
+    H12  (L1 - 2a + b - c) (a, b, c);  H23  (L2 + a - 2b - c) (a, b, c)
+
+On the parabolic module, with the cap k = L2, (a, c, i) goes to:
+
+    E21  (a+1, c, i)
+    E31  (a, c+1, i)
+    E32  (a, c, i+1) + a (a-1, c+1, i)
+    E12  a(L1 - a - c + i + 1) (a-1, c, i) - c (a, c-1, i+1)
+    E23  c (a+1, c-1, i) + i(k - i + 1) (a, c, i-1)
+    E13  c(L1 + k - a - c - i + 1) (a, c-1, i) - a i(k - i + 1) (a-1, c, i-1)
+    H12  (L1 - 2a - c + i) (a, c, i);  H23  (k + a - c - 2i) (a, c, i)
+
+A term whose exponent would go negative or pass the cap is dropped.  The
+cap stays the integer it is and is folded into c0, as ``h_form`` does, so
+parabolic forms have c2 = 0.  The lowering letters E21, E31 and E32 have
+integer coefficients on either kind.
+
+A module at a single weight (``branch``, ``spectrum``, ``character``)
+evaluates each matrix at its weight and keeps nothing: one weight has
+nothing to share.  The sample modules of a trace, one per weight sample in
+each pipeline, share ``shared_forms`` of their structure (the parabolic cap,
+or None for the Borel module).  It keeps each operator matrix once, as the
+row-major list of its entries' affine forms that every sample evaluates at
+its own weight; only ``VermaModule`` reads them.  Only the last structure's
+forms stay alive, so the two pipelines of a trace and consecutive traces of
+one structure reuse them; a trace of another structure drops them.
 
 A module holds its highest weight as integers over ``denom``, and
 ``numerator`` evaluates an affine form there to an integer over it;
@@ -70,7 +82,7 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .errors import GenericityError, TruncationError, UsageError, VerificationError, shown
+from .errors import GenericityError, TruncationError, UsageError, shown
 from .exactalg import QMatrix
 from .qseries import ExponentForm, FormalSeries, Monomial, Window
 
@@ -85,62 +97,6 @@ class Gen(Enum):
     H12 = "H12"
     H23 = "H23"
 
-
-_MATRIX_UNITS = {
-    Gen.E12: {(0, 1): 1},
-    Gen.E23: {(1, 2): 1},
-    Gen.E13: {(0, 2): 1},
-    Gen.E21: {(1, 0): 1},
-    Gen.E32: {(2, 1): 1},
-    Gen.E31: {(2, 0): 1},
-    Gen.H12: {(0, 0): 1, (1, 1): -1},
-    Gen.H23: {(1, 1): 1, (2, 2): -1},
-}
-
-
-def _mat_mult(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (i, j), x in a.items():
-        for (k, l), y in b.items():
-            if j == k:
-                out[(i, l)] = out.get((i, l), 0) + x * y
-    return {k: v for k, v in out.items() if v}
-
-
-def _decompose(m: dict) -> tuple:
-    """Express a traceless 3x3 matrix in the eight-generator basis."""
-    parts = []
-    diag = [m.get((i, i), 0) for i in range(3)]
-    if sum(diag) != 0:
-        raise VerificationError("commutator is not traceless")
-    if diag[0]:
-        parts.append((diag[0], Gen.H12))
-    if diag[2]:
-        parts.append((-diag[2], Gen.H23))
-    for gen, units in _MATRIX_UNITS.items():
-        if gen in (Gen.H12, Gen.H23):
-            continue
-        ((i, j),) = units.keys()
-        if m.get((i, j), 0):
-            parts.append((m[(i, j)], gen))
-    return tuple(parts)
-
-
-def commutator(g: Gen, h: Gen) -> tuple:
-    """[g, h] as a tuple of (integer coefficient, generator)."""
-    a, b = _MATRIX_UNITS[g], _MATRIX_UNITS[h]
-    bracket = _mat_mult(a, b)
-    for k, v in _mat_mult(b, a).items():
-        bracket[k] = bracket.get(k, 0) - v
-    return _decompose({k: v for k, v in bracket.items() if v})
-
-
-_GEN_INDEX = {g: i for i, g in enumerate(Gen)}
-
-# [g, h] by generator index, as ((integer coefficient, generator index), ...)
-_COMMUTATORS = tuple(
-    tuple(tuple((c, _GEN_INDEX[x]) for c, x in commutator(g, h)) for h in Gen) for g in Gen
-)
 
 class Root(Enum):
     A12 = ("12", Gen.E12, Gen.E21, (1, 0))
@@ -255,126 +211,58 @@ def h_form(cap: int | None, root: Root, n: int, m: int) -> ExponentForm:
     return ExponentForm(c0, c1, c2)
 
 
-#: The PBW letters of each module kind, leftmost first.
-_LETTERS = {BOREL: (Gen.E21, Gen.E32, Gen.E31), PARABOLIC: (Gen.E21, Gen.E31, Gen.E32)}
+# The action tables.  A coefficient is the affine form (c0, c1, c2), that is
+# c0 + c1*L1 + c2*L2; the parabolic tables take the cap k for L2.
+_BOREL_ACTION = {
+    Gen.E21: lambda a, b, c: (((a + 1, b, c), (1, 0, 0)),),
+    Gen.E31: lambda a, b, c: (((a, b, c + 1), (1, 0, 0)),),
+    Gen.E32: lambda a, b, c: (((a, b + 1, c), (1, 0, 0)), ((a - 1, b, c + 1), (a, 0, 0))),
+    Gen.E12: lambda a, b, c: (((a - 1, b, c), (a * (b - a - c + 1), a, 0)),
+                              ((a, b + 1, c - 1), (-c, 0, 0))),
+    Gen.E23: lambda a, b, c: (((a, b - 1, c), (b * (1 - b), 0, b)), ((a + 1, b, c - 1), (c, 0, 0))),
+    Gen.E13: lambda a, b, c: (((a, b, c - 1), (c * (1 - a - b - c), c, c)),
+                              ((a - 1, b - 1, c), (a * b * (b - 1), 0, -a * b))),
+    Gen.H12: lambda a, b, c: (((a, b, c), (b - 2 * a - c, 1, 0)),),
+    Gen.H23: lambda a, b, c: (((a, b, c), (a - 2 * b - c, 0, 1)),),
+}
+_PARABOLIC_ACTION = {
+    Gen.E21: lambda a, c, i, k: (((a + 1, c, i), (1, 0, 0)),),
+    Gen.E31: lambda a, c, i, k: (((a, c + 1, i), (1, 0, 0)),),
+    Gen.E32: lambda a, c, i, k: (((a, c, i + 1), (1, 0, 0)), ((a - 1, c + 1, i), (a, 0, 0))),
+    Gen.E12: lambda a, c, i, k: (((a - 1, c, i), (a * (i - a - c + 1), a, 0)),
+                                 ((a, c - 1, i + 1), (-c, 0, 0))),
+    Gen.E23: lambda a, c, i, k: (((a + 1, c - 1, i), (c, 0, 0)),
+                                 ((a, c, i - 1), (i * (k - i + 1), 0, 0))),
+    Gen.E13: lambda a, c, i, k: (((a, c - 1, i), (c * (k - a - c - i + 1), c, 0)),
+                                 ((a - 1, c, i - 1), (-a * i * (k - i + 1), 0, 0))),
+    Gen.H12: lambda a, c, i, k: (((a, c, i), (i - 2 * a - c, 1, 0)),),
+    Gen.H23: lambda a, c, i, k: (((a, c, i), (k + a - c - 2 * i, 0, 0)),),
+}
 
-# The packed point: L1 and L2 in slots 1 and 3 of 64 bits each (see the
-# module docstring).  Every |ci| < 2^63 holds with room to spare: the
-# coefficients grow about cubically with depth, and over every generator
-# and root Casimir on every space the largest has 14 bits (Borel, depth
-# 40), 16 bits (Borel, depth 70) and 12 bits (parabolic L2 2, depth 60),
-# so about 2^20 at the depth cap of 150.
-_SLOT = 64
-_PACKED_L1, _PACKED_L2 = 1 << _SLOT, 1 << 3 * _SLOT
-_HALF, _DIGIT = 1 << _SLOT - 1, (1 << _SLOT) - 1
+_ZERO = (0, 0, 0)
+
+#: The lowering letters: their coefficients are integers, on either kind.
+_LOWERING = frozenset(r.lowering for r in Root)
 
 
-def unpack(packed: int) -> ExponentForm:
-    """The affine form c0 + c1*L1 + c2*L2 a packed coefficient holds; a
-    nonzero empty slot is a coefficient that is not affine in the weight."""
-    if -_HALF <= packed < _HALF:  # a constant, such as every lowering coefficient
-        return ExponentForm(packed, 0, 0)
-    digits = []
-    for _ in range(4):
-        digit = ((packed + _HALF) & _DIGIT) - _HALF
-        digits.append(digit)
-        packed = (packed - digit) >> _SLOT
-    c0, c1, empty, c2 = digits
-    if empty or packed:
-        raise VerificationError("a straightened coefficient is not affine in the weight")
-    return ExponentForm(c0, c1, c2)
-
-
-class Straightener:
-    """PBW straightening for one module structure, the kind and the
-    parabolic ``cap`` on E32, with the Cartans acting on v by ``hw``.
-
-    A weight-bound straightener has ``hw`` the numerators (p1, p2) of one
-    weight over ``denom``.  A packed one has ``hw`` the packed point and
-    ``denom`` 1, so its coefficients are the affine forms themselves, and
-    it keeps the operator matrices that modules assemble on it.
-    """
-
-    def __init__(self, kind: str, cap: int | None, hw: tuple, denom: int, packed: bool = False):
-        letters = _LETTERS[kind]
-        self._letters = tuple(_GEN_INDEX[g] for g in letters)
-        # PBW position of each generator index; None for the Cartans and raisings
-        self._pos = tuple(letters.index(g) if g in letters else None for g in Gen)
-        # a cached coefficient c of generator g stands for c / scale[g]; lowering
-        # letters commute only into lowering letters, so their scale stays 1
-        self._scale = tuple(1 if g in letters else denom for g in Gen)
-        cartan = {Gen.H12: hw[0], Gen.H23: hw[1]}
-        self._hw = tuple(cartan.get(g, 0) for g in Gen)
-        self._cap = cap
-        self._cache = tuple({} for _ in Gen)
-        #: operator matrices by (op, n, m), each the row-major list of its
-        #: entries' affine forms as ``unpack`` gives them; None unless packed
-        self.matrices = {} if packed else None
-
-    def image(self, g: int, exps: tuple) -> dict:
-        """Generator index ``g`` times the PBW monomial ``exps``, as
-        {exponents: integer coefficient over ``self._scale[g]``}.
-
-        Unless g is a PBW letter at or left of the leading letter x, it commutes
-        past x: g x r = x (g r) + [g, x] r.  The chain of peeled monomials r is
-        filled bottom-up, so the stack grows with commutator nesting only."""
-        cache = self._cache[g]
-        pos = self._pos[g]
-        chain = []
-        e = exps
-        while e not in cache:
-            a, b, c = e
-            lead = 0 if a else 1 if b else 2 if c else None
-            if pos is not None and (lead is None or pos <= lead):
-                if pos == 2 and self._cap is not None and c >= self._cap:
-                    cache[e] = {}
-                else:
-                    cache[e] = {(a + (pos == 0), b + (pos == 1), c + (pos == 2)): 1}
-            elif lead is None:
-                hw = self._hw[g]  # a Cartan acts on v by its weight; a raising kills v
-                cache[e] = {e: hw} if hw else {}
-            else:
-                rest = (a - 1, b, c) if lead == 0 else (0, b - 1, c) if lead == 1 else (0, 0, c - 1)
-                chain.append((e, rest, self._letters[lead]))
-                e = rest
-        comm = _COMMUTATORS[g]
-        scale = self._scale
-        for e, rest, x in reversed(chain):
-            x_cache = self._cache[x]
-            acc: dict = {}
-            for w2, c2 in cache[rest].items():
-                sub = x_cache.get(w2)
-                if sub is None:
-                    sub = self.image(x, w2)
-                for w3, c3 in sub.items():
-                    acc[w3] = acc.get(w3, 0) + c2 * c3
-            for coeff, gi in comm[x]:
-                coeff = coeff * scale[g] // scale[gi]
-                for w3, c3 in self.image(gi, rest).items():
-                    acc[w3] = acc.get(w3, 0) + coeff * c3
-            cache[e] = {w: v for w, v in acc.items() if v}
-        return cache[exps]
-
-    def act(self, g: int, element: dict) -> dict:
-        """Generator index ``g`` on an integer combination of PBW monomials,
-        with coefficients as ``image`` gives them."""
-        cache = self._cache[g]
-        out: dict = {}
-        for exps, coeff in element.items():
-            image = cache.get(exps)
-            if image is None:
-                image = self.image(g, exps)
-            for e2, c in image.items():
-                out[e2] = out.get(e2, 0) + coeff * c
-        return {e: c for e, c in out.items() if c}
+def action(cap: int | None, g: Gen, exps: tuple) -> list:
+    """The generator ``g`` on the PBW monomial ``exps``, by the table of the
+    module with E32 capped at ``cap`` (None for the Borel module): at most
+    two (monomial, affine coefficient) terms.  A term whose coefficient is
+    zero, or whose exponent would go negative or pass the cap, is dropped."""
+    if cap is None:
+        return [t for t in _BOREL_ACTION[g](*exps) if any(t[1]) and min(t[0]) >= 0]
+    return [t for t in _PARABOLIC_ACTION[g](*exps, cap)
+            if any(t[1]) and min(t[0]) >= 0 and t[0][2] <= cap]
 
 
 @lru_cache(maxsize=1)
-def shared_straightener(kind: str, cap: int | None) -> Straightener:
-    """The packed straightener of a module structure.  Only the last one
-    asked for stays alive, so the two pipelines of a trace, and consecutive
-    traces of one structure, reuse it."""
-    return Straightener(kind, cap, (_PACKED_L1, _PACKED_L2 if cap is None else cap), 1, packed=True)
+def shared_forms(cap: int | None) -> dict:
+    """The operator matrices of a module structure's trace samples, by
+    (op, n, m), each the row-major list of its entries' affine forms.  Only
+    the last structure asked for stays alive, so the two pipelines of a
+    trace, and consecutive traces of one structure, reuse it."""
+    return {}
 
 
 def _label(op) -> str:
@@ -384,8 +272,9 @@ def _label(op) -> str:
 
 class VermaModule:
     """Weight-space bookkeeping and operator matrices for one module at one
-    highest weight, straightened by a weight-bound straightener of its own
-    or, when ``shared``, by the packed one of its structure."""
+    highest weight.  A ``shared`` module, one of a trace's weight samples,
+    keeps its matrices' affine forms in ``shared_forms`` of its structure;
+    any other keeps nothing."""
 
     def __init__(self, spec: ModuleSpec, shared: bool = False):
         check_genericity(spec)
@@ -395,18 +284,14 @@ class VermaModule:
         self.denom = lcm(l1.denominator, l2.denominator)
         self._p1 = l1.numerator * (self.denom // l1.denominator)
         self._p2 = l2.numerator * (self.denom // l2.denominator)
-        # the denominator of each generator's coefficients at this weight
-        self._scale = tuple(1 if g in _LETTERS[spec.kind] else self.denom for g in Gen)
         # a plain attribute, as ``dim`` reads it on every call
         self.cap = spec.cap
-        if shared:
-            self.straightener = shared_straightener(spec.kind, self.cap)
-        else:
-            self.straightener = Straightener(spec.kind, self.cap, (self._p1, self._p2), self.denom)
+        self.matrix_forms = shared_forms(self.cap) if shared else None
 
     def numerator(self, form: ExponentForm) -> int:
         """``form`` at this module's highest weight, as an integer over ``denom``."""
-        return form.c0 * self.denom + form.c1 * self._p1 + form.c2 * self._p2
+        c0, c1, c2 = form
+        return c0 * self.denom + c1 * self._p1 + c2 * self._p2
 
     # -- PBW monomials -------------------------------------------------------
 
@@ -433,15 +318,10 @@ class VermaModule:
 
     def apply_gen(self, g: Gen, element: dict) -> dict:
         """Act by a generator on a rational combination of PBW monomials."""
-        gi = _GEN_INDEX[g]
-        image = self.straightener.image
-        packed = self.straightener.matrices is not None
         out: dict = {}
         for exps, coeff in element.items():
-            for e, c in image(gi, exps).items():
-                value = (Fraction(self.numerator(unpack(c)), self.denom) if packed
-                         else Fraction(c, self._scale[gi]))
-                out[e] = out.get(e, 0) + coeff * value
+            for e, form in action(self.cap, g, exps):
+                out[e] = out.get(e, 0) + coeff * Fraction(self.numerator(form), self.denom)
         return {e: c for e, c in out.items() if c}
 
     # -- operator matrices ---------------------------------------------------
@@ -449,49 +329,47 @@ class VermaModule:
     def operator_matrix(self, op, source: tuple[int, int]) -> QMatrix:
         """Matrix of a generator, or of the quadratic Casimir of a root sl(2),
         on the (n, m) weight space; columns follow the source basis order.
+        A lowering letter's matrix is over 1, any other over ``denom``.
         """
         n, m = source
         if isinstance(op, Root):  # lowers, then raises back: one root step below the source
             (dn, dm), target = op.down_step, source
-            den = self._scale[_GEN_INDEX[op.raising]] * self._scale[_GEN_INDEX[op.lowering]]
         else:
             dn, dm = _WEIGHT_STEP[op]
             target = (n + dn, m + dm)
-            den = self._scale[_GEN_INDEX[op]]
         # the deepest space the operator touches: its source or one step below
         if n + m + max(0, dn + dm) > self.spec.depth:
             raise TruncationError(f"{_label(op)} on the weight space {source} reaches past "
                                   f"depth {self.spec.depth}")
         shape = self.dim(*target), self.dim(n, m)
-        matrices = self.straightener.matrices
-        if matrices is None:
-            return QMatrix.from_integers(*shape, self._assemble(op, source, target), den)
-        forms = matrices.get((op, n, m))
+        cache = self.matrix_forms
+        forms = None if cache is None else cache.get((op, n, m))
         if forms is None:
-            forms = matrices[op, n, m] = [unpack(c) for c in self._assemble(op, source, target)]
-        if den == self.denom:
-            p1, p2 = self._p1, self._p2
-            num = [c0 * den + c1 * p1 + c2 * p2 for c0, c1, c2 in forms]
-        else:  # a lowering letter, whose coefficients are integers
-            num = [c0 for c0, _, _ in forms]
-        return QMatrix.from_integers(*shape, num, den)
+            forms = self._forms(op, source, target, shape[0])
+            if cache is not None:
+                cache[op, n, m] = forms
+        if op in _LOWERING:
+            return QMatrix.from_integers(*shape, [c0 for c0, _, _ in forms], 1)
+        den, p1, p2 = self.denom, self._p1, self._p2
+        return QMatrix.from_integers(*shape, [c0 * den + c1 * p1 + c2 * p2 for c0, c1, c2 in forms],
+                                     den)
 
     def weight_free(self, op, n: int, m: int) -> bool:
-        """True when the packed straightener holds ``op``'s matrix on (n, m)
-        and no entry depends on the weight, every c1 and c2 zero, so every
-        weight sample poses the same problem, scaled by its ``denom``.  False
-        for a weight-bound module, which keeps no coefficients."""
-        forms = (self.straightener.matrices or {}).get((op, n, m))
+        """True when this shared module's structure holds ``op``'s matrix on
+        (n, m) and no entry depends on the weight, every c1 and c2 zero, so
+        every weight sample poses the same problem, scaled by its ``denom``.
+        False for a module that is not shared, which keeps no forms."""
+        forms = (self.matrix_forms or {}).get((op, n, m))
         return forms is not None and not any(c1 or c2 for _, c1, c2 in forms)
 
     def diagonal_forms(self, op, n: int, m: int) -> list | None:
-        """The diagonal of ``op``'s affine matrix on (n, m), when the packed
-        straightener holds it square, upper or lower triangular, with
+        """The diagonal of ``op``'s affine matrix on (n, m), when this shared
+        module's structure holds it square, upper or lower triangular, with
         pairwise distinct diagonal forms: then they are its eigenvalues, each
         of multiplicity 1, at every weight where their values stay distinct.
         None otherwise.  The orientation is decided on the matrix itself; a
         diagonal matrix is both."""
-        forms, d = (self.straightener.matrices or {}).get((op, n, m)), self.dim(n, m)
+        forms, d = (self.matrix_forms or {}).get((op, n, m)), self.dim(n, m)
         if forms is None or len(forms) != d * d:
             return None
         nonzero = [divmod(k, d) for k, form in enumerate(forms) if any(form)]
@@ -500,33 +378,34 @@ class VermaModule:
         diagonal = forms[::d + 1]
         return diagonal if len(set(diagonal)) == d else None
 
-    def _assemble(self, op, source: tuple[int, int], target: tuple[int, int]) -> list:
-        """The straightener's coefficients of ``op`` from the source space to
-        the target space, as a row-major list."""
+    def _forms(self, op, source: tuple[int, int], target: tuple[int, int], rows: int) -> list:
+        """``op``'s matrix from the source space to the target space of
+        dimension ``rows``, as the row-major list of its entries' affine
+        forms, read off the action table.  A Casimir E F + F E passes through
+        the spaces one root step below and above the source; one factor of
+        each product is a lowering letter's integer, so the product is affine."""
+        cap = self.cap
         basis = self.weight_space(*source)
-        act = self.straightener.act
-        if isinstance(op, Root):
-            up, down = _GEN_INDEX[op.raising], _GEN_INDEX[op.lowering]
-            images = []
-            for exps in basis:
-                vec = {exps: 1}
-                img = act(up, act(down, vec))
-                for e, c in act(down, act(up, vec)).items():
-                    img[e] = img.get(e, 0) + c
-                images.append(img)
-        else:
-            gi = _GEN_INDEX[op]
-            images = [act(gi, {exps: 1}) for exps in basis]
-        index = {exps: i for i, exps in enumerate(self.weight_space(*target))}
         cols = len(basis)
-        num = [0] * (len(index) * cols)
-        for j, img in enumerate(images):
-            for e, c in img.items():
-                i = index.get(e)
-                if i is None:
-                    raise VerificationError(f"straightened term left its weight space in {_label(op)}")
-                num[i * cols + j] = c
-        return num
+        forms = [_ZERO] * (rows * cols)
+        # bases are ordered by the last exponent, E31's or E32's, so a target
+        # monomial's row is that exponent less the first basis element's
+        tn, tm = target
+        low = 0 if cap is None else max(0, tm - tn)
+        for j, exps in enumerate(basis):
+            if isinstance(op, Root):
+                image: dict = {}
+                for first, second in ((op.lowering, op.raising), (op.raising, op.lowering)):
+                    for mid, (p0, p1, p2) in action(cap, first, exps):
+                        for e, (q0, q1, q2) in action(cap, second, mid):
+                            c0, c1, c2 = image.get(e, _ZERO)
+                            image[e] = (c0 + p0 * q0, c1 + p0 * q1 + p1 * q0, c2 + p0 * q2 + p2 * q0)
+                terms = image.items()
+            else:
+                terms = action(cap, op, exps)
+            for e, form in terms:
+                forms[(e[2] - low) * cols + j] = form
+        return forms
 
     # -- characters ----------------------------------------------------------
 

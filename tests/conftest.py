@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from vermatheta import BOREL, PARABOLIC, ModuleSpec, QMatrix, VermaModule, mat_scalar_shift, rank
-from vermatheta.verma import Gen, Root, commutator
+from vermatheta.verma import Gen, Root
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -104,10 +104,61 @@ def singular_dimension(module: VermaModule, root, n: int, m: int) -> int:
     return mat.cols - rank(mat)
 
 
+# -- the commutation rule, from matrix units ---------------------------------------
+
+MATRIX_UNITS = {
+    Gen.E12: {(0, 1): 1},
+    Gen.E23: {(1, 2): 1},
+    Gen.E13: {(0, 2): 1},
+    Gen.E21: {(1, 0): 1},
+    Gen.E32: {(2, 1): 1},
+    Gen.E31: {(2, 0): 1},
+    Gen.H12: {(0, 0): 1, (1, 1): -1},
+    Gen.H23: {(1, 1): 1, (2, 2): -1},
+}
+
+
+def mat_mult(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            if j == k:
+                out[(i, l)] = out.get((i, l), 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def decompose(m: dict) -> tuple:
+    """Express a traceless 3x3 matrix in the eight-generator basis."""
+    parts = []
+    diag = [m.get((i, i), 0) for i in range(3)]
+    assert sum(diag) == 0, "commutator is not traceless"
+    if diag[0]:
+        parts.append((diag[0], Gen.H12))
+    if diag[2]:
+        parts.append((-diag[2], Gen.H23))
+    for gen, units in MATRIX_UNITS.items():
+        if gen in (Gen.H12, Gen.H23):
+            continue
+        ((i, j),) = units.keys()
+        if m.get((i, j), 0):
+            parts.append((m[(i, j)], gen))
+    return tuple(parts)
+
+
+def commutator(g: Gen, h: Gen) -> tuple:
+    """[g, h] as a tuple of (integer coefficient, generator), from the
+    matrix-unit product rule."""
+    a, b = MATRIX_UNITS[g], MATRIX_UNITS[h]
+    bracket = mat_mult(a, b)
+    for k, v in mat_mult(b, a).items():
+        bracket[k] = bracket.get(k, 0) - v
+    return decompose({k: v for k, v in bracket.items() if v})
+
+
 class WordStraightener:
     """Straightening by recursion over words of ``Gen`` letters, as the
     package did before it worked on exponent triples; an oracle that shares
-    only the commutator rule with ``VermaModule``.
+    no code with ``VermaModule``, whose action is read off closed formulas.
 
     ``hw`` replaces the spec's highest weight, say by symbols, and ``expand``
     normalizes each coefficient before it is tested for zero.

@@ -758,7 +758,7 @@ def remeasured_table(module, root, region) -> BranchingTable:
       for key in TRACES if key.kind == PARABOLIC for l2 in (0, 1, 2)),
 ])
 def test_confirmed_traces_equal_a_full_remeasurement(monkeypatch, key, l2, samples):
-    # each sample's counts and table, re-measured on a weight-bound module,
+    # each sample's counts and table, re-measured on a single-weight module,
     # are what the pipelines measured at the first sample and confirmed
     window = Window(3, 4, 3)
     spec = ModuleSpec(key.kind, *(samples[0] if samples else (F(7, 3), l2)), 0)
@@ -810,7 +810,7 @@ def test_weight_free_is_decided_per_matrix():
             spec = spec.with_depth(required_depth(spec, key.root, window, key.regularized))
             trace_pipelines(spec, key.root, window, key.regularized)
             module = VermaModule(spec, shared=True)
-            for op, n, m in module.straightener.matrices:
+            for op, n, m in module.matrix_forms:
                 if op in (key.root, key.root.raising):  # built by this trace
                     free, total = held.get((key.kind, op), (0, 0))
                     held[key.kind, op] = (free + module.weight_free(op, n, m), total + 1)
@@ -819,8 +819,8 @@ def test_weight_free_is_decided_per_matrix():
     assert [held[BOREL, root][0] for root in Root] == [0, 0, 0]
     assert all(0 < held[kind, root.raising][0] < held[kind, root.raising][1]
                for kind, root in ((BOREL, Root.A13), (PARABOLIC, Root.A12), (PARABOLIC, Root.A13)))
-    # a weight-bound module keeps no coefficients, and a packed straightener
-    # decides only the matrices it holds
+    # a single-weight module keeps no forms, and a shared one decides only
+    # the matrices its structure holds
     spec = ModuleSpec(PARABOLIC, F(7, 3), 1, 6)
     bound, shared = VermaModule(spec), VermaModule(spec, shared=True)
     assert not shared.weight_free(Root.A23, 2, 3)
@@ -834,14 +834,14 @@ def test_weight_free_is_decided_per_matrix():
 
 def affine(rows) -> list:
     """The row-major entry forms of a matrix whose rows hold (c0, c1, c2)
-    entries, as a packed straightener keeps them."""
+    entries, as a shared module's structure keeps them."""
     return [ExponentForm(*entry) for row in rows for entry in row]
 
 
 def with_entry(forms: list, d: int, i: int, j: int, delta: tuple) -> list:
     """``forms`` of a d x d matrix with ``delta`` added to its (i, j) entry."""
     forms = list(forms)
-    forms[i * d + j] += ExponentForm(*delta)
+    forms[i * d + j] = ExponentForm(*forms[i * d + j]) + ExponentForm(*delta)
     return forms
 
 
@@ -862,32 +862,32 @@ def test_diagonal_forms_need_a_triangle_and_distinct_forms(monkeypatch, rows, di
     # Borel (d-1, d-1) space has dimension d
     d = len(rows)
     module = VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 2 * d), shared=True)
-    monkeypatch.setitem(module.straightener.matrices, (Root.A12, d - 1, d - 1), affine(rows))
+    monkeypatch.setitem(module.matrix_forms, (Root.A12, d - 1, d - 1), affine(rows))
     got = module.diagonal_forms(Root.A12, d - 1, d - 1)
     assert got == (diagonal if diagonal is None else affine([diagonal]))
 
 
 def test_diagonal_forms_need_a_cached_square_matrix(monkeypatch):
-    # a weight-bound module caches nothing, and a packed straightener answers
-    # only for a square matrix it holds: E32 maps the 2-dimensional (2, 1)
+    # a single-weight module keeps no forms, and a shared one answers only
+    # for a square matrix its structure holds: E32 maps the 2-dimensional (2, 1)
     # space to the 3-dimensional (2, 2), here with a triangle's distinct diagonal
     spec = ModuleSpec(BOREL, F(7, 3), F(5, 7), 6)
-    verma.shared_straightener.cache_clear()
+    verma.shared_forms.cache_clear()
     bound, shared = VermaModule(spec), VermaModule(spec, shared=True)
     assert shared.diagonal_forms(Root.A12, 2, 3) is None
     for module in (bound, shared):
         module.operator_matrix(Root.A12, (2, 3))
     assert shared.diagonal_forms(Root.A12, 2, 3) and bound.diagonal_forms(Root.A12, 2, 3) is None
-    monkeypatch.setitem(shared.straightener.matrices, (Gen.E32, 2, 1), affine([[A, Z], [Z, B], [C, Z]]))
+    monkeypatch.setitem(shared.matrix_forms, (Gen.E32, 2, 1), affine([[A, Z], [Z, B], [C, Z]]))
     assert shared.diagonal_forms(Gen.E32, 2, 1) is None
 
 
 def shared_casimir(spec: ModuleSpec, root: Root, n: int, m: int) -> tuple:
-    """The shared sample modules of ``spec`` and their straightener's cached
+    """The shared sample modules of ``spec`` and their structure's cached
     affine Casimir forms on (n, m)."""
     modules = [VermaModule(spec.with_weight(*w), shared=True) for w in lift_samples(spec)]
     modules[0].operator_matrix(root, (n, m))
-    return modules, modules[0].straightener.matrices[root, n, m]
+    return modules, modules[0].matrix_forms[root, n, m]
 
 
 @pytest.mark.parametrize("root, entry, message", [
@@ -908,7 +908,7 @@ def test_lift_space_on_shared_modules_refuses_a_perturbed_casimir(monkeypatch, r
     i, j = entry
     if i != j:  # the mirror entry is nonzero, so the matrix is no longer triangular
         assert any(coeffs[j * 3 + i])
-    monkeypatch.setitem(modules[0].straightener.matrices, (root, 2, 2),
+    monkeypatch.setitem(modules[0].matrix_forms, (root, 2, 2),
                         with_entry(coeffs, 3, i, j, (1, 0, 0)))
     # both paths give "found 2 of 3" on a perturbed diagonal, so the path is checked too
     ranked, real_kappa = [], branching.kappa_spectrum
@@ -927,7 +927,7 @@ def test_a_repeated_diagonal_form_takes_the_rank_path(monkeypatch):
     forms = candidate_forms(modules[0], Root.A12, 1, 2)
     assert lift_space(modules, Root.A12, 1, 2, forms) == [1, 1]
     e = tuple(forms[1])
-    matrices = modules[0].straightener.matrices
+    matrices = modules[0].matrix_forms
     monkeypatch.setitem(matrices, (Root.A12, 1, 2), affine([[e, Z], [Z, e]]))
     assert lift_space(modules, Root.A12, 1, 2, forms) == [0, 2]
     monkeypatch.setitem(matrices, (Root.A12, 1, 2), affine([[e, (1, 0, 0)], [Z, e]]))
@@ -946,7 +946,7 @@ def test_root_12_and_13_casimirs_are_read_off_the_diagonal(monkeypatch):
     def recorded_lift(modules, root, n, m, forms):
         before = len(ranked)
         counts = real_lift(modules, root, n, m, forms)
-        coeffs = modules[0].straightener.matrices[root, n, m]
+        coeffs = modules[0].matrix_forms[root, n, m]
         diagonal = modules[0].diagonal_forms(root, n, m)
         lifted.append((root, modules[0].dim(n, m), coeffs, diagonal, len(ranked) > before))
         return counts
@@ -1094,7 +1094,7 @@ FLIP = {Root.A12: Root.A23, Root.A23: Root.A12, Root.A13: Root.A13}
 def test_dynkin_flip_oracle():
     # the flip maps M(L1, L2) to M(L2, L1) and the (n, m) space to (m, n);
     # the PBW order E21^a E32^b E31^c is not flip invariant, so each side
-    # straightens along other commutator paths than its mirror
+    # reads other entries of the action table than its mirror
     spec = ModuleSpec(BOREL, F(7, 3), F(5, 7), 12)
     flipped = ModuleSpec(BOREL, F(5, 7), F(7, 3), 12)
     module, mirror = VermaModule(spec), VermaModule(flipped)
@@ -1128,7 +1128,7 @@ def test_dynkin_flip_oracle():
         } == mirrored.terms, root
 
 
-# -- straightener sharing ---------------------------------------------------------------
+# -- the shared forms cache -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("spec, root, regularized", [
@@ -1137,26 +1137,20 @@ def test_dynkin_flip_oracle():
     (ModuleSpec(PARABOLIC, F(7, 3), 2, 4), Root.A12, False),
 ])
 def test_trace_pipelines_build_one_straightener(monkeypatch, spec, root, regularized):
-    # both pipelines and all three weight samples, six modules, straighten
-    # on one packed straightener, and no module builds one of its own
-    built, modules = [], []
-
-    class Counted(verma.Straightener):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
+    # both pipelines and all three weight samples, six modules, keep their
+    # matrices in the one forms cache of their structure, built once
+    modules = []
     real_init = VermaModule.__init__
 
     def recorded(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
         modules.append(self)
 
-    monkeypatch.setattr(verma, "Straightener", Counted)
     monkeypatch.setattr(VermaModule, "__init__", recorded)
-    verma.shared_straightener.cache_clear()
+    verma.shared_forms.cache_clear()
     trace_pipelines(spec, root, Window(3, 4, 1), regularized)
-    verma.shared_straightener.cache_clear()
-    assert len(built) == 1 and built[0].matrices
-    assert len(modules) == 6 and all(m.straightener is built[0] for m in modules)
+    info = verma.shared_forms.cache_info()
+    verma.shared_forms.cache_clear()
+    assert info.misses == 1 and modules[0].matrix_forms
+    assert len(modules) == 6 and all(m.matrix_forms is modules[0].matrix_forms for m in modules)
     assert len({(m.spec.lambda1, m.spec.lambda2) for m in modules}) == 3

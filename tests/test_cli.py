@@ -1151,13 +1151,13 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
 
 def test_single_weight_commands_keep_weight_bound_straighteners(tmp_path):
     # one weight has nothing to share, so branch, spectrum and character
-    # never ask for the packed straightener
+    # never ask for the shared forms cache
     from vermatheta import verma
 
-    verma.shared_straightener.cache_clear()
+    verma.shared_forms.cache_clear()
     for module in (["--module", "borel"], ["--module", "parabolic", "--lambda2", "2"]):
         for command in (["branch", "--root", "13"], ["spectrum", "--root", "12"], ["character"]):
             code, _ = run(tmp_path, *command, *module, "--depth", "4", "--T", "2")
             assert code == 0, command
-    info = verma.shared_straightener.cache_info()
+    info = verma.shared_forms.cache_info()
     assert info.hits + info.misses == 0

@@ -94,14 +94,14 @@ def test_dead_definition_check_sees_leftovers():
 
 
 def test_only_verma_reads_the_matrix_cache():
-    # the packed straightener's matrix cache is verma's format; other modules
-    # ask ``VermaModule.weight_free`` and ``VermaModule.diagonal_forms``
+    # the shared forms cache is verma's format; other modules ask
+    # ``VermaModule.weight_free`` and ``VermaModule.diagonal_forms``
     readers = [
-        path.name for path in SOURCES if path.name != "verma.py"
-        and any(isinstance(node, ast.Attribute) and node.attr == "matrices"
-                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        path.name for path in SOURCES
+        if any(isinstance(node, ast.Attribute) and node.attr == "matrix_forms"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
     ]
-    assert readers == []
+    assert readers == ["verma.py"]
 
 
 def test_closed_form_with_notes_names_no_identity():

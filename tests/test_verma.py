@@ -4,14 +4,16 @@ from itertools import product
 import pytest
 
 from vermatheta import (
-    BOREL, PARABOLIC, ModuleSpec, VermaModule, Window, genericity_guard, mat_scalar_shift, rank,
+    BOREL, PARABOLIC, ModuleSpec, QMatrix, VermaModule, Window, genericity_guard, mat_scalar_shift,
+    rank,
 )
+from vermatheta.branching import DEFAULT_WEIGHTS, trace_pipelines
 from vermatheta.errors import GenericityError, TruncationError, UsageError, VerificationError
 from vermatheta.qseries import ExponentForm, Monomial
 from vermatheta.theta import borel_character_closed_form
-from vermatheta.verma import _WEIGHT_STEP, Gen, Root, commutator, shared_straightener, unpack
+from vermatheta.verma import _WEIGHT_STEP, Gen, Root, action, h_form, shared_forms
 
-from conftest import WEIGHTS, WordStraightener, matrix_rows, singular_dimension, straighten
+from conftest import WEIGHTS, WordStraightener, commutator, matrix_rows, singular_dimension, straighten
 
 F = Fraction
 
@@ -168,34 +170,107 @@ def test_cold_cache_straightening_of_a_long_monomial():
 
 
 
-# -- the shared packed straightener ----------------------------------------------
+# -- the action table -------------------------------------------------------------
 
-#: Weights the shared straightener is checked at, in order: each kind's
-#: second weight reads the first one's cached operator matrices.
+
+@pytest.mark.parametrize("kind, l2", [(BOREL, None), *((PARABOLIC, k) for k in range(6))])
+def test_action_table_matches_the_word_oracle(kind, l2):
+    # every generator's table entry on every PBW monomial with n + m <= 24,
+    # evaluated at the weight samples: an affine form is fixed by its values
+    # at three points off one line, or at two L1 values on the parabolic
+    # module, whose forms have no L2 part
+    weights = WEIGHTS if kind == BOREL else [(l1, l2) for l1, _ in WEIGHTS[:2]]
+    for l1, lambda2 in weights:
+        spec = ModuleSpec(kind, l1, lambda2, 24)
+        oracle, module = WordStraightener(spec), VermaModule(spec)
+        for n, m in ((n, s - n) for s in range(25) for n in range(s + 1)):
+            for exps in module.weight_space(n, m):
+                for g in Gen:
+                    terms = action(spec.cap, g, exps)
+                    assert len(terms) <= 2 and all(f[2] == 0 for _, f in terms if kind == PARABOLIC)
+                    got = {e: c0 + c1 * l1 + c2 * lambda2 for e, (c0, c1, c2) in terms}
+                    assert got == oracle.apply_gen(g, exps), (spec, g, exps)
+
+
+def times(a, b):
+    """The matrix product a b, over a.den * b.den."""
+    num = [sum(a.num[i * a.cols + k] * b.num[k * b.cols + j] for k in range(a.cols))
+           for i in range(a.rows) for j in range(b.cols)]
+    return QMatrix.from_integers(a.rows, b.cols, num, a.den * b.den)
+
+
+def over(mat, den: int) -> list:
+    """``mat``'s numerators over ``den``, a multiple of its denominator."""
+    return [x * (den // mat.den) for x in mat.num]
+
+
+def bracket(module, x: Gen, y: Gen, space: tuple) -> list:
+    """[x, y] on ``space`` as integers over the square of the weight
+    denominator, through the spaces one step of x or y away."""
+    (n, m), den = space, module.denom ** 2
+    sides = []
+    for first, second in ((y, x), (x, y)):
+        dn, dm = _WEIGHT_STEP[first]
+        sides.append(over(times(module.operator_matrix(second, (n + dn, m + dm)),
+                                module.operator_matrix(first, space)), den))
+    return [p - q for p, q in zip(*sides)]
+
+
+RELATION_MODULES = [
+    *((BOREL, l1, l2) for l1, l2 in DEFAULT_WEIGHTS),
+    *((PARABOLIC, l1, k) for k in range(4) for l1, _ in DEFAULT_WEIGHTS),
+]
+
+
+@pytest.mark.parametrize("kind, l1, l2", RELATION_MODULES)
+def test_table_matrices_satisfy_the_defining_relations(kind, l1, l2):
+    # on every space with n + m <= 12: [E12, E21] = H12 and [E23, E32] = H23
+    # act by h_form's values, [E12, E32] = [E23, E21] = 0, E13 = [E12, E23],
+    # E31 = [E32, E21], and every raising generator kills v
+    module = VermaModule(ModuleSpec(kind, l1, l2, 14))
+    den = module.denom ** 2
+    for n, m in ((n, s - n) for s in range(13) for n in range(s + 1)):
+        d = module.dim(n, m)
+        if not d:
+            continue
+        identity = [int(i == j) for i in range(d) for j in range(d)]
+        for root, cartan in ((Root.A12, Gen.H12), (Root.A23, Gen.H23)):
+            h = module.numerator(h_form(module.cap, root, n, m)) * module.denom
+            assert over(module.operator_matrix(cartan, (n, m)), den) == [h * e for e in identity]
+            assert bracket(module, root.raising, root.lowering, (n, m)) == [h * e for e in identity]
+        for x, y in ((Gen.E12, Gen.E32), (Gen.E23, Gen.E21)):
+            assert not any(bracket(module, x, y, (n, m))), (x, y, n, m)
+        for z, x, y in ((Gen.E13, Gen.E12, Gen.E23), (Gen.E31, Gen.E32, Gen.E21)):
+            want = over(module.operator_matrix(z, (n, m)), den)
+            assert bracket(module, x, y, (n, m)) == want, (z, n, m)
+    for g in (root.raising for root in Root):
+        assert action(module.cap, g, (0, 0, 0)) == []
+
+
+# -- the shared forms cache ------------------------------------------------------
+
+#: Weights the shared forms are checked at, in order: each kind's second
+#: weight reads the first one's cached operator matrices.
 SHARED_WEIGHTS = [
     (BOREL, F(7, 3), F(5, 7)), (BOREL, F(11, 6), F(-4, 9)),
     *((PARABOLIC, l1, l2) for l2 in range(4) for l1 in (F(7, 3), F(11, 6))),
 ]
 
 
-def packed_coefficients(straightener):
-    return (c for cache in straightener._cache for image in cache.values() for c in image.values())
-
-
 def test_shared_straightener_matches_the_weight_bound_one():
     # every generator and root Casimir on every space to depth 8 gives the
-    # same QMatrix on a module of the shared straightener as on a module of
-    # its own at the same weight, and so does apply_gen
-    shared_straightener.cache_clear()
+    # same QMatrix on a shared module, evaluated from its structure's cached
+    # forms, as on a single-weight module at the same weight
+    shared_forms.cache_clear()
     checked = 0
     for kind, l1, l2 in SHARED_WEIGHTS:
         spec = ModuleSpec(kind, l1, l2, 8)
-        shared, bound = VermaModule(spec, shared=True), VermaModule(spec)
+        shared, single = VermaModule(spec, shared=True), VermaModule(spec)
         for n in range(9):
             for m in range(9 - n):
                 for op in (*Gen, *Root):
                     try:
-                        want = bound.operator_matrix(op, (n, m))
+                        want = single.operator_matrix(op, (n, m))
                     except TruncationError:
                         with pytest.raises(TruncationError):
                             shared.operator_matrix(op, (n, m))
@@ -204,51 +279,45 @@ def test_shared_straightener_matches_the_weight_bound_one():
                     assert (got.rows, got.cols, got.num, got.den) == (
                         want.rows, want.cols, want.num, want.den), (spec, op, n, m)
                     checked += 1
-                for exps in bound.weight_space(n, m):
-                    for g in Gen:
-                        for element in ({exps: 1}, {exps: F(-2, 5)}):
-                            assert shared.apply_gen(g, element) == bound.apply_gen(g, element)
         if kind == PARABOLIC:
             # the integral L2 is folded into c0, as h_form does
-            assert all(unpack(c).c2 == 0 for c in packed_coefficients(shared.straightener))
+            assert all(c2 == 0 for forms in shared.matrix_forms.values() for _, _, c2 in forms)
     assert checked == 4250
 
 
-def test_unpack_reads_affine_forms_and_refuses_empty_slots():
-    for form in ((0, 0, 0), (5, -3, 7), (-(2**62), 2**62 + 1, -1), (2**63 - 1, -(2**63), 0)):
-        c0, c1, c2 = form
-        assert unpack(c0 + c1 * 2**64 + c2 * 2**192) == form
-    # L1^2, L1*L2 and L2^2 land in the empty slots 2, 4 and 6
-    for bad in (2**128, 3 - 2**128, 2**256 + 2**64, -(2**384), 2**448):
-        with pytest.raises(VerificationError, match="not affine"):
-            unpack(bad)
-
-
-@pytest.mark.parametrize("kind, l2, depth", [(BOREL, F(5, 7), 40), (PARABOLIC, 2, 60)])
-def test_packed_coefficients_stay_far_below_their_slots(kind, l2, depth):
-    shared_straightener.cache_clear()
-    module = VermaModule(ModuleSpec(kind, F(7, 3), l2, depth), shared=True)
-    top = depth - 2
-    for n in range(top + 1):
-        for root in Root:
-            if module.dim(n, top - n):
-                module.operator_matrix(root, (n, top - n))
-    largest = max(abs(c) for packed in packed_coefficients(module.straightener)
-                  for c in unpack(packed))
-    assert 2**8 < largest < 2**32
-
-
 def test_sample_modules_share_one_straightener_per_structure():
-    shared_straightener.cache_clear()
+    shared_forms.cache_clear()
     a, b = (VermaModule(ModuleSpec(BOREL, l1, l2, 4), shared=True)
             for l1, l2 in ((F(7, 3), F(5, 7)), (F(11, 5), F(-3, 7))))
-    assert a.straightener is b.straightener
-    assert VermaModule(a.spec).straightener is not a.straightener
+    assert a.matrix_forms is b.matrix_forms
+    assert VermaModule(a.spec).matrix_forms is None
     # another structure drops it; at most one is alive
     parabolic = VermaModule(ModuleSpec(PARABOLIC, F(7, 3), 1, 4), shared=True)
-    assert parabolic.straightener is not a.straightener
-    assert VermaModule(a.spec, shared=True).straightener is not a.straightener
-    assert shared_straightener.cache_info().currsize == 1
+    assert parabolic.matrix_forms is not a.matrix_forms
+    assert VermaModule(a.spec, shared=True).matrix_forms is not a.matrix_forms
+    assert shared_forms.cache_info().currsize == 1
+
+
+def test_single_weight_modules_keep_no_forms_and_traces_keep_one_structure():
+    # a single-weight module evaluates each matrix at its weight and keeps
+    # nothing; a trace's sample modules share one structure's forms, the next
+    # trace of that structure reuses them, and a trace of another drops them
+    shared_forms.cache_clear()
+    module = VermaModule(ModuleSpec(BOREL, F(7, 3), F(5, 7), 6))
+    for n, m in ((n, s - n) for s in range(5) for n in range(s + 1)):
+        for op in (*Gen, *Root):
+            module.operator_matrix(op, (n, m))
+    assert module.matrix_forms is None and shared_forms.cache_info().currsize == 0
+    borel = ModuleSpec(BOREL, F(7, 3), F(5, 7), 4)
+    trace_pipelines(borel, Root.A12, Window(3, 4, 1), True)
+    held = shared_forms(None)
+    size = len(held)
+    assert size and all(key[0] in (Root.A12, Gen.E12) for key in held)
+    trace_pipelines(borel, Root.A13, Window(3, 4, 1), False)
+    assert shared_forms(None) is held and len(held) > size
+    trace_pipelines(ModuleSpec(PARABOLIC, F(7, 3), 2, 4), Root.A12, Window(3, 4, 1), False)
+    assert shared_forms.cache_info().currsize == 1 and shared_forms(None) is not held
+    shared_forms.cache_clear()
 
 
 # -- weight spaces ---------------------------------------------------------------
