@@ -88,6 +88,9 @@ from .qseries import ExponentForm, FormalSeries, Monomial, Window
 
 
 class Gen(Enum):
+    # members are singletons, so identity hashing agrees with ==; Enum's own
+    # __hash__ is a Python call on every table and matrix-cache lookup
+    __hash__ = object.__hash__
     E12 = "E12"
     E23 = "E23"
     E13 = "E13"
@@ -99,6 +102,7 @@ class Gen(Enum):
 
 
 class Root(Enum):
+    __hash__ = object.__hash__  # as Gen's
     A12 = ("12", Gen.E12, Gen.E21, (1, 0))
     A23 = ("23", Gen.E23, Gen.E32, (0, 1))
     A13 = ("13", Gen.E13, Gen.E31, (1, 1))

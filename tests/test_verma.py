@@ -162,7 +162,7 @@ def test_straightening_matches_word_oracle(borel_module, parabolic_modules):
 
 def test_cold_cache_straightening_of_a_long_monomial():
     # E12 E21^a w = a(mu - a + 1) E21^(a-1) w for w = E32^a v of h1-value
-    # mu = L1 + a; peeling its 1600 letters must not exhaust Python's stack
+    # mu = L1 + a: the sl(2) ladder rule, here on a monomial of 1600 letters
     l1, a = F(7, 3), 800
     module = VermaModule(ModuleSpec(BOREL, l1, F(5, 7), 1602))
     mu = l1 + a
