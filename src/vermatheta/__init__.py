@@ -9,7 +9,7 @@ from .branching import (
     trace_brute_force,
     trace_from_branching,
 )
-from .exactalg import QMatrix, kernel_basis, mat_scalar_shift, rank, rat
+from .exactalg import QMatrix, kernel_basis, mat_scalar_shift, nullities, rank, rat
 from .qseries import ExponentForm, FormalSeries, Monomial, Window
 from .theta import ClosedFormId, verify_identity
 from .verma import BOREL, PARABOLIC, Gen, ModuleSpec, Root, VermaModule, genericity_guard
@@ -36,6 +36,7 @@ __all__ = [
     "kappa_spectrum",
     "kernel_basis",
     "mat_scalar_shift",
+    "nullities",
     "rank",
     "rat",
     "trace_brute_force",

@@ -10,8 +10,10 @@ Two independent pipelines produce each trace series:
   weight space and reads off the multiplicity of each of a finite list of
   affine candidate forms.  A Casimir whose affine matrix is triangular with
   distinct diagonal forms, as every root-12 and root-13 one measured is, is
-  read off that diagonal, which must lie among the candidates; any other is
-  diagonalized by kernel ranks against them.
+  read off that diagonal, which must lie among the candidates; any other
+  has each candidate's nullity measured by ``exactalg.nullities``: a
+  determinant recurrence on an unreduced tridiagonal matrix, as every
+  root-23 one measured is, and a kernel rank otherwise.
 
 Each pipeline runs at several guard-passing highest weights, the weight
 samples.  A Casimir read off its affine diagonal holds at every sample at
@@ -39,7 +41,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import UsageError, VerificationError
-from .exactalg import kernel_basis, mat_scalar_shift, rank
+from .exactalg import kernel_basis, nullities, rank
 from .qseries import ExponentForm, FormalSeries, Monomial, Window
 from .verma import BOREL, PARABOLIC, ModuleSpec, Root, VermaModule, action, h_form
 
@@ -248,8 +250,8 @@ def candidate_forms(module: VermaModule, root: Root, n: int, m: int) -> list:
     same form at its depth k, with i = w + 2k, so the list misses no
     constituent.  ``lift_space`` checks that it misses no eigenvalue: a
     triangular Casimir's affine diagonal must lie among the candidates, and
-    on any other space ``kappa_spectrum``'s ranks must fill the space.  The
-    brute force also uses the list as its window pre-filter.
+    on any other space ``kappa_spectrum``'s nullities must fill the space.
+    The brute force also uses the list as its window pre-filter.
     """
     c0, c1, c2 = h_form(module.cap, root, n, m)
     dn, dm = root.down_step
@@ -287,17 +289,18 @@ def _require_complete(found: int, d: int, root: Root, n: int, m: int) -> None:
 
 def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None,
                    mat=None) -> tuple:
-    """Eigenvalue multiset of the root Casimir on (n, m) by kernel ranks, as
-    sorted (numerator, multiplicity) pairs over ``module.denom``.
+    """Eigenvalue multiset of the root Casimir on (n, m) by the nullities of
+    its candidate shifts (``exactalg.nullities``), as sorted (numerator,
+    multiplicity) pairs over ``module.denom``.
 
     The candidates are ``forms``, by default ``candidate_forms`` of the
     space, and ``mat`` is the Casimir's matrix when the caller has built it.
-    The multiplicity of e is dim ker(kappa - e*I); completeness (the
-    multiplicities summing to the space dimension) is enforced, so an
-    eigenvalue no candidate names, or a non-diagonalizable operator, is a
-    hard error.  The Casimir's denominator is scale[raising] *
-    scale[lowering], the weight denominator, so each candidate shifts the
-    matrix's numerators directly.
+    The multiplicity of e is dim ker(kappa - e*I), read in ascending order
+    of e until the space is full; completeness (the multiplicities summing
+    to the space dimension) is enforced, so an eigenvalue no candidate
+    names, or a non-diagonalizable operator, is a hard error.  The
+    Casimir's denominator is scale[raising] * scale[lowering], the weight
+    denominator, so each candidate shifts the matrix's numerators directly.
     """
     if mat is None:
         mat = _casimir(module, root, n, m)
@@ -307,8 +310,7 @@ def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None,
     values = sorted({module.numerator(f) for f in forms})
     found = []
     total = 0
-    for value in values:
-        mult = d - rank(mat_scalar_shift(mat, value))
+    for value, mult in zip(values, nullities(mat, values)):
         if mult:
             found.append((value, mult))
             total += mult
@@ -483,13 +485,16 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     That comparison tests ``candidate_forms``' sl(2) rule against the module
     itself; no rank is taken and no later sample's Casimir is built.
 
-    Otherwise, as on root 23, the first module's kernel-rank spectrum gives
+    Otherwise, as on root 23, the first module's ``kappa_spectrum`` gives
     the counts, which must sum to the space's dimension.  Another module
-    confirms them with one rank per form of nonzero count,
-    d - rank(kappa - e*I) == count: eigenspaces of distinct eigenvalues are
-    independent, so those nullities filling the space leave every other form
-    nullity 0, its count.  When the Casimir is weight-free and the forms are
-    constants, every sample's problem is the first one's times its
+    confirms them with one nullity per form of nonzero count,
+    dim ker(kappa - e*I) == count, stopping at the first that differs:
+    eigenspaces of distinct eigenvalues are independent, so those nullities
+    filling the space leave every other form nullity 0, its count.  The
+    nullities come from ``exactalg.nullities``: a root-23 Casimir, unreduced
+    tridiagonal at every sample measured so far, takes the determinant
+    recurrence and no rank.  When the Casimir is weight-free and the forms
+    are constants, every sample's problem is the first one's times its
     denominator, and the counts stand unconfirmed.
 
     A form's count is the multiplicity of its value, so the forms' values at
@@ -523,9 +528,9 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
         return counts
     for mod in rest:
         values = _values(mod, forms, n, m)
-        mat = _casimir(mod, root, n, m)
-        if any(count and mat.cols - rank(mat_scalar_shift(mat, value)) != count
-               for value, count in zip(values, counts)):
+        confirm = [(value, count) for value, count in zip(values, counts) if count]
+        got = nullities(_casimir(mod, root, n, m), [value for value, _ in confirm])
+        if any(nullity != count for nullity, (_, count) in zip(got, confirm)):
             raise VerificationError(f"lifted multiplicities disagree at {(n, m)}")
     return counts
 
@@ -539,8 +544,9 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
     On a space whose affine Casimir is triangular with distinct diagonal
     forms, every root-12 and root-13 space measured so far, those forms are
     the eigenvalues at every weight sample, each of multiplicity 1, and must
-    be among the candidate forms.  On any other space each candidate's
-    multiplicity is measured by kernel ranks at the first weight sample,
+    be among the candidate forms.  On any other space, every root-23 one of
+    two or more rows, each candidate's multiplicity is the nullity of its shift
+    (``exactalg.nullities``), measured at the first weight sample and
     confirmed at the others; weight-free spaces carry over (``lift_space``).
     Any disagreement or ambiguity is a hard error.
     """

@@ -1,4 +1,6 @@
-"""Exact dense linear algebra over arbitrary-precision rationals.
+"""Exact linear algebra over arbitrary-precision rationals: dense
+elimination, and the nullities of scalar shifts, which an unreduced
+tridiagonal matrix gives by a determinant recurrence instead.
 
 A ``QMatrix`` holds integer numerators over one positive common denominator,
 so elimination runs on the numerators directly: scaling by a positive
@@ -66,8 +68,10 @@ class QMatrix:
         if den <= 0:
             raise UsageError("matrix denominator must be positive")
         m = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (rows, cols, num, den)):
-            object.__setattr__(m, name, value)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "num", num)
+        object.__setattr__(m, "den", den)
         return m
 
 
@@ -125,6 +129,53 @@ def _echelon(rows: list[list[int]]) -> list[int]:
 
 def rank(m: QMatrix) -> int:
     return len(_echelon(_numerator_rows(m)))
+
+
+def _tridiagonal(a: QMatrix):
+    """(diagonal, products) of an unreduced tridiagonal ``a`` of two or more
+    rows: its diagonal numerators and each product a[k-1][k] * a[k][k-1],
+    none zero; None for any other matrix."""
+    d = a.rows
+    if d < 2 or a.cols != d:
+        return None
+    num = a.num
+    products = [num[(k - 1) * d + k] * num[k * d + k - 1] for k in range(1, d)]
+    if not all(products):
+        return None
+    for i in range(d):
+        row = i * d
+        if any(num[row : row + max(i - 1, 0)]) or any(num[row + i + 2 : row + d]):
+            return None
+    return num[:: d + 1], products
+
+
+def nullities(a: QMatrix, shifts):
+    """Yield dim ker(a - (s / a.den)*I) for each integer numerator s of
+    ``shifts``, in order and lazily, for a square matrix a.
+
+    Whether a is unreduced tridiagonal, every entry off its three bands zero
+    and every sub- and super-diagonal entry nonzero, is decided once.  If it
+    is, delete the first row and the last column of a - s*I: what is left is
+    triangular with the sub-diagonal on its diagonal, so the rank is at
+    least d - 1, the nullity at most 1, and the nullity is 1 exactly when
+    the determinant vanishes.  On the numerators, f_0 = 1,
+    f_1 = a[0][0] - s and
+    f_(k+1) = (a[k][k] - s) * f_k - a[k-1][k] * a[k][k-1] * f_(k-1)
+    give that determinant, f_d, in O(d) integer steps.  Any other matrix
+    takes d - rank(a - s*I), and so does a 1x1 one, whose rank is already
+    a single comparison.
+    """
+    band = _tridiagonal(a)
+    if band is None:
+        for s in shifts:
+            yield a.cols - rank(mat_scalar_shift(a, s))
+        return
+    (first, *rest), products = band
+    for s in shifts:
+        before, det = 1, first - s
+        for x, p in zip(rest, products):
+            before, det = det, (x - s) * det - p * before
+        yield int(det == 0)
 
 
 def kernel_basis(m: QMatrix) -> list[tuple[int, ...]]:

@@ -208,11 +208,15 @@ def h_form(cap: int | None, root: Root, n: int, m: int) -> ExponentForm:
     constant part, so parabolic forms always have c2 = 0; the Borel module
     has ``cap`` None and keeps L2 symbolic.
     """
-    h1, h2 = ExponentForm(m - 2 * n, 1, 0), ExponentForm(n - 2 * m, 0, 1)
-    c0, c1, c2 = h1 if root is Root.A12 else h2 if root is Root.A23 else h1 + h2
-    if cap is not None:
-        c0, c2 = c0 + c2 * cap, 0
-    return ExponentForm(c0, c1, c2)
+    if root is Root.A12:
+        c0, c1, c2 = m - 2 * n, 1, 0
+    elif root is Root.A23:
+        c0, c1, c2 = n - 2 * m, 0, 1
+    else:
+        c0, c1, c2 = -n - m, 1, 1
+    if cap is None:
+        return ExponentForm(c0, c1, c2)
+    return ExponentForm(c0 + c2 * cap, c1, 0)
 
 
 # The action tables.  A coefficient is the affine form (c0, c1, c2), that is

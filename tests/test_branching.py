@@ -22,7 +22,7 @@ from vermatheta import (
     trace_brute_force,
     trace_from_branching,
 )
-from vermatheta import branching, verma
+from vermatheta import branching, exactalg, verma
 from vermatheta.branching import (
     FINITE,
     VERMA,
@@ -938,8 +938,9 @@ def test_a_repeated_diagonal_form_takes_the_rank_path(monkeypatch):
 def test_root_12_and_13_casimirs_are_read_off_the_diagonal(monkeypatch):
     # over suite's regions every root-12 and root-13 Casimir is triangular
     # with distinct diagonal forms, so lift_space takes no rank there, and
-    # no root-23 Casimir of more than one row is, so each reaches the ranks;
-    # upper and lower triangles both occur, so neither can be assumed
+    # no root-23 Casimir of more than one row is, so each reaches
+    # kappa_spectrum; upper and lower triangles both occur, so neither can
+    # be assumed
     lifted, ranked = [], []
     real_lift, real_kappa = branching.lift_space, branching.kappa_spectrum
 
@@ -973,6 +974,52 @@ def test_root_12_and_13_casimirs_are_read_off_the_diagonal(monkeypatch):
         orientations.add((any(i < j for i, j in nonzero), any(i > j for i, j in nonzero)))
     assert orientations == {(False, False), (True, False), (False, True)}
     assert any(root is Root.A23 and d > 1 for root, d, _, _, _ in lifted)
+
+
+def unreduced_tridiagonal(mat) -> bool:
+    """Whether a square matrix's entries off its three bands are all zero and
+    those on its sub- and super-diagonal all nonzero."""
+    d = mat.cols
+    entry = lambda i, j: mat.num[i * d + j]
+    return (mat.rows == d
+            and all(entry(i, j) == 0 for i in range(d) for j in range(d) if abs(i - j) > 1)
+            and all(entry(k - 1, k) and entry(k, k - 1) for k in range(1, d)))
+
+
+def test_root_23_casimirs_take_the_band_recurrence(monkeypatch):
+    # over suite's regions, at every weight sample, every root-23 Casimir of
+    # more than one row is unreduced tridiagonal, so the root-23 brute force
+    # takes no rank at all: the first sample's spectrum and each later
+    # sample's confirmation both run the determinant recurrence
+    ranked, lifted = [], []
+    for module in (exactalg, branching):
+        real = module.rank
+        monkeypatch.setattr(module, "rank", lambda m, real=real: ranked.append(m) or real(m))
+    real_lift = branching.lift_space
+
+    def recorded_lift(modules, root, n, m, forms):
+        lifted.append((modules, n, m))
+        return real_lift(modules, root, n, m, forms)
+
+    monkeypatch.setattr(branching, "lift_space", recorded_lift)
+    window = Window(5, 8, 8)
+    for key in TRACES:
+        if key.root is not Root.A23:
+            continue
+        for l2 in ((F(5, 7),) if key.kind == BOREL else (0, 1, 2, 3)):
+            spec = ModuleSpec(key.kind, F(7, 3), l2, 10)
+            spec = spec.with_depth(required_depth(spec, key.root, window, key.regularized))
+            trace_brute_force(spec, key.root, window, key.regularized)
+    assert ranked == []
+    bands = 0
+    for modules, n, m in lifted:
+        for module in modules:
+            mat = module.operator_matrix(Root.A23, (n, m))
+            if mat.cols > 1:
+                assert unreduced_tridiagonal(mat), (module.spec, n, m)
+                bands += 1
+    kinds = {modules[0].spec.kind for modules, n, m in lifted if modules[0].dim(n, m) > 1}
+    assert bands and kinds == {BOREL, PARABOLIC}
 
 
 @pytest.mark.parametrize("kind, l2", [(BOREL, F(5, 7)), (PARABOLIC, 0), (PARABOLIC, 1),

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
-from vermatheta import QMatrix, kernel_basis, mat_scalar_shift, rank, rat
+from vermatheta import QMatrix, exactalg, kernel_basis, mat_scalar_shift, nullities, rank, rat
 from vermatheta.errors import UsageError
 
 from conftest import matrix_rows, qmatrix, shifted
@@ -254,3 +254,81 @@ def test_elimination_matches_sympy_oracle():
                 want = (oracle - sympy.Rational(shift.numerator, shift.denominator) * sympy.eye(size)).rank()
                 assert rank(shifted(m, shift)) == want, (size, shift)
                 assert shift != c or want < size
+
+
+# -- nullities of shifted matrices -------------------------------------------------
+
+#: the shapes ``nullities`` tells apart: an unreduced tridiagonal band takes
+#: the determinant recurrence, every other shape the rank
+SHAPES = ("unreduced-tridiagonal", "reduced-tridiagonal", "upper-bidiagonal",
+          "lower-bidiagonal", "dense", "1x1")
+
+
+@st.composite
+def shaped_matrices(draw, shape):
+    """A square integer matrix of the given one of ``SHAPES``.
+
+    A bidiagonal matrix draws its diagonal from two values, so they repeat.
+    Any other matrix may have its diagonal set so that every row sums to one
+    value s0, which makes s0 an eigenvalue with the all-ones eigenvector;
+    a reduced band set so can have nullity 2 there, which the recurrence
+    would read as 1."""
+    d = 1 if shape == "1x1" else draw(st.integers(2, 6))
+    entry, nonzero = st.integers(-3, 3), st.sampled_from((1, -1, 2, -2, 3, -3))
+    num = [0] * (d * d)
+    if shape.endswith("bidiagonal"):
+        values = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+        for k in range(d):
+            num[k * d + k] = draw(st.sampled_from(values))
+        upper = shape == "upper-bidiagonal"
+        for k in range(1, d):
+            num[(k - 1) * d + k if upper else k * d + k - 1] = draw(entry)
+    else:
+        if shape == "dense":
+            cells = [(i, j) for i in range(d) for j in range(d)]
+        else:
+            cells = [(i, j) for i in range(d) for j in range(max(i - 1, 0), min(i + 2, d))]
+        unreduced = shape == "unreduced-tridiagonal"
+        for i, j in cells:
+            num[i * d + j] = draw(nonzero if unreduced and i != j else entry)
+        if shape == "reduced-tridiagonal":
+            k = draw(st.integers(1, d - 1))
+            num[(k - 1) * d + k if draw(st.booleans()) else k * d + k - 1] = 0
+        if draw(st.booleans()):
+            s0 = draw(entry)
+            for i in range(d):
+                num[i * d + i] = s0 - sum(num[i * d : i * d + d]) + num[i * d + i]
+    return QMatrix.from_integers(d, d, num, draw(st.integers(1, 3)))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@given(data=st.data())
+def test_nullities_match_the_rank_of_each_shift(shape, data):
+    # every integer eigenvalue of the numerators lies in their Gershgorin
+    # range, so the shifts, in a drawn order, meet each one
+    a = data.draw(shaped_matrices(shape))
+    d = a.rows
+    bound = max(sum(map(abs, a.num[i * d : i * d + d])) for i in range(d))
+    shifts = data.draw(st.permutations(range(-bound, bound + 1)))
+    want = [d - rank(mat_scalar_shift(a, s)) for s in shifts]
+    assert list(nullities(a, shifts)) == want
+    for nullity in sorted(set(want)):
+        event(f"nullity {nullity}")
+
+
+def test_nullities_take_a_rank_only_off_an_unreduced_band(monkeypatch):
+    # an unreduced band takes no rank, any other matrix one per shift, and
+    # the shifts are read one at a time
+    ranked = []
+    real_rank = exactalg.rank
+    monkeypatch.setattr(exactalg, "rank", lambda m: ranked.append(m) or real_rank(m))
+    band = qmatrix([[1, 2, 0], [3, 1, 2], [0, 3, 1]])  # eigenvalues 1 and 1 +- 2*sqrt(3)
+    assert list(nullities(band, [0, 1, 2, -1])) == [0, 1, 0, 0] and ranked == []
+    reduced = qmatrix([[1, 0, 0], [3, 1, 2], [0, 3, 1]])
+    assert list(nullities(reduced, [1, 0])) == [1, 0] and len(ranked) == 2
+    assert list(nullities(qmatrix([[F(5, 2)]]), [5, 4])) == [1, 0] and len(ranked) == 4
+    shifts = iter([1, 2, 3])
+    assert next(nullities(band, shifts)) == 1
+    assert list(shifts) == [2, 3]
+    with pytest.raises(UsageError, match="square"):
+        list(nullities(qmatrix([[1, 2]]), [0]))

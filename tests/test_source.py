@@ -104,6 +104,18 @@ def test_only_verma_reads_the_matrix_cache():
     assert readers == ["verma.py"]
 
 
+def test_only_exactalg_shifts_a_matrix():
+    # a Casimir's nullities come from ``exactalg.nullities``, which picks the
+    # band recurrence or the rank of each shift; no other module shifts
+    callers = [
+        path.name for path in SOURCES
+        if any(isinstance(node, ast.Call) and "mat_scalar_shift" in (
+                   getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+    assert callers == ["exactalg.py"]
+
+
 def test_closed_form_with_notes_names_no_identity():
     # identity-specific logic stays in ``catalog_terms``; the closed form
     # only expands and sums the terms it yields
