@@ -11,17 +11,20 @@ Two independent pipelines produce each trace series:
   affine candidate forms.  A Casimir whose affine matrix is triangular with
   distinct diagonal forms, as every root-12 and root-13 one measured is, is
   read off that diagonal, which must lie among the candidates; any other
-  has each candidate's nullity measured by ``exactalg.nullities``: a
-  determinant recurrence on an unreduced tridiagonal matrix, as every
-  root-23 one measured is, and a kernel rank otherwise.
+  has each candidate's nullity measured by ``kappa_spectrum``, through
+  ``exactalg.nullities``: a determinant recurrence on an unreduced
+  tridiagonal matrix, as every root-23 one measured is, and a kernel rank
+  otherwise.
 
 Each pipeline runs at several guard-passing highest weights, the weight
 samples.  A Casimir read off its affine diagonal holds at every sample at
-once.  Every other weight space is measured at the first sample, confirmed
-at the others; weight-free spaces carry over.  A space is weight-free when
-its matrix's entries and the forms it is tested against have no L-part
-(``VermaModule.weight_free``): every sample then poses the first sample's
-problem times its own denominator, so the first answer stands for all.
+once.  Every other weight space is measured at every sample, the brute
+force's by ``kappa_spectrum`` and the branching rule's by its singular
+vectors, and each sample's answer must be the first's; weight-free spaces
+carry over.  A space is weight-free when its matrix's entries and the forms
+it is tested against have no L-part (``VermaModule.weight_free``): every
+sample then poses the first sample's problem times its own denominator, so
+the first answer stands for all.
 
 On an sl(2) module of highest weight u, the Casimir E F + F E acts on the
 depth-k vector by (2k+1)u - 2k^2; a finite module L_i has depths 0..i only.
@@ -287,23 +290,22 @@ def _require_complete(found: int, d: int, root: Root, n: int, m: int) -> None:
         )
 
 
-def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None,
-                   mat=None) -> tuple:
+def kappa_spectrum(module: VermaModule, root: Root, n: int, m: int, forms=None) -> tuple:
     """Eigenvalue multiset of the root Casimir on (n, m) by the nullities of
     its candidate shifts (``exactalg.nullities``), as sorted (numerator,
-    multiplicity) pairs over ``module.denom``.
+    multiplicity) pairs over ``module.denom``.  This is the one place a
+    Casimir's nullities are measured: ``spectrum`` rows, and every weight
+    sample of a trace space not read off its diagonal, come through here.
 
     The candidates are ``forms``, by default ``candidate_forms`` of the
-    space, and ``mat`` is the Casimir's matrix when the caller has built it.
-    The multiplicity of e is dim ker(kappa - e*I), read in ascending order
-    of e until the space is full; completeness (the multiplicities summing
-    to the space dimension) is enforced, so an eigenvalue no candidate
-    names, or a non-diagonalizable operator, is a hard error.  The
+    space.  The multiplicity of e is dim ker(kappa - e*I), read in ascending
+    order of e until the space is full; completeness (the multiplicities
+    summing to the space dimension) is enforced, so an eigenvalue no
+    candidate names, or a non-diagonalizable operator, is a hard error.  The
     Casimir's denominator is scale[raising] * scale[lowering], the weight
     denominator, so each candidate shifts the matrix's numerators directly.
     """
-    if mat is None:
-        mat = _casimir(module, root, n, m)
+    mat = _casimir(module, root, n, m)
     d = mat.cols
     if forms is None:
         forms = candidate_forms(module, root, n, m)
@@ -472,8 +474,8 @@ def _values(module: VermaModule, forms: list, n: int, m: int) -> list:
 def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     """Multiplicity of each candidate form on the (n, m) space, one module
     per weight sample: read off the affine diagonal when the Casimir is
-    triangular, otherwise measured at the first sample and confirmed at the
-    others; weight-free spaces carry over.
+    triangular, otherwise measured by ``kappa_spectrum`` at every sample;
+    weight-free spaces carry over from the first.
 
     When the first module is shared, its structure's forms cache holds the
     Casimir as one affine matrix for every sample.
@@ -486,16 +488,13 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
     itself; no rank is taken and no later sample's Casimir is built.
 
     Otherwise, as on root 23, the first module's ``kappa_spectrum`` gives
-    the counts, which must sum to the space's dimension.  Another module
-    confirms them with one nullity per form of nonzero count,
-    dim ker(kappa - e*I) == count, stopping at the first that differs:
-    eigenspaces of distinct eigenvalues are independent, so those nullities
-    filling the space leave every other form nullity 0, its count.  The
-    nullities come from ``exactalg.nullities``: a root-23 Casimir, unreduced
-    tridiagonal at every sample measured so far, takes the determinant
-    recurrence and no rank.  When the Casimir is weight-free and the forms
-    are constants, every sample's problem is the first one's times its
-    denominator, and the counts stand unconfirmed.
+    the counts, which must sum to the space's dimension, and every other
+    module's ``kappa_spectrum`` must give the same counts.  A root-23
+    Casimir, unreduced tridiagonal at every sample measured so far, takes
+    ``exactalg.nullities``' determinant recurrence and no rank.  When the
+    Casimir is weight-free and the forms are constants, every sample's
+    problem is the first one's times its denominator, and the first
+    sample's counts stand for all.
 
     A form's count is the multiplicity of its value, so the forms' values at
     each sample must be pairwise distinct, and they are at every weight the
@@ -516,9 +515,13 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
         counts = [int(form in diagonal) for form in forms]
         _require_complete(sum(counts), mat.cols, root, n, m)
         return counts
-    values = _values(first, forms, n, m)
-    measured = dict(kappa_spectrum(first, root, n, m, forms, mat))
-    counts = [measured.get(value, 0) for value in values]
+
+    def measured(mod: VermaModule) -> list:
+        values = _values(mod, forms, n, m)
+        spectrum = dict(kappa_spectrum(mod, root, n, m, forms))
+        return [spectrum.get(value, 0) for value in values]
+
+    counts = measured(first)
     d = first.dim(n, m)
     if sum(counts) != d:
         raise VerificationError(
@@ -526,12 +529,8 @@ def lift_space(modules: list, root: Root, n: int, m: int, forms: list) -> list:
         )
     if first.weight_free(root, n, m) and all(map(_constant, forms)):
         return counts
-    for mod in rest:
-        values = _values(mod, forms, n, m)
-        confirm = [(value, count) for value, count in zip(values, counts) if count]
-        got = nullities(_casimir(mod, root, n, m), [value for value, _ in confirm])
-        if any(nullity != count for nullity, (_, count) in zip(got, confirm)):
-            raise VerificationError(f"lifted multiplicities disagree at {(n, m)}")
+    if any(measured(mod) != counts for mod in rest):
+        raise VerificationError(f"lifted multiplicities disagree at {(n, m)}")
     return counts
 
 
@@ -545,10 +544,10 @@ def trace_brute_force(spec: ModuleSpec, root: Root, window: Window,
     forms, every root-12 and root-13 space measured so far, those forms are
     the eigenvalues at every weight sample, each of multiplicity 1, and must
     be among the candidate forms.  On any other space, every root-23 one of
-    two or more rows, each candidate's multiplicity is the nullity of its shift
-    (``exactalg.nullities``), measured at the first weight sample and
-    confirmed at the others; weight-free spaces carry over (``lift_space``).
-    Any disagreement or ambiguity is a hard error.
+    two or more rows, each candidate's multiplicity is the nullity of its shift,
+    measured by ``kappa_spectrum`` at every weight sample, and every sample
+    must give the first one's counts; weight-free spaces carry over from the
+    first (``lift_space``).  Any disagreement or ambiguity is a hard error.
     """
     samples = lift_samples(spec, samples)
     region = bruteforce_region(spec, root, window, regularized, divergent_depth)
@@ -570,12 +569,12 @@ def trace_branching(spec: ModuleSpec, root: Root, window: Window,
                     regularized: bool = False, samples=None,
                     divergent_depth: int | None = None) -> FormalSeries:
     """Windowed trace series assembled from a branching table over the brute
-    force's region, measured at the first weight sample, confirmed at the
-    others; weight-free spaces carry over.  A later sample recomputes each
-    other space's constituents, and any that differ from the table's are a
-    VerificationError.  A divergent trace is only meaningful as a
-    fixed-depth window sum, so its region is the triangle
-    n+m <= ``divergent_depth``, as in ``trace_brute_force``."""
+    force's region, built at the first weight sample.  Every later sample
+    re-measures the constituents of each space that is not weight-free, and
+    any that differ from the table's are a VerificationError; a weight-free
+    space's constituents carry over from the first sample.  A divergent
+    trace is only meaningful as a fixed-depth window sum, so its region is
+    the triangle n+m <= ``divergent_depth``, as in ``trace_brute_force``."""
     region = bruteforce_region(spec, root, window, regularized, divergent_depth)
     first, *rest = [VermaModule(spec.with_weight(l1, l2), shared=True)
                     for l1, l2 in lift_samples(spec, samples)]

@@ -75,9 +75,6 @@ class RunConfig:
         self.B, self.D, self.T = B, D, T
         self.lambda_samples, self.lambda2_given = lambda_samples, lambda2_given
 
-    def __eq__(self, other):
-        return vars(self) == vars(other) if isinstance(other, RunConfig) else NotImplemented
-
     @property
     def window(self) -> Window:
         return Window(self.B, self.D, self.T)

@@ -132,11 +132,11 @@ def rank(m: QMatrix) -> int:
 
 
 def _tridiagonal(a: QMatrix):
-    """(diagonal, products) of an unreduced tridiagonal ``a`` of two or more
+    """(diagonal, products) of an unreduced tridiagonal ``a`` of one or more
     rows: its diagonal numerators and each product a[k-1][k] * a[k][k-1],
     none zero; None for any other matrix."""
     d = a.rows
-    if d < 2 or a.cols != d:
+    if not d or a.cols != d:
         return None
     num = a.num
     products = [num[(k - 1) * d + k] * num[k * d + k - 1] for k in range(1, d)]
@@ -162,8 +162,7 @@ def nullities(a: QMatrix, shifts):
     f_1 = a[0][0] - s and
     f_(k+1) = (a[k][k] - s) * f_k - a[k-1][k] * a[k][k-1] * f_(k-1)
     give that determinant, f_d, in O(d) integer steps.  Any other matrix
-    takes d - rank(a - s*I), and so does a 1x1 one, whose rank is already
-    a single comparison.
+    takes d - rank(a - s*I).
     """
     band = _tridiagonal(a)
     if band is None:

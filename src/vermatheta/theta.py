@@ -162,8 +162,8 @@ def catalog_terms(identity: ClosedFormId, spec: ModuleSpec, window: Window):
     """Yield each term of an identity's catalog series as (base, factors), the
     series being the sum of base / prod (1 - f) (``_expand_term``).
 
-    A k-sum identity yields its k-terms for k = 0 ... max(0, (B-1)//2), so
-    2k+1 <= B except for k = 0 at B = 0; borel-reg-trace-12 and -23 yield two
+    A k-sum identity yields its k-terms for k = 0 ... (B-1)//2, so
+    2k+1 <= B, and none at B = 0; borel-reg-trace-12 and -23 yield two
     terms per k.  The parabolic character is one term, and the
     parabolic-trace-23 pair yields one finite sum per top weight i <= D,
     with no factors.
@@ -187,7 +187,7 @@ def catalog_terms(identity: ClosedFormId, spec: ModuleSpec, window: Window):
     # borel-reg-trace-23 is -12 under the Dynkin flip: L1 swaps with L2, t1 with t2
     flip = ((lambda m: Monomial(ExponentForm(m.qexp.c0, m.qexp.c2, m.qexp.c1), m.t2, m.t1))
             if identity is ClosedFormId.BOREL_REG_TRACE_23 else lambda m: m)
-    for k in range(max(0, (window.B - 1) // 2) + 1):
+    for k in range((window.B + 1) // 2):
         o = 2 * k + 1
         if identity is ClosedFormId.BOREL_TRACE_13:
             yield [(1, qpow(ExponentForm(-2 * k * k, o, o)))], [qpow(ExponentForm(-o, 0, 0))] * 2

@@ -952,9 +952,9 @@ def test_root_12_and_13_casimirs_are_read_off_the_diagonal(monkeypatch):
         lifted.append((root, modules[0].dim(n, m), coeffs, diagonal, len(ranked) > before))
         return counts
 
-    def recorded_kappa(module, root, n, m, forms=None, mat=None):
+    def recorded_kappa(module, root, n, m, forms=None):
         ranked.append((root, n, m))
-        return real_kappa(module, root, n, m, forms, mat)
+        return real_kappa(module, root, n, m, forms)
 
     monkeypatch.setattr(branching, "lift_space", recorded_lift)
     monkeypatch.setattr(branching, "kappa_spectrum", recorded_kappa)
@@ -989,8 +989,8 @@ def unreduced_tridiagonal(mat) -> bool:
 def test_root_23_casimirs_take_the_band_recurrence(monkeypatch):
     # over suite's regions, at every weight sample, every root-23 Casimir of
     # more than one row is unreduced tridiagonal, so the root-23 brute force
-    # takes no rank at all: the first sample's spectrum and each later
-    # sample's confirmation both run the determinant recurrence
+    # takes no rank at all: every sample's ``kappa_spectrum`` runs the
+    # determinant recurrence
     ranked, lifted = [], []
     for module in (exactalg, branching):
         real = module.rank

@@ -317,8 +317,8 @@ def test_nullities_match_the_rank_of_each_shift(shape, data):
 
 
 def test_nullities_take_a_rank_only_off_an_unreduced_band(monkeypatch):
-    # an unreduced band takes no rank, any other matrix one per shift, and
-    # the shifts are read one at a time
+    # an unreduced band, 1x1 included, takes no rank, any other matrix one
+    # per shift, and the shifts are read one at a time
     ranked = []
     real_rank = exactalg.rank
     monkeypatch.setattr(exactalg, "rank", lambda m: ranked.append(m) or real_rank(m))
@@ -326,7 +326,8 @@ def test_nullities_take_a_rank_only_off_an_unreduced_band(monkeypatch):
     assert list(nullities(band, [0, 1, 2, -1])) == [0, 1, 0, 0] and ranked == []
     reduced = qmatrix([[1, 0, 0], [3, 1, 2], [0, 3, 1]])
     assert list(nullities(reduced, [1, 0])) == [1, 0] and len(ranked) == 2
-    assert list(nullities(qmatrix([[F(5, 2)]]), [5, 4])) == [1, 0] and len(ranked) == 4
+    # a 1x1 matrix is an unreduced band too: f_1 = a[0][0] - s
+    assert list(nullities(qmatrix([[F(5, 2)]]), [5, 4])) == [1, 0] and len(ranked) == 2
     shifts = iter([1, 2, 3])
     assert next(nullities(band, shifts)) == 1
     assert list(shifts) == [2, 3]

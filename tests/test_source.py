@@ -116,6 +116,20 @@ def test_only_exactalg_shifts_a_matrix():
     assert callers == ["exactalg.py"]
 
 
+def test_only_kappa_spectrum_measures_a_casimirs_nullities():
+    # every weight sample of a space not read off its diagonal is measured
+    # the one way, ``kappa_spectrum``; no other branching function calls
+    # ``nullities``
+    tree = ast.parse((Path(vermatheta.__file__).parent / "branching.py").read_text(encoding="utf-8"))
+    callers = [
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and "nullities" in (
+            getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    ]
+    assert callers == ["kappa_spectrum"]
+
+
 def test_closed_form_with_notes_names_no_identity():
     # identity-specific logic stays in ``catalog_terms``; the closed form
     # only expands and sums the terms it yields

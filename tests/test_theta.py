@@ -266,7 +266,7 @@ FINITE_SUMS = (ClosedFormId.PARABOLIC_TRACE_23, ClosedFormId.PARABOLIC_TRACE_23_
 
 @pytest.mark.parametrize("identity", list(ClosedFormId), ids=lambda i: i.value)
 def test_catalog_term_counts(identity):
-    # a k-sum yields one term per k = 0 ... max(0, (B-1)//2), two on the
+    # a k-sum yields one term per k = 0 ... (B-1)//2, none at B = 0, two on the
     # regularized Borel pair; the parabolic character is one term, and the
     # parabolic-trace-23 pair's finite sums, one per top weight, have no factors
     specs = [BSPEC] if CATALOG[identity].kind == BOREL else [pspec(v) for v in range(4)]
@@ -280,7 +280,7 @@ def test_catalog_term_counts(identity):
             assert len(terms) == 1
         else:
             per_k = 2 if CATALOG[identity].regularized else 1
-            assert len(terms) == per_k * (max(0, (B - 1) // 2) + 1)
+            assert len(terms) == per_k * ((B + 1) // 2)
 
 
 def test_verify_replicates_across_borel_weights():

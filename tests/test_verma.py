@@ -148,18 +148,6 @@ def test_parabolic_ladder_block_below_diagonal(parabolic_modules):
         assert col == want
 
 
-def test_straightening_matches_word_oracle(borel_module, parabolic_modules):
-    modules = (borel_module, *(parabolic_modules[(F(7, 3), v)] for v in (0, 1, 2)))
-    for module in modules:
-        oracle = WordStraightener(module.spec)
-        for n in range(9):
-            for m in range(9 - n):
-                for exps in module.weight_space(n, m):
-                    for g in Gen:
-                        want = oracle.apply_gen(g, exps)
-                        assert module.apply_gen(g, {exps: F(1)}) == want, (module.spec, g, exps)
-
-
 def test_cold_cache_straightening_of_a_long_monomial():
     # E12 E21^a w = a(mu - a + 1) E21^(a-1) w for w = E32^a v of h1-value
     # mu = L1 + a: the sl(2) ladder rule, here on a monomial of 1600 letters
@@ -169,16 +157,16 @@ def test_cold_cache_straightening_of_a_long_monomial():
     assert module.apply_gen(Gen.E12, {(a, a, 0): 1}) == {(a - 1, a, 0): a * (mu - a + 1)}
 
 
-
 # -- the action table -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind, l2", [(BOREL, None), *((PARABOLIC, k) for k in range(6))])
 def test_action_table_matches_the_word_oracle(kind, l2):
     # every generator's table entry on every PBW monomial with n + m <= 24,
-    # evaluated at the weight samples: an affine form is fixed by its values
-    # at three points off one line, or at two L1 values on the parabolic
-    # module, whose forms have no L2 part
+    # and ``VermaModule.apply_gen``'s action by it, evaluated at the weight
+    # samples: an affine form is fixed by its values at three points off one
+    # line, or at two L1 values on the parabolic module, whose forms have no
+    # L2 part
     weights = WEIGHTS if kind == BOREL else [(l1, l2) for l1, _ in WEIGHTS[:2]]
     for l1, lambda2 in weights:
         spec = ModuleSpec(kind, l1, lambda2, 24)
@@ -189,7 +177,8 @@ def test_action_table_matches_the_word_oracle(kind, l2):
                     terms = action(spec.cap, g, exps)
                     assert len(terms) <= 2 and all(f[2] == 0 for _, f in terms if kind == PARABOLIC)
                     got = {e: c0 + c1 * l1 + c2 * lambda2 for e, (c0, c1, c2) in terms}
-                    assert got == oracle.apply_gen(g, exps), (spec, g, exps)
+                    want = oracle.apply_gen(g, exps)
+                    assert got == want and module.apply_gen(g, {exps: 1}) == want, (spec, g, exps)
 
 
 def times(a, b):
