@@ -9,7 +9,7 @@ from .branching import (
     trace_brute_force,
     trace_from_branching,
 )
-from .exactalg import QMatrix, kernel_basis, mat_scalar_shift, nullities, rank, rat
+from .exactalg import QMatrix, kernel_basis, nullities, rank, rat
 from .qseries import ExponentForm, FormalSeries, Monomial, Window
 from .theta import ClosedFormId, verify_identity
 from .verma import BOREL, PARABOLIC, Gen, ModuleSpec, Root, VermaModule, genericity_guard
@@ -35,7 +35,6 @@ __all__ = [
     "genericity_guard",
     "kappa_spectrum",
     "kernel_basis",
-    "mat_scalar_shift",
     "nullities",
     "rank",
     "rat",

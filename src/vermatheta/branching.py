@@ -429,25 +429,17 @@ def _window_spaces(region: tuple, window: Window, regularized: bool):
             yield n, m, t_part
 
 
-def trace_from_branching(table: BranchingTable, window: Window, regularized: bool = False,
-                         spec: ModuleSpec | None = None) -> FormalSeries:
+def trace_from_branching(table: BranchingTable, window: Window,
+                         regularized: bool = False) -> FormalSeries:
     """Assemble the windowed trace of q^kappa (times t1^h1 t2^h2 when
     regularized) from a branching table.
 
     The table's region is the truncation: the sum runs over its spaces, so a
     divergent trace built over the triangle n+m <= depth is that fixed-depth
-    window sum.  Given ``spec``, a convergent trace is refused, naming the
-    first space missing, unless the region holds every space of the window's
-    ``bruteforce_region``: a full triangle from ``branch`` serves any window
-    inside it, and a table floored higher than the window's does not.
+    window sum, and a convergent one is the window's trace only when the
+    region holds the window's ``bruteforce_region``, as ``trace_branching``'s
+    does by construction.
     """
-    if spec is not None and not is_divergent(spec.kind, table.root, regularized):
-        need = bruteforce_region(spec, table.root, window, regularized)
-        missing = [space for space in need if space not in table.covered]
-        if missing:
-            raise UsageError(
-                f"window needs constituents at {missing[0]}, outside the table's region"
-            )
     for term in table.terms:
         # Borel h-forms carry L1 or L2, and on the parabolic module every
         # root-23 constituent is finite because E32 is locally nilpotent

@@ -340,12 +340,14 @@ class VermaModule:
         A lowering letter's matrix is over 1, any other over ``denom``.
         """
         n, m = source
-        if isinstance(op, Root):  # lowers, then raises back: one root step below the source
+        if isinstance(op, Root):  # E F + F E: square, and E F lowers first
             (dn, dm), target = op.down_step, source
         else:
             dn, dm = _WEIGHT_STEP[op]
             target = (n + dn, m + dm)
-        # the deepest space the operator touches: its source or one step below
+        # the deepest space the operator touches: its source or one step
+        # below.  The rule follows the operator, not the route ``_forms``
+        # assembles it by, so a Casimir is held to its E F's step below
         if n + m + max(0, dn + dm) > self.spec.depth:
             raise TruncationError(f"{_label(op)} on the weight space {source} reaches past "
                                   f"depth {self.spec.depth}")
@@ -389,9 +391,10 @@ class VermaModule:
     def _forms(self, op, source: tuple[int, int], target: tuple[int, int], rows: int) -> list:
         """``op``'s matrix from the source space to the target space of
         dimension ``rows``, as the row-major list of its entries' affine
-        forms, read off the action table.  A Casimir E F + F E passes through
-        the spaces one root step below and above the source; one factor of
-        each product is a lowering letter's integer, so the product is affine."""
+        forms, read off the action table.  A Casimir E F + F E is built as
+        2 F E + H, since [E, F] = H acts on the source by its ``h_form``: it
+        passes through the space one root step above the source, and F is a
+        lowering letter with integer coefficients, so the product is affine."""
         cap = self.cap
         basis = self.weight_space(*source)
         cols = len(basis)
@@ -400,14 +403,16 @@ class VermaModule:
         # monomial's row is that exponent less the first basis element's
         tn, tm = target
         low = 0 if cap is None else max(0, tm - tn)
+        if isinstance(op, Root):
+            h = tuple(h_form(cap, op, *source))
         for j, exps in enumerate(basis):
             if isinstance(op, Root):
-                image: dict = {}
-                for first, second in ((op.lowering, op.raising), (op.raising, op.lowering)):
-                    for mid, (p0, p1, p2) in action(cap, first, exps):
-                        for e, (q0, q1, q2) in action(cap, second, mid):
-                            c0, c1, c2 = image.get(e, _ZERO)
-                            image[e] = (c0 + p0 * q0, c1 + p0 * q1 + p1 * q0, c2 + p0 * q2 + p2 * q0)
+                image = {exps: h}
+                for mid, (p0, p1, p2) in action(cap, op.raising, exps):
+                    for e, (q0, _, _) in action(cap, op.lowering, mid):
+                        c0, c1, c2 = image.get(e, _ZERO)
+                        q0 *= 2
+                        image[e] = (c0 + p0 * q0, c1 + p1 * q0, c2 + p2 * q0)
                 terms = image.items()
             else:
                 terms = action(cap, op, exps)

@@ -4,7 +4,8 @@ from math import lcm
 import pytest
 from hypothesis import settings
 
-from vermatheta import BOREL, PARABOLIC, ModuleSpec, QMatrix, VermaModule, mat_scalar_shift, rank
+from vermatheta import BOREL, PARABOLIC, ModuleSpec, QMatrix, VermaModule, rank
+from vermatheta.exactalg import mat_scalar_shift
 from vermatheta.verma import Gen, Root
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)

@@ -281,7 +281,7 @@ def test_region_table_is_the_full_table_over_the_region(key):
         part = branching_table(module, key.root, region=region)
         inside = set(region)
         assert part.terms == tuple(t for t in full.terms if t.origin in inside)
-        series = [trace_from_branching(t, window, key.regularized, spec=spec) for t in (part, full)]
+        series = [trace_from_branching(t, window, key.regularized) for t in (part, full)]
         assert series[0].terms == series[1].terms
         assert series[0].terms
 
@@ -312,7 +312,7 @@ def test_parabolic_12_region_is_sound_where_B_exceeds_D(window):
         region = bruteforce_region(spec, Root.A12, window, False)
         part = branching_table(module, Root.A12, region=region)
         full = branching_table(module, Root.A12)
-        series = [trace_from_branching(t, window, spec=spec) for t in (part, full)]
+        series = [trace_from_branching(t, window) for t in (part, full)]
         assert series[0].terms == series[1].terms, l2
         assert series[0].terms
 
@@ -472,42 +472,16 @@ def test_region_must_be_closed_upward(borel_module):
                                                              for m in range(n + 1)))
 
 
-def test_table_refused_for_a_window_outside_its_region(borel_module):
-    spec = borel_module.spec
-    table = branching_table(borel_module, Root.A13, region=triangle(4))
-    assert trace_from_branching(table, Window(3, 4, 0), spec=spec).terms
-    # the window needs triangle(8), whose first space past triangle(4) is (0, 5)
-    with pytest.raises(UsageError, match=re.escape(
-            "window needs constituents at (0, 5), outside the table's region")):
-        trace_from_branching(table, Window(3, 8, 0), spec=spec)
-    # the regularized window needs the floored square n, m <= 3: a triangle
-    # holds its corner (3, 3) from n+m <= 6 on, not at n+m <= 5
-    for top, fits in ((6, True), (5, False)):
-        table = branching_table(borel_module, Root.A12, region=triangle(top))
-        if fits:
-            assert trace_from_branching(table, Window(3, 4, 3), True, spec=spec).terms
-        else:
-            with pytest.raises(UsageError, match=re.escape("constituents at (3, 3), outside")):
-                trace_from_branching(table, Window(3, 4, 3), True, spec=spec)
-
-
 @pytest.mark.parametrize("kind, l2, root, window, regularized", FLOORED)
-def test_table_refused_for_a_floor_above_the_window(kind, l2, root, window, regularized):
-    # containment sees the floor: a table floored one unit too high is
-    # refused, and a full triangle, as ``branch`` builds, serves the window
+def test_floored_region_trace_is_the_full_triangle_trace(kind, l2, root, window, regularized):
+    # a table over the window's floored region gives the trace of a table
+    # over the full triangle, as ``branch`` builds it
     window = Window(window.B, 4, 3)
     spec = ModuleSpec(kind, F(7, 3), l2, 0)
     spec = spec.with_depth(required_depth(spec, root, window, regularized))
     module = VermaModule(spec)
     need = bruteforce_region(spec, root, window, regularized)
-    bound = window.T if regularized else window.D
-    on_floor = [s for s in need if floor_value(spec, root, regularized, *s) == -bound]
-    raised = branching_table(module, root, region=tuple(s for s in need if s not in on_floor))
-    with pytest.raises(UsageError, match=re.escape(
-            f"window needs constituents at {on_floor[0]}, outside the table's region")):
-        trace_from_branching(raised, window, regularized, spec=spec)
-    series = [trace_from_branching(branching_table(module, root, region=r), window, regularized,
-                                   spec=spec)
+    series = [trace_from_branching(branching_table(module, root, region=r), window, regularized)
               for r in (need, None)]
     assert series[0].terms == series[1].terms
     assert series[0].terms
@@ -574,7 +548,7 @@ def test_pipelines_agree_on_small_windows(kind, v, root, regularized):
     spec = ModuleSpec(kind, F(7, 3), v, 24)
     module = VermaModule(spec)
     table = branching_table(module, root)
-    branch = trace_from_branching(table, window, regularized, spec=spec)
+    branch = trace_from_branching(table, window, regularized)
     brute = trace_brute_force(spec, root, window, regularized)
     cmp = brute.equal_on(branch, window)
     assert cmp.passed, (cmp.monomial, cmp.left, cmp.right)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from vermatheta import QMatrix, exactalg, kernel_basis, mat_scalar_shift, nullities, rank, rat
+from vermatheta import QMatrix, exactalg, kernel_basis, nullities, rank, rat
 from vermatheta.errors import UsageError
+from vermatheta.exactalg import mat_scalar_shift
 
 from conftest import matrix_rows, qmatrix, shifted
 
